@@ -23,6 +23,7 @@ environment variable when set, falling back to the working directory.
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -148,6 +149,8 @@ def _potential_doc(spec: PotentialSpec) -> dict:
 def _number(field: str, value, integral: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"{field}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise UsageError(f"{field}: expected a finite number, got {value!r}")
     if integral and float(value) != int(value):
         raise UsageError(f"{field}: expected an integer, got {value!r}")
     return float(value)
@@ -370,8 +373,9 @@ def parse_config(doc: dict) -> RunConfig:
         raise UsageError(f"outputs: unknown entries {sorted(extras)}")
     table_name = outdoc.get("table", "spectrum.txt")
     manifest_name = outdoc.get("manifest", "manifest.json")
-    if not isinstance(table_name, str) or not isinstance(manifest_name, str):
-        raise UsageError("outputs: 'table' and 'manifest' must be file names")
+    for key, name in (("table", table_name), ("manifest", manifest_name)):
+        if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\"):
+            raise UsageError(f"outputs.{key}: expected a bare file name, got {name!r}")
 
     seed = int(_number("seed", doc.get("seed", 7), integral=True))
     return RunConfig(

@@ -598,17 +598,60 @@ class NDChannelOperator:
         return tuple(out)
 
     @cached_property
-    def _spin_matrices(self) -> tuple:
+    def _scalar_part(self):
+        # the spin-independent terms (weighted Laplacian in staggered
+        # divergence form, dilatational second difference along the grid
+        # diagonal, Casimir shift) as a sparse matrix over the grid cells
+        import scipy.sparse
+
+        N = self.grid.npoints
+        h2 = self.grid.step**2
+        c = self.kinetic_coeff / h2
+        P = self.weight
+        cell = np.arange(N**3).reshape(P.shape)
+        center = np.full(P.shape, self.casimir_shift - 2.0 * self.q2_coeff / h2)
+        rows, cols, vals = [cell], [cell], [center]
+
+        def couple(lo, hi, to_hi, to_lo):
+            rows.extend((cell[hi], cell[lo]))
+            cols.extend((cell[lo], cell[hi]))
+            vals.extend((to_hi, to_lo))
+
+        def along(a, part):
+            return tuple(part if d == a else slice(None) for d in range(3))
+
+        for a in range(3):
+            lo, hi = along(a, slice(None, -1)), along(a, slice(1, None))
+            # the flux weights have npoints+1 entries along a: mid[lo] sits
+            # below each node, mid[hi] above it, and the interior faces
+            # couple neighbouring nodes
+            mid = self._flux[a]
+            center += c * (mid[lo] + mid[hi]) / P
+            face = c * mid[along(a, slice(1, -1))]
+            couple(lo, hi, -face / P[hi], -face / P[lo])
+        # the weight depends only on invariant differences, so the shift
+        # along the diagonal is exactly symmetric for the sinh weight
+        if self.q2_coeff:
+            lo, hi = (slice(None, -1),) * 3, (slice(1, None),) * 3
+            q = np.full(cell[hi].shape, self.q2_coeff / h2)
+            couple(lo, hi, q, q)
+        rows, cols, vals = (np.concatenate([v.ravel() for v in x]) for x in (rows, cols, vals))
+        return scipy.sparse.csr_array((vals, (rows, cols)), shape=(N**3, N**3))
+
+    @cached_property
+    def _pair_part(self) -> tuple:
+        # In the ladder basis S_1, S_3 are real and S_2 imaginary, so for
+        # each dual axis c both Q = S^2 (x) 1 + 1 (x) (J^2)^T and
+        # X = S (x) J^T are real; on rows of f.reshape(-1, ds*dj) they act
+        # as f @ Q.T and f @ X.T, and (S -+ J)^2 f = Q f -+ 2 X f.  Returns
+        # the six transposed matrices side by side and, per cell, the six
+        # barrier fields that weight their products.
         s, j = self.labels
         gs = generators(RepLabel.su2(s), self.params.hbar).S
         gj = generators(RepLabel.su2(j), self.params.hbar).S
-        return gs, gj
-
-    @cached_property
-    def _pair_fields(self) -> tuple:
-        # inverse barrier profiles per unordered pair, broadcastable shapes
+        ones_s, ones_j = np.eye(len(gs[0])), np.eye(len(gj[0]))
         axes = self.grid.axes
-        out = []
+        mats, fields = [], []
         for a in range(3):
             for b in range(a + 1, 3):
                 qa = axes[a].reshape([-1 if d == a else 1 for d in range(3)])
@@ -616,73 +659,36 @@ class NDChannelOperator:
                 if self.kind is ModelKind.DALEMBERT:
                     minus = 1.0 / (qa - qb) ** 2
                     plus = 1.0 / (qa + qb) ** 2
+                    fields += [minus + plus, 2.0 * (plus - minus)]
                 else:
                     minus = 1.0 / np.sinh(0.5 * (qa - qb)) ** 2
                     plus = 1.0 / np.cosh(0.5 * (qa - qb)) ** 2
-                out.append((a, b, minus, plus))
-        return tuple(out)
+                    fields += [minus - plus, -2.0 * (minus + plus)]
+                c = _pair_axis(a, b)
+                S, J = gs[c], gj[c]
+                mats += [np.kron(S @ S, ones_j) + np.kron(ones_s, (J @ J).T), np.kron(S, J.T)]
+        mats = np.concatenate([m.real.T for m in mats], axis=1)
+        fields = self.pair_coeff * np.stack(
+            [np.broadcast_to(v, self.weight.shape).ravel() for v in fields], axis=-1
+        )
+        return mats, fields[:, None, :]
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """H f for an amplitude f of shape self.shape."""
+        """H f for an amplitude f of shape self.shape.
+
+        The coefficients are real: real input gives a float64 result and
+        complex input is acted on linearly.
+        """
         f = np.asarray(f)
         if f.shape != self.shape:
             raise DomainError(f"amplitude shape {f.shape} does not match {self.shape}")
-        h2 = self.grid.step**2
-        P = self.weight[..., None, None]
-        out = np.zeros(self.shape, dtype=complex)
-
-        # weighted Laplacian in staggered divergence form
-        for a in range(3):
-            lo = [slice(None)] * 5
-            hi = [slice(None)] * 5
-            lo[a] = slice(None, -1)
-            hi[a] = slice(1, None)
-            lo, hi = tuple(lo), tuple(hi)
-            mid = self._flux[a]
-            low = [slice(None)] * 3
-            upp = [slice(None)] * 3
-            low[a] = slice(None, -1)
-            upp[a] = slice(1, None)
-            m_low = mid[tuple(low)][..., None, None]  # flux below each node
-            m_upp = mid[tuple(upp)][..., None, None]  # flux above each node
-            div = (m_low + m_upp) * f
-            div[hi] -= m_low[hi] * f[lo]
-            div[lo] -= m_upp[lo] * f[hi]
-            out += (self.kinetic_coeff / h2) * div / P
-
-        # dilatational second difference along the grid diagonal; the
-        # weight depends only on invariant differences, so this shift is
-        # exactly symmetric for the sinh weight
-        if self.q2_coeff:
-            diag = -2.0 * f.astype(complex)
-            core = (slice(1, None),) * 3
-            back = (slice(None, -1),) * 3
-            diag[core] += f[back]
-            diag[back] += f[core]
-            out += (self.q2_coeff / h2) * diag
-
-        if self.casimir_shift:
-            out += self.casimir_shift * f
-
+        rows = f.reshape(self.grid.npoints**3, -1)
+        out = self._scalar_part @ rows
         if self.pair_coeff:
-            gs, gj = self._spin_matrices
-            for a, b, minus, plus in self._pair_fields:
-                c = _pair_axis(a, b)
-                S, J = gs[c], gj[c]
-                S2f = np.einsum("ab,...bk->...ak", S @ S, f)
-                fJ2 = np.einsum("...ak,kl->...al", f, J @ J)
-                SfJ = np.einsum("ab,...bk,kl->...al", S, f, J)
-                sq_minus = S2f + fJ2 - 2.0 * SfJ
-                sq_plus = S2f + fJ2 + 2.0 * SfJ
-                if self.kind is ModelKind.DALEMBERT:
-                    out += self.pair_coeff * (
-                        minus[..., None, None] * sq_minus + plus[..., None, None] * sq_plus
-                    )
-                else:
-                    out += self.pair_coeff * (
-                        minus[..., None, None] * sq_minus - plus[..., None, None] * sq_plus
-                    )
-        return out
+            mats, fields = self._pair_part
+            coupled = (rows @ mats).reshape(len(rows), 6, -1)
+            out += (fields @ coupled)[:, 0, :]
+        return out.reshape(self.shape)
 
     def weighted_inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         """Sum of tr(f^+ g) P over the grid times the cell volume."""

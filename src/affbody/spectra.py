@@ -12,12 +12,12 @@ the attractive ch^-2 term dominant (discrete states possible), the
 reverse leaves only the repulsive sh^-2 core (purely continuous), and
 equality is reported as marginal with no verdict.
 
-The n=3 matrix-valued operators are diagonalized by Lanczos iteration
-over the matrix-free action, orthogonalizing in the weighted inner
-product (the operator is self-adjoint only there).  Full
-reorthogonalization keeps the basis clean; converged Ritz vectors are
-deflated and the iteration restarts with a fresh vector, so degenerate
-eigenvalues are recovered with their multiplicity.
+The n=3 matrix-valued operators are self-adjoint only in the weighted
+inner product, so their matrix-free action is symmetrized by the same
+sqrt-weight similarity as the 1D operators and handed to scipy's `eigsh`
+(ARPACK's implicitly restarted Lanczos).  Found eigenvectors are lifted
+out of the spectrum and the solve reruns from a fresh vector, so
+degenerate eigenvalues are recovered with their multiplicity.
 """
 
 import math
@@ -208,120 +208,72 @@ def boundedness_scan(
 
 
 # ---------------------------------------------------------------------------
-# Lanczos for the matrix-valued channels
-
-
-def _weighted_norm(op, v):
-    return math.sqrt(max(op.weighted_inner(v, v).real, 0.0))
+# matrix-valued channels
 
 
 def solve_nd(op, count: int, seed: int = 7, tol: float = 1e-9, maxiter: int = 600) -> SpectrumResult:
     """Lowest eigenvalues of a matrix-free n=3 channel operator.
 
-    Restarted Lanczos with full reorthogonalization in the weighted inner
-    product.  A single Krylov block only sees each eigenvalue once, so
-    converged Ritz vectors are deflated and fresh blocks keep starting
-    until a new block's lowest converged value clears the count-th
-    smallest found; that recovers degenerate multiplicities and catches
-    any level a previous block missed.
+    H is self-adjoint in the weighted inner product, so R H R^-1 with
+    R = sqrt(P) is symmetric, and scipy's `eigsh` (ARPACK's implicitly
+    restarted Lanczos) finds its lowest values.  `tol` is ARPACK's relative
+    accuracy, `maxiter` its limit on restarts per run, and `seed` draws the
+    start vectors.  One Krylov space sees an exactly degenerate level only
+    once, so the vectors V found so far are lifted out of the way
+    (H + sigma V V^T, sigma putting them above the count-th value) and the
+    solver reruns for the lowest value left until that value is not below
+    the count-th.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     if count < 1:
         raise DomainError("count must be at least 1")
     if count > 10:
         raise DomainError("count must not exceed 10 for the iterative solver")
-    size = int(np.prod(op.shape))
+    shape = op.shape
+    size = int(np.prod(shape))
     if count >= size:
         raise DomainError(f"count = {count} exceeds the problem dimension {size}")
+    cells = int(np.prod(shape[:3]))
+    root = np.sqrt(op.weight).reshape(cells, 1)
     rng = np.random.default_rng(seed)
-    deflated = []  # converged Ritz vectors, weighted-orthonormal
-    found = []
-    scale = 1.0
-    total_steps = 0
 
-    def fresh_vector():
-        for _ in range(8):
-            v = rng.normal(size=op.shape) + 1j * rng.normal(size=op.shape)
-            for u in deflated:
-                v = v - op.weighted_inner(u, v) * u
-            nrm = _weighted_norm(op, v)
-            if nrm > 1e-10:
-                return v / nrm
-        return None
+    def lifted(x):
+        x = x.reshape(-1)
+        y = op.apply((x.reshape(cells, -1) / root).reshape(shape))
+        if np.iscomplexobj(y):
+            if np.any(y.imag):
+                raise DomainError("operator maps real amplitudes to complex ones")
+            y = y.real
+        return (root * y.reshape(cells, -1)).reshape(-1) + sigma * (vecs @ (vecs.T @ x))
 
+    def lowest(k):
+        try:
+            vals, vecs = eigsh(
+                LinearOperator((size, size), matvec=lifted, dtype=float),
+                k=k, which="SA", tol=tol, maxiter=maxiter, v0=rng.standard_normal(size),
+            )
+        except ArpackNoConvergence as exc:
+            raise NumericalError(f"eigsh did not converge: {exc}") from exc
+        return vals, vecs
+
+    vecs, sigma = np.empty((size, 0)), 0.0
+    vals, vecs = lowest(count)
     while True:
-        v = fresh_vector()
-        if v is None:
-            break  # space exhausted
-        basis = [v]
-        alphas, betas = [], []
-        converged_here = None
-        want = min(count, size - 1) if len(found) < count else 1
-        while total_steps < maxiter:
-            total_steps += 1
-            w = op.apply(basis[-1])
-            a = op.weighted_inner(basis[-1], w).real
-            alphas.append(a)
-            w = w - a * basis[-1]
-            if len(basis) > 1:
-                w = w - betas[-1] * basis[-2]
-            # full reorthogonalization against the block and deflated space
-            for u in basis:
-                w = w - op.weighted_inner(u, w) * u
-            for u in deflated:
-                w = w - op.weighted_inner(u, w) * u
-            b = _weighted_norm(op, w)
-            scale = max(scale, abs(a), b)
-            k = len(alphas)
-            breakdown = b <= 1e-13 * scale
-            if breakdown or k >= max(want, 2):
-                vals, vecs = scipy.linalg.eigh_tridiagonal(
-                    np.array(alphas), np.array(betas)
-                )
-                resid = b * np.abs(vecs[-1, :])
-                got = min(want, k)
-                # a breakdown spans an exact invariant subspace, so its
-                # Ritz pairs are converged by construction
-                if breakdown or np.all(resid[:got] <= tol * scale):
-                    converged_here = (vals, vecs, got)
-                    break
-            betas.append(b)
-            basis.append(w / b)
-        if converged_here is None:
-            vals, vecs = (
-                scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas))
-                if len(alphas) > 1
-                else (np.array(alphas), np.ones((1, 1)))
-            )
-            resid = (betas[-1] if betas else 0.0) * np.abs(vecs[-1, :])
-            raise NumericalError(
-                f"Lanczos did not converge after {total_steps} steps; "
-                f"best residuals {np.sort(resid)[: count]}"
-            )
-        vals, vecs, got = converged_here
-        block_vals = []
-        for i in range(got):
-            ritz = sum(vecs[r, i] * basis[r] for r in range(len(basis)))
-            nrm = _weighted_norm(op, ritz)
-            if nrm > 1e-10:
-                deflated.append(ritz / nrm)
-                found.append(float(vals[i]))
-                block_vals.append(float(vals[i]))
-        if len(found) >= count and block_vals:
-            kth = np.sort(found)[count - 1]
-            if min(block_vals) >= kth - 10.0 * tol * scale:
-                break  # nothing new below the count-th level
-        if len(deflated) >= size:
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        kth = vals[count - 1]
+        scale = max(abs(vals[0]), abs(kth))
+        sigma = 2.0 * (kth - vals[0]) + scale
+        val, vec = lowest(1)
+        if not val[0] < kth - 10.0 * tol * scale:
             break
-    if len(found) < count:
-        raise NumericalError(
-            f"Krylov space exhausted with {len(found)} of {count} eigenvalues"
-        )
-    found = np.sort(np.array(found))[:count]
+        vals, vecs = np.append(vals, val), np.hstack((vecs, vec))
     g = op.grid
     return SpectrumResult(
         kind=op.kind,
         channel=tuple(op.labels),
-        eigenvalues=found,
+        eigenvalues=vals[:count],
         threshold=math.nan,
         bound_count=0,
         node_counts=(),

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -187,6 +188,40 @@ class TestRun:
         cfg = write_config(tmp_path, doc)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path)]) == 2
         assert "mu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"grid": {"x_max": math.inf, "npoints": 99}}, "grid.x_max"),
+            ({"potentials": {"shear": {"kind": "harmonic", "k": math.nan}}}, "potentials.shear.k"),
+            ({"params": {"I": 1.0, "A": -math.inf, "B": 0.0}}, "params.A"),
+            ({"count": math.inf}, "count"),
+        ],
+    )
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, overrides, field):
+        # json writes and reads these as NaN / Infinity / -Infinity
+        cfg = write_config(tmp_path, base_config(**overrides))
+        with pytest.raises(UsageError, match=field.replace(".", "\\.")):
+            parse_config(json.loads((tmp_path / "config.json").read_text()))
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "outputs,field",
+        [
+            ({"table": "../../escape.txt"}, "outputs.table"),
+            ({"manifest": "sub/manifest.json"}, "outputs.manifest"),
+            ({"table": ".."}, "outputs.table"),
+            ({"manifest": "..\\m.json"}, "outputs.manifest"),
+            ({"table": ""}, "outputs.table"),
+        ],
+    )
+    def test_output_names_must_be_bare(self, tmp_path, capsys, outputs, field):
+        out = tmp_path / "a" / "b"
+        cfg = write_config(tmp_path, base_config(outputs=outputs))
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "escape.txt").exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "gone.json")]) == 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from affbody.errors import DomainError
+from affbody.errors import DomainError, NumericalError
 from affbody.hamiltonians import (
     ChannelOperator1D,
     Grid1D,
@@ -192,7 +192,7 @@ class TestBoundednessScan:
 
 
 class FlatBoxND:
-    """Minimal matrix-free 3D Dirichlet Laplacian used as a Lanczos oracle."""
+    """Minimal matrix-free 3D Dirichlet Laplacian used as an eigensolver oracle."""
 
     def __init__(self, c, npoints, L, multiplicity=1):
         self.kind = ModelKind.AFF_AFF
@@ -200,6 +200,7 @@ class FlatBoxND:
         self.grid = GridND(npoints, 0.0, L)
         self.c = c
         self.shape = (npoints, npoints, npoints, multiplicity, 1)
+        self.weight = np.ones(self.shape[:3])
 
     def apply(self, f):
         h2 = self.grid.step**2
@@ -281,6 +282,46 @@ class TestSolveND:
             solve_nd(op, 11)
         with pytest.raises(DomainError):
             solve_nd(op, 0)
+
+
+@pytest.fixture(scope="module")
+def spin1_channel_n13():
+    # a spin-1 channel large enough that ARPACK needs several restarts
+    return assemble_nd_channel(
+        ModelKind.MET_AFF, ModelParams(I=2, A=1, B=0.5, n=3), (1, 1), GridND(13, -3.0, 3.0)
+    )
+
+
+@pytest.fixture(scope="module")
+def spin1_values_n13(spin1_channel_n13):
+    return solve_nd(spin1_channel_n13, 4, seed=1).eigenvalues
+
+
+class TestSolveNDMatrixChannel:
+    # lowest values of sqrt(P) H sqrt(P)^-1 from an independent eigsh run at tol 1e-12
+    N13_REFERENCE = [1.283688325682036, 1.3137877507419338, 1.3285152786978665, 1.3590939981398864]
+
+    def test_spin1_n13_solves(self, spin1_values_n13):
+        vals = spin1_values_n13
+        assert len(vals) == 4 and np.all(np.isfinite(vals))
+        assert np.all(np.diff(vals) >= 0.0)
+        np.testing.assert_allclose(vals, self.N13_REFERENCE, rtol=1e-8)
+
+    def test_seeds_agree(self, spin1_channel_n13, spin1_values_n13):
+        other = solve_nd(spin1_channel_n13, 4, seed=2).eigenvalues
+        np.testing.assert_allclose(other, spin1_values_n13, rtol=1e-9)
+
+    def test_restart_limit_raises_numerical_error(self, spin1_channel_n13):
+        with pytest.raises(NumericalError, match="did not converge"):
+            solve_nd(spin1_channel_n13, 4, maxiter=1)
+
+    def test_complex_action_rejected(self):
+        class Twisted(FlatBoxND):
+            def apply(self, f):
+                return (1.0 + 1e-3j) * super().apply(f)
+
+        with pytest.raises(DomainError):
+            solve_nd(Twisted(1.0, 4, 1.0), 2)
 
 
 class TestConvergence:
