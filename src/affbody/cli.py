@@ -441,7 +441,9 @@ def _parallel_channels(channels, worker, jobs: int):
     return results, errors, timings
 
 
-def _write_manifest(path, cfg: RunConfig, subcommand: str, timings, errors, total: float):
+def _write_manifest(
+    path, cfg: RunConfig, subcommand: str, timings, errors, total: float, solves: int
+):
     manifest = {
         "format": "affbody-manifest 1",
         "subcommand": subcommand,
@@ -460,6 +462,7 @@ def _write_manifest(path, cfg: RunConfig, subcommand: str, timings, errors, tota
         },
         "errors": {_label_key(ch): errors[ch] for ch in sorted(errors)},
         "table": cfg.table_name,
+        "tridiagonal_solves": solves,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -471,7 +474,7 @@ def _report_errors(errors) -> None:
         print(f"channel {ch}: {errors[ch]}", file=sys.stderr)
 
 
-def _solve_channel(cfg: RunConfig, channel) -> list:
+def _solve_channel(cfg: RunConfig, channel, memo: dict) -> list:
     """All refinement levels for one channel, coarsest first."""
     rows = []
     if cfg.dimension == 2:
@@ -480,7 +483,7 @@ def _solve_channel(cfg: RunConfig, channel) -> list:
             op = assemble_2d_channel(
                 cfg.kind, cfg.params, channel, grid, cfg.dil, cfg.shear
             )
-            rows.append(replace(solve_1d(op, cfg.count), refinement=level))
+            rows.append(replace(solve_1d(op, cfg.count, memo), refinement=level))
             grid = grid.refine()
         return rows
     grid = cfg.gridnd
@@ -492,16 +495,16 @@ def _solve_channel(cfg: RunConfig, channel) -> list:
 
 
 def cmd_run(cfg: RunConfig, output_dir: str, jobs: int) -> int:
-    t0 = time.perf_counter()
+    t0, memo = time.perf_counter(), {}
     results, errors, timings = _parallel_channels(
-        cfg.channels, lambda ch: _solve_channel(cfg, ch), jobs
+        cfg.channels, lambda ch: _solve_channel(cfg, ch, memo), jobs
     )
     ordered = [res for ch in sorted(results) for res in results[ch]]
     table_path = os.path.join(output_dir, cfg.table_name)
     write_spectrum_table(table_path, ordered)
     manifest_path = os.path.join(output_dir, cfg.manifest_name)
     _write_manifest(
-        manifest_path, cfg, "run", timings, errors, time.perf_counter() - t0
+        manifest_path, cfg, "run", timings, errors, time.perf_counter() - t0, len(memo)
     )
     print(table_path)
     print(manifest_path)
@@ -514,11 +517,11 @@ def cmd_run(cfg: RunConfig, output_dir: str, jobs: int) -> int:
 def cmd_scan_threshold(cfg: RunConfig, output_dir: str, jobs: int) -> int:
     if cfg.dimension != 2:
         raise UsageError("dimension: scan-threshold supports dimension 2 only")
-    t0 = time.perf_counter()
+    t0, memo = time.perf_counter(), {}
 
     def worker(ch):
         op = assemble_2d_channel(cfg.kind, cfg.params, ch, cfg.grid1d, cfg.dil, cfg.shear)
-        return solve_1d(op, cfg.count)
+        return solve_1d(op, cfg.count, memo)
 
     results, errors, timings = _parallel_channels(cfg.channels, worker, jobs)
     table_path = os.path.join(output_dir, cfg.table_name)
@@ -535,7 +538,8 @@ def cmd_scan_threshold(cfg: RunConfig, output_dir: str, jobs: int) -> int:
             )
     manifest_path = os.path.join(output_dir, cfg.manifest_name)
     _write_manifest(
-        manifest_path, cfg, "scan-threshold", timings, errors, time.perf_counter() - t0
+        manifest_path, cfg, "scan-threshold", timings, errors, time.perf_counter() - t0,
+        len(memo),
     )
     print(table_path)
     print(manifest_path)
@@ -548,7 +552,7 @@ def cmd_scan_threshold(cfg: RunConfig, output_dir: str, jobs: int) -> int:
 def cmd_convergence(cfg: RunConfig, output_dir: str, jobs: int) -> int:
     if cfg.dimension != 2:
         raise UsageError("dimension: convergence supports dimension 2 only")
-    t0 = time.perf_counter()
+    t0, memo = time.perf_counter(), {}
 
     def worker(ch):
         return convergence_study(
@@ -556,6 +560,7 @@ def cmd_convergence(cfg: RunConfig, output_dir: str, jobs: int) -> int:
             cfg.grid1d,
             levels=cfg.levels,
             count=cfg.count,
+            memo=memo,
         )
 
     results, errors, timings = _parallel_channels(cfg.channels, worker, jobs)
@@ -573,7 +578,8 @@ def cmd_convergence(cfg: RunConfig, output_dir: str, jobs: int) -> int:
             fh.write(f"{cfg.kind.value} {ch[0]} {ch[1]} limit nan {vals}\n")
     manifest_path = os.path.join(output_dir, cfg.manifest_name)
     _write_manifest(
-        manifest_path, cfg, "convergence", timings, errors, time.perf_counter() - t0
+        manifest_path, cfg, "convergence", timings, errors, time.perf_counter() - t0,
+        len(memo),
     )
     print(table_path)
     print(manifest_path)

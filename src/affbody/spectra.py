@@ -83,12 +83,14 @@ class SpectrumResult:
 
     @property
     def bound_flags(self) -> np.ndarray:
-        edge = self.threshold - MARGIN_FACTOR * np.where(
-            np.isnan(self.margins), 0.0, self.margins
-        )
-        if math.isnan(self.threshold):
-            return np.zeros(len(self.eigenvalues), dtype=bool)
-        return self.eigenvalues < edge
+        return _bound_mask(self.eigenvalues, self.threshold, self.margins)
+
+
+def _bound_mask(vals, threshold: float, margins) -> np.ndarray:
+    """Eigenvalues below the threshold by MARGIN_FACTOR times their margin."""
+    if math.isnan(threshold):
+        return np.zeros(len(vals), dtype=bool)
+    return vals < threshold - MARGIN_FACTOR * np.where(np.isnan(margins), 0.0, margins)
 
 
 def _count_nodes(u: np.ndarray) -> int:
@@ -105,26 +107,41 @@ def _tridiagonal(op):
         raise DomainError("solve_1d expects a 1D channel operator") from None
 
 
-def _lowest_1d(op, count: int, vectors: bool = False):
+def _lowest_1d(op, count: int, nodes: bool = False, memo: dict | None = None):
+    """Lowest `count` eigenvalues and, if asked, their node counts (else None).
+
+    memo, keyed by count and a hash of the tridiagonal, holds the results
+    already computed in one call, so label twins and the previous level's
+    grid are solved once; identical inputs give identical LAPACK output.
+    """
     d, e = _tridiagonal(op)
     if count > len(d):
         raise DomainError(f"count = {count} exceeds the matrix dimension {len(d)}")
+    if memo is not None:
+        from hashlib import blake2b
+
+        key = (count, blake2b(d.tobytes() + e.tobytes(), digest_size=16).digest())
+        hit = memo.get(key)
+        if hit is not None and (hit[1] is not None or not nodes):
+            return hit
     try:
-        if vectors:
-            return scipy.linalg.eigh_tridiagonal(
-                d, e, select="i", select_range=(0, count - 1)
-            )
-        return (
-            scipy.linalg.eigh_tridiagonal(
-                d, e, select="i", select_range=(0, count - 1), eigvals_only=True
-            ),
-            None,
+        out = scipy.linalg.eigh_tridiagonal(
+            d, e, select="i", select_range=(0, count - 1), eigvals_only=not nodes
         )
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
+    if nodes:
+        vals, vecs = out
+        result = vals, tuple(_count_nodes(vecs[:, i]) for i in range(count))
+    else:
+        result = out, None
+    result[0].flags.writeable = False
+    if memo is not None and (nodes or key not in memo):
+        memo[key] = result  # never replace an entry holding node counts
+    return result
 
 
-def _coarsened(op, count: int):
+def _coarsened(op, count: int, memo: dict | None = None):
     """Eigenvalues of the same operator restricted to a 2h grid, or None.
 
     Odd node counts coarsen exactly (every second node is a coarse node);
@@ -132,42 +149,35 @@ def _coarsened(op, count: int):
     accurate enough for an error estimate.
     """
     g = op.grid
-    m = (g.npoints - 1) // 2
-    if m < 3 or count > m:
+    try:
+        coarse = g.coarsen()
+    except DomainError:
         return None
-    coarse = Grid1D(g.x_min, g.x_max, m)
+    if count > coarse.npoints:
+        return None
     if g.npoints % 2 == 1:
         diag = op.diag_potential[1::2]
     else:
         diag = np.interp(coarse.points, g.points, op.diag_potential)
-    cop = replace(op, grid=coarse, diag_potential=diag)
-    vals, _ = _lowest_1d(cop, count)
-    return vals
+    return _lowest_1d(replace(op, grid=coarse, diag_potential=diag), count, memo=memo)[0]
 
 
-def solve_1d(op, count: int) -> SpectrumResult:
-    """Lowest eigenpairs of a 1D channel operator (either form)."""
+def solve_1d(op, count: int, memo: dict | None = None) -> SpectrumResult:
+    """Lowest eigenpairs of a 1D channel operator (either form).
+
+    memo is a per-call cache of tridiagonal solves (see `_lowest_1d`).
+    """
     if count < 1:
         raise DomainError("count must be at least 1")
-    vals, vecs = _lowest_1d(op, count, vectors=True)
-    nodes = tuple(_count_nodes(vecs[:, i]) for i in range(count))
-    coarse = _coarsened(op, count)
-    if coarse is None:
-        margins = np.full(count, np.nan)
-    else:
-        margins = np.abs(vals - coarse)
-    threshold = op.threshold
-    if math.isnan(threshold):
-        bound = 0
-    else:
-        edge = threshold - MARGIN_FACTOR * np.where(np.isnan(margins), 0.0, margins)
-        bound = int(np.sum(vals < edge))
+    vals, nodes = _lowest_1d(op, count, nodes=True, memo=memo)
+    coarse = _coarsened(op, count, memo)
+    margins = np.full(count, np.nan) if coarse is None else np.abs(vals - coarse)
     return SpectrumResult(
         kind=op.kind,
         channel=tuple(op.channel),
         eigenvalues=vals,
-        threshold=threshold,
-        bound_count=bound,
+        threshold=op.threshold,
+        bound_count=int(np.sum(_bound_mask(vals, op.threshold, margins))),
         node_counts=nodes,
         margins=margins,
         x_min=op.grid.x_min,
@@ -191,16 +201,19 @@ def boundedness_scan(
     count: int = 1,
     grid: Grid1D | None = None,
 ) -> list:
-    """Ground energy per channel; failures recorded per row, not raised."""
+    """Ground energy per channel; failures recorded per row, not raised.
+
+    Label twins (channels with the same operator) are solved once.
+    """
     if not channels:
         raise DomainError("channel list must be nonempty")
     if grid is None:
         grid = Grid1D.from_spec(DEFAULT_BOX, DEFAULT_NPOINTS)
-    rows = []
+    rows, memo = [], {}
     for ch in sorted(channels):
         try:
             op = assemble_2d_channel(kind, params, ch, grid)
-            res = solve_1d(op, count)
+            res = solve_1d(op, count, memo)
             rows.append(ScanRow(tuple(ch), float(res.eigenvalues[0]), None, res))
         except Exception as exc:  # partial results allowed
             rows.append(ScanRow(tuple(ch), None, str(exc), None))
@@ -318,10 +331,13 @@ def richardson(e0, e1, e2):
     return e2 + d2 / (2.0**p - 1.0), p
 
 
-def convergence_study(make_op, base_grid: Grid1D, levels: int = 3, count: int = 5) -> ConvergenceStudy:
+def convergence_study(
+    make_op, base_grid: Grid1D, levels: int = 3, count: int = 5, memo: dict | None = None
+) -> ConvergenceStudy:
     """Solve on `levels` nested grids and fit the observed order.
 
-    make_op maps a Grid1D to an assembled 1D operator (either form).
+    make_op maps a Grid1D to an assembled 1D operator (either form); memo
+    is a per-call cache of tridiagonal solves (see `_lowest_1d`).
     """
     if levels < 3:
         raise DomainError("a convergence study needs at least three levels")
@@ -329,7 +345,7 @@ def convergence_study(make_op, base_grid: Grid1D, levels: int = 3, count: int = 
     grid = base_grid
     for _ in range(levels):
         op = make_op(grid)
-        vals, _ = _lowest_1d(op, count)
+        vals, _ = _lowest_1d(op, count, memo=memo)
         hs.append(grid.step)
         table.append(vals)
         grid = grid.refine()

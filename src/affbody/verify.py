@@ -45,7 +45,8 @@ from .representations import (
     haar_quadrature,
     wigner_D_batch,
 )
-from .spectra import richardson, solve_1d
+# solve_1d is unused here; bench/tracing.py wraps verify.solve_1d, so the name stays
+from .spectra import convergence_study, solve_1d  # noqa: F401
 
 SUITES = ("algebra", "measures", "orthogonality", "spectral-equivalence")
 
@@ -239,11 +240,7 @@ def orthogonality_suite(seed: int = 7) -> list:
 
 def extrapolated_levels(make_op, base_grid: Grid1D, count: int) -> np.ndarray:
     """Lowest eigenvalues on three nested grids, Richardson-extrapolated."""
-    grids = [base_grid, base_grid.refine(), base_grid.refine().refine()]
-    eig = [solve_1d(make_op(g), count).eigenvalues for g in grids]
-    return np.array(
-        [richardson(eig[0][i], eig[1][i], eig[2][i])[0] for i in range(count)]
-    )
+    return convergence_study(make_op, base_grid, levels=3, count=count).extrapolated
 
 
 def equivalence_defect(

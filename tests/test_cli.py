@@ -1,7 +1,9 @@
 import json
 import math
+import sys
 
 import pytest
+import scipy.linalg
 
 from affbody.cli import OUTPUT_DIR_ENV, main, parse_config
 from affbody.errors import UsageError
@@ -292,6 +294,71 @@ class TestRun:
         rows = (tmp_path / "o" / "spectrum.txt").read_text().splitlines()[1:]
         assert len(rows) == 2
         assert rows[0].split()[1:3] == ["0.0", "1.0"]
+
+
+def count_tridiagonal_solves(monkeypatch) -> list:
+    calls = []
+    original = scipy.linalg.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    return calls
+
+
+class TestSolveMemo:
+    DOC = base_config(
+        channels={"square": [-2, 2]},
+        grid={"x_max": 30.0, "npoints": 199},
+        count=3,
+        refinements=2,
+    )
+    # aff-aff depends on the labels only through |n-m| and |n+m|
+    PAIRS = {(abs(n - m), abs(n + m)) for m in range(-2, 3) for n in range(-2, 3)}
+
+    def test_each_distinct_tridiagonal_solved_once_per_call(self, tmp_path, monkeypatch):
+        # per pair: three levels plus the margin grid of level 0
+        expected = 4 * len(self.PAIRS)
+        calls = count_tridiagonal_solves(monkeypatch)
+        cfg = write_config(tmp_path, self.DOC)
+        for out in ("a", "b"):
+            calls.clear()
+            assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / out)]) == 0
+            assert len(calls) == expected
+            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+            assert manifest["tridiagonal_solves"] == expected
+
+    # scan-threshold: one grid plus its margin grid; convergence: three levels
+    @pytest.mark.parametrize("command,per_pair", [("scan-threshold", 2), ("convergence", 3)])
+    def test_manifest_counts_solves(self, tmp_path, monkeypatch, command, per_pair):
+        calls = count_tridiagonal_solves(monkeypatch)
+        cfg = write_config(tmp_path, self.DOC)
+        assert main([command, "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+        assert len(calls) == per_pair * len(self.PAIRS)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["tridiagonal_solves"] == len(calls)
+
+    def test_threads_share_memo_byte_identical(self, tmp_path):
+        # more jobs than cores and a short switch interval, so that threads
+        # race on the shared memo
+        cfg = write_config(tmp_path, self.DOC)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for jobs in ("1", "2", "4"):
+                argv = ["run", "--config", cfg, "--output-dir", str(tmp_path / jobs)]
+                assert main(argv + ["--jobs", jobs]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        for jobs in ("2", "4"):
+            out = tmp_path / jobs
+            assert (out / "spectrum.txt").read_bytes() == (
+                tmp_path / "1" / "spectrum.txt"
+            ).read_bytes()
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["tridiagonal_solves"] == 4 * len(self.PAIRS)
 
 
 class TestScanThreshold:

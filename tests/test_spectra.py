@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -21,6 +22,7 @@ from affbody.hamiltonians import (
 )
 from affbody.spectra import (
     SpectralClass,
+    SpectrumResult,
     boundedness_scan,
     classify_channel,
     convergence_study,
@@ -152,6 +154,61 @@ class TestSolve1D:
             solve_1d(object(), 1)
 
 
+def assert_same_result(a, b):
+    """Every SpectrumResult field equal, floats and arrays bit for bit."""
+    for field in dataclasses.fields(SpectrumResult):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, (float, np.ndarray)):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field.name
+        else:
+            assert x == y, field.name
+
+
+def count_tridiagonal_solves(monkeypatch) -> list:
+    calls = []
+    original = scipy.linalg.eigh_tridiagonal
+    monkeypatch.setattr(
+        scipy.linalg,
+        "eigh_tridiagonal",
+        lambda *a, **k: calls.append(1) or original(*a, **k),
+    )
+    return calls
+
+
+MEMO_CASES = [
+    (ModelKind.AFF_AFF, P2(I=1, A=1, B=0), (1, 3), False),
+    (ModelKind.MET_AFF, P2(I=2, A=1, B=0), (0, 3), False),
+    (ModelKind.AFF_MET, P2(I=2, A=1, B=0), (0, 2), False),
+    (ModelKind.DALEMBERT, P2(I=2, A=1, B=0), (0, 2), False),
+    (ModelKind.AFF_AFF, P2(I=1, A=1, B=0), (1, 3), True),
+]
+
+
+class TestSolve1DMemo:
+    @pytest.mark.parametrize("kind,params,channel,sym", MEMO_CASES)
+    def test_memo_matches_cold_solve_bitwise(self, kind, params, channel, sym, monkeypatch):
+        op = assemble_2d_channel(kind, params, channel, Grid1D.from_spec(30.0, 199))
+        if sym:
+            op = symmetrize(op)
+        cold = solve_1d(op, 4)
+        memo = {}
+        assert_same_result(solve_1d(op, 4, memo), cold)
+        assert len(memo) == 2  # the solve itself and its margin grid
+        calls = count_tridiagonal_solves(monkeypatch)
+        assert_same_result(solve_1d(op, 4, memo), cold)
+        assert calls == []
+
+    def test_eigenvalue_only_entry_does_not_serve_node_counts(self):
+        grid = Grid1D.from_spec(30.0, 199)
+
+        def make(g):
+            return assemble_2d_channel(ModelKind.AFF_AFF, P2(I=1, A=1, B=0), (1, 3), g)
+
+        memo = {}
+        convergence_study(make, grid, levels=3, count=3, memo=memo)
+        assert_same_result(solve_1d(make(grid), 3, memo), solve_1d(make(grid), 3))
+
+
 class TestBoundednessScan:
     def test_aff_aff_unbounded_trend(self):
         rows = boundedness_scan(
@@ -189,6 +246,23 @@ class TestBoundednessScan:
     def test_empty_channels_rejected(self):
         with pytest.raises(DomainError):
             boundedness_scan(ModelKind.AFF_AFF, P2(I=1, A=1, B=0), [])
+
+    def test_label_twins_solved_once_per_scan(self, monkeypatch):
+        # aff-aff (m, n), (n, m), (-m, -n), (-n, -m) share one operator
+        twins = [(1, 3), (3, 1), (-1, -3), (-3, -1)]
+        grid = Grid1D.from_spec(30.0, 199)
+        params = P2(I=1, A=1, B=0)
+        cold = [
+            solve_1d(assemble_2d_channel(ModelKind.AFF_AFF, params, ch, grid), 2)
+            for ch in sorted(twins)
+        ]
+        calls = count_tridiagonal_solves(monkeypatch)
+        for _ in range(2):  # nothing is kept from one scan to the next
+            calls.clear()
+            rows = boundedness_scan(ModelKind.AFF_AFF, params, twins, count=2, grid=grid)
+            assert len(calls) == 2  # the grid and its margin grid
+            for row, ref in zip(rows, cold):
+                assert_same_result(row.result, ref)
 
 
 class FlatBoxND:
