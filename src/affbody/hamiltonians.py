@@ -531,25 +531,24 @@ class GridND:
         return GridND(2 * self.npoints + 1, self.q_min, self.q_max)
 
 
-def _pair_axis(a: int, b: int) -> int:
-    return 3 - a - b  # dual axis of the unordered pair, 0-based
+# the unordered axis pairs (a, b) with the dual axis c of each, 0-based
+_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
 
 def _weight_nd(kind: ModelKind, axes) -> np.ndarray:
     g = np.meshgrid(*axes, indexing="ij")
     out = np.ones_like(g[0])
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if kind is ModelKind.DALEMBERT:
-                out = out * np.abs((g[a] + g[b]) * (g[a] - g[b]))
-            else:
-                out = out * np.abs(np.sinh(g[a] - g[b]))
+    for a, b, _ in _PAIRS:
+        if kind is ModelKind.DALEMBERT:
+            out = out * np.abs((g[a] + g[b]) * (g[a] - g[b]))
+        else:
+            out = out * np.abs(np.sinh(g[a] - g[b]))
     return out
 
 
 @dataclass(frozen=True)
 class NDChannelOperator:
-    """Matrix-free reduced operator on amplitudes of shape grid + (ds, dj)."""
+    """Reduced operator on amplitudes of shape grid + (ds, dj), kept as a sparse matrix."""
 
     kind: ModelKind
     params: ModelParams
@@ -561,20 +560,17 @@ class NDChannelOperator:
     pair_coeff: float
 
     def __post_init__(self):
-        ds = int(2.0 * self.labels[0]) + 1
-        dj = int(2.0 * self.labels[1]) + 1
-        n3 = self.grid.npoints**3
-        if n3 * ds * dj > MAX_FIELD_ELEMENTS:
-            raise CapacityError(
-                f"amplitude field of {n3 * ds * dj} elements exceeds the configured maximum"
-            )
+        # the matrix's nonzeros: d per neighbour link, the spin pattern per cell
+        N = self.grid.npoints
+        links = 6 * N * N * (N - 1) + (2 * (N - 1) ** 3 if self.q2_coeff else 0)
+        nnz = self.shape[3] * self.shape[4] * links + N**3 * len(self._spin_blocks[0])
+        if nnz > MAX_FIELD_ELEMENTS:
+            raise CapacityError(f"operator of {nnz} nonzeros exceeds the configured maximum")
 
     @property
     def shape(self) -> tuple:
         N = self.grid.npoints
-        ds = int(2.0 * self.labels[0]) + 1
-        dj = int(2.0 * self.labels[1]) + 1
-        return (N, N, N, ds, dj)
+        return (N, N, N) + tuple(int(2.0 * v) + 1 for v in self.labels)
 
     @cached_property
     def weight(self) -> np.ndarray:
@@ -598,97 +594,101 @@ class NDChannelOperator:
         return tuple(out)
 
     @cached_property
-    def _scalar_part(self):
-        # the spin-independent terms (weighted Laplacian in staggered
-        # divergence form, dilatational second difference along the grid
-        # diagonal, Casimir shift) as a sparse matrix over the grid cells
+    def _spin_blocks(self) -> tuple:
+        # In the ladder basis S_1, S_3 are real and S_2 imaginary, so per pair
+        # Q = S^2 (x) 1 + 1 (x) (J^2)^T and X = S (x) J^T (dual-axis generators)
+        # are real and symmetric, and (S -+ J)^2 = Q -+ 2 X on one cell's f.
+        # Returns the six's union pattern with the diagonal and their entries.
+        gs, gj = (generators(RepLabel.su2(v), self.params.hbar).S for v in self.labels)
+        ones_s, ones_j = np.eye(len(gs[0])), np.eye(len(gj[0]))
+        mats = []
+        for _, _, c in _PAIRS:
+            S, J = gs[c], gj[c]
+            mats += [np.kron(S @ S, ones_j) + np.kron(ones_s, (J @ J).T), np.kron(S, J.T)]
+        mats = np.stack([m.real for m in mats])
+        rows, cols = np.nonzero(np.any(mats != 0.0, axis=0) | np.eye(mats.shape[1], dtype=bool))
+        return rows, cols, mats[:, rows, cols]
+
+    @cached_property
+    def _symmetric(self):
         import scipy.sparse
 
-        N = self.grid.npoints
+        N, d = self.grid.npoints, self.shape[3] * self.shape[4]
         h2 = self.grid.step**2
-        c = self.kinetic_coeff / h2
+        c, q2 = self.kinetic_coeff / h2, self.q2_coeff / h2
         P = self.weight
+        root = np.sqrt(P)
         cell = np.arange(N**3).reshape(P.shape)
-        center = np.full(P.shape, self.casimir_shift - 2.0 * self.q2_coeff / h2)
-        rows, cols, vals = [cell], [cell], [center]
-
-        def couple(lo, hi, to_hi, to_lo):
-            rows.extend((cell[hi], cell[lo]))
-            cols.extend((cell[lo], cell[hi]))
-            vals.extend((to_hi, to_lo))
-
-        def along(a, part):
-            return tuple(part if d == a else slice(None) for d in range(3))
-
+        # links (lower cells, upper cells, their entries in R S R^-1 for the
+        # spin-independent part S), by column offset: diagonal, axes 0, 1, 2
+        links = []
+        if q2:
+            lo, hi = (slice(None, -1),) * 3, (slice(1, None),) * 3
+            links.append((cell[lo], cell[hi], q2 * root[lo] / root[hi], q2 * root[hi] / root[lo]))
+        center = np.full(P.shape, self.casimir_shift - 2.0 * q2)
         for a in range(3):
-            lo, hi = along(a, slice(None, -1)), along(a, slice(1, None))
+            pre = (slice(None),) * a
+            lo, hi = pre + (slice(None, -1),), pre + (slice(1, None),)
             # the flux weights have npoints+1 entries along a: mid[lo] sits
             # below each node, mid[hi] above it, and the interior faces
             # couple neighbouring nodes
             mid = self._flux[a]
             center += c * (mid[lo] + mid[hi]) / P
-            face = c * mid[along(a, slice(1, -1))]
-            couple(lo, hi, -face / P[hi], -face / P[lo])
-        # the weight depends only on invariant differences, so the shift
-        # along the diagonal is exactly symmetric for the sinh weight
-        if self.q2_coeff:
-            lo, hi = (slice(None, -1),) * 3, (slice(1, None),) * 3
-            q = np.full(cell[hi].shape, self.q2_coeff / h2)
-            couple(lo, hi, q, q)
-        rows, cols, vals = (np.concatenate([v.ravel() for v in x]) for x in (rows, cols, vals))
-        return scipy.sparse.csr_array((vals, (rows, cols)), shape=(N**3, N**3))
+            face = -c * mid[pre + (slice(1, -1),)] / (root[lo] * root[hi])
+            links.append((cell[lo], cell[hi], face, face))
 
-    @cached_property
-    def _pair_part(self) -> tuple:
-        # In the ladder basis S_1, S_3 are real and S_2 imaginary, so for
-        # each dual axis c both Q = S^2 (x) 1 + 1 (x) (J^2)^T and
-        # X = S (x) J^T are real; on rows of f.reshape(-1, ds*dj) they act
-        # as f @ Q.T and f @ X.T, and (S -+ J)^2 f = Q f -+ 2 X f.  Returns
-        # the six transposed matrices side by side and, per cell, the six
-        # barrier fields that weight their products.
-        s, j = self.labels
-        gs = generators(RepLabel.su2(s), self.params.hbar).S
-        gj = generators(RepLabel.su2(j), self.params.hbar).S
-        ones_s, ones_j = np.eye(len(gs[0])), np.eye(len(gj[0]))
+        # per cell, the pair barriers on the spin pattern plus the centre
+        fields = []
         axes = self.grid.axes
-        mats, fields = [], []
-        for a in range(3):
-            for b in range(a + 1, 3):
-                qa = axes[a].reshape([-1 if d == a else 1 for d in range(3)])
-                qb = axes[b].reshape([-1 if d == b else 1 for d in range(3)])
-                if self.kind is ModelKind.DALEMBERT:
-                    minus = 1.0 / (qa - qb) ** 2
-                    plus = 1.0 / (qa + qb) ** 2
-                    fields += [minus + plus, 2.0 * (plus - minus)]
-                else:
-                    minus = 1.0 / np.sinh(0.5 * (qa - qb)) ** 2
-                    plus = 1.0 / np.cosh(0.5 * (qa - qb)) ** 2
-                    fields += [minus - plus, -2.0 * (minus + plus)]
-                c = _pair_axis(a, b)
-                S, J = gs[c], gj[c]
-                mats += [np.kron(S @ S, ones_j) + np.kron(ones_s, (J @ J).T), np.kron(S, J.T)]
-        mats = np.concatenate([m.real.T for m in mats], axis=1)
-        fields = self.pair_coeff * np.stack(
-            [np.broadcast_to(v, self.weight.shape).ravel() for v in fields], axis=-1
-        )
-        return mats, fields[:, None, :]
+        for a, b, _ in _PAIRS:
+            qa = axes[a].reshape([-1 if e == a else 1 for e in range(3)])
+            qb = axes[b].reshape([-1 if e == b else 1 for e in range(3)])
+            if self.kind is ModelKind.DALEMBERT:
+                minus, plus = 1.0 / (qa - qb) ** 2, 1.0 / (qa + qb) ** 2
+            else:
+                half = 0.5 * (qa - qb)
+                minus, plus = 1.0 / np.sinh(half) ** 2, -1.0 / np.cosh(half) ** 2
+            fields += [minus + plus, 2.0 * (plus - minus)]
+        fields = np.stack([np.broadcast_to(v, P.shape).ravel() for v in fields], axis=-1)
+        rows, cols, spin = self._spin_blocks
+        block = (self.pair_coeff * fields) @ spin
+        block[:, rows == cols] += center.reshape(-1, 1)
+
+        # row (cell, k) holds its lower neighbours, block row k and upper
+        # neighbours, in that order, each written at the row's cursor
+        per_row = np.bincount(rows, minlength=d)
+        ends = np.concatenate([x.ravel() for link in links for x in link[:2]])
+        indptr = np.zeros(N**3 * d + 1, dtype=np.int32)
+        np.cumsum(np.bincount(ends, minlength=N**3)[:, None] + per_row, out=indptr[1:])
+        indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+        cursor = indptr[:-1].reshape(-1, d).copy()
+
+        def put(at, to, vals):
+            pos = cursor[at.ravel()]
+            indices[pos], data[pos] = to.reshape(-1, 1) * d + np.arange(d), vals.reshape(-1, 1)
+            cursor[at.ravel()] += 1
+
+        for lo, hi, _, down in links:
+            put(hi, lo, down)
+        pos = cursor[:, rows] + np.arange(len(rows)) - (np.cumsum(per_row) - per_row)[rows]
+        indices[pos], data[pos] = cell.reshape(-1, 1) * d + cols, block
+        cursor += per_row
+        for lo, hi, up, _ in reversed(links):
+            put(lo, hi, up)
+        return scipy.sparse.csr_array((data, indices, indptr), shape=(N**3 * d,) * 2)
+
+    def symmetric_matrix(self):
+        """R H R^-1, R = sqrt(P) per cell, as a real symmetric CSR array (built once)."""
+        return self._symmetric
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """H f for an amplitude f of shape self.shape.
-
-        The coefficients are real: real input gives a float64 result and
-        complex input is acted on linearly.
-        """
+        """H f for an amplitude f of shape self.shape (float64 for real f)."""
         f = np.asarray(f)
         if f.shape != self.shape:
             raise DomainError(f"amplitude shape {f.shape} does not match {self.shape}")
-        rows = f.reshape(self.grid.npoints**3, -1)
-        out = self._scalar_part @ rows
-        if self.pair_coeff:
-            mats, fields = self._pair_part
-            coupled = (rows @ mats).reshape(len(rows), 6, -1)
-            out += (fields @ coupled)[:, 0, :]
-        return out.reshape(self.shape)
+        root = np.sqrt(self.weight).reshape(-1, 1)
+        rows = (root * f.reshape(len(root), -1)).reshape(-1)
+        return ((self.symmetric_matrix() @ rows).reshape(len(root), -1) / root).reshape(self.shape)
 
     def weighted_inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         """Sum of tr(f^+ g) P over the grid times the cell volume."""

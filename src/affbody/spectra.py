@@ -13,11 +13,11 @@ reverse leaves only the repulsive sh^-2 core (purely continuous), and
 equality is reported as marginal with no verdict.
 
 The n=3 matrix-valued operators are self-adjoint only in the weighted
-inner product, so their matrix-free action is symmetrized by the same
+inner product, so each is assembled as a sparse matrix in the same
 sqrt-weight similarity as the 1D operators and handed to scipy's `eigsh`
 (ARPACK's implicitly restarted Lanczos).  Found eigenvectors are lifted
-out of the spectrum and the solve reruns from a fresh vector, so
-degenerate eigenvalues are recovered with their multiplicity.
+out of the spectrum and a loose check, else a tight rerun, looks for a
+level left below them, so degenerate eigenvalues keep their multiplicity.
 """
 
 import math
@@ -41,6 +41,7 @@ DEFAULT_BOX = 40.0
 DEFAULT_NPOINTS = 999
 NODE_CLIP = 1e-8
 MARGIN_FACTOR = 3.0
+LOOSE_CHECK_TOL = 1e-4  # ARPACK accuracy of solve_nd's first check for a missed level
 
 
 class SpectralClass(Enum):
@@ -225,17 +226,19 @@ def boundedness_scan(
 
 
 def solve_nd(op, count: int, seed: int = 7, tol: float = 1e-9, maxiter: int = 600) -> SpectrumResult:
-    """Lowest eigenvalues of a matrix-free n=3 channel operator.
+    """Lowest eigenvalues of an n=3 channel operator.
 
-    H is self-adjoint in the weighted inner product, so R H R^-1 with
-    R = sqrt(P) is symmetric, and scipy's `eigsh` (ARPACK's implicitly
-    restarted Lanczos) finds its lowest values.  `tol` is ARPACK's relative
+    scipy's `eigsh` (ARPACK's implicitly restarted Lanczos) runs on A =
+    `op.symmetric_matrix()`, which must be real and pass a random symmetry
+    probe at 1e-12 relative (else DomainError).  `tol` is ARPACK's relative
     accuracy, `maxiter` its limit on restarts per run, and `seed` draws the
-    start vectors.  One Krylov space sees an exactly degenerate level only
-    once, so the vectors V found so far are lifted out of the way
-    (H + sigma V V^T, sigma putting them above the count-th value) and the
-    solver reruns for the lowest value left until that value is not below
-    the count-th.
+    probe and the start vectors.  A degenerate level shows once per Krylov
+    space, so the vectors V found are lifted (M = A + sigma V V^T, above the
+    count-th value) and M's lowest value is checked: first at
+    LOOSE_CHECK_TOL, where a Ritz pair (theta, y) ends the solve if
+    theta - |M y - theta y| clears the count-th value less 10 tol scale, then
+    at `tol`, where a value below that bound joins the spectrum and the
+    check repeats.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -243,43 +246,40 @@ def solve_nd(op, count: int, seed: int = 7, tol: float = 1e-9, maxiter: int = 60
         raise DomainError("count must be at least 1")
     if count > 10:
         raise DomainError("count must not exceed 10 for the iterative solver")
-    shape = op.shape
-    size = int(np.prod(shape))
+    A = op.symmetric_matrix()
+    size = A.shape[0]
     if count >= size:
         raise DomainError(f"count = {count} exceeds the problem dimension {size}")
-    cells = int(np.prod(shape[:3]))
-    root = np.sqrt(op.weight).reshape(cells, 1)
     rng = np.random.default_rng(seed)
+    probe = rng.standard_normal(size)
+    image = A @ probe
+    if np.iscomplexobj(A) or np.linalg.norm(image - A.T @ probe) > 1e-12 * np.linalg.norm(image):
+        raise DomainError("the sqrt-weight symmetrized operator is not real symmetric")
 
-    def lifted(x):
-        x = x.reshape(-1)
-        y = op.apply((x.reshape(cells, -1) / root).reshape(shape))
-        if np.iscomplexobj(y):
-            if np.any(y.imag):
-                raise DomainError("operator maps real amplitudes to complex ones")
-            y = y.real
-        return (root * y.reshape(cells, -1)).reshape(-1) + sigma * (vecs @ (vecs.T @ x))
-
-    def lowest(k):
+    def lowest(M, k, accuracy):
         try:
-            vals, vecs = eigsh(
-                LinearOperator((size, size), matvec=lifted, dtype=float),
-                k=k, which="SA", tol=tol, maxiter=maxiter, v0=rng.standard_normal(size),
+            return eigsh(
+                M, k=k, which="SA", tol=accuracy, maxiter=maxiter, v0=rng.standard_normal(size)
             )
         except ArpackNoConvergence as exc:
             raise NumericalError(f"eigsh did not converge: {exc}") from exc
-        return vals, vecs
 
-    vecs, sigma = np.empty((size, 0)), 0.0
-    vals, vecs = lowest(count)
+    vals, vecs = lowest(A, count, tol)
     while True:
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         kth = vals[count - 1]
         scale = max(abs(vals[0]), abs(kth))
+        floor = kth - 10.0 * tol * scale
         sigma = 2.0 * (kth - vals[0]) + scale
-        val, vec = lowest(1)
-        if not val[0] < kth - 10.0 * tol * scale:
+        lifted = LinearOperator(
+            A.shape, lambda x: A @ x + sigma * (vecs @ (vecs.T @ x)), dtype=float
+        )
+        theta, y = lowest(lifted, 1, LOOSE_CHECK_TOL)
+        if theta[0] - np.linalg.norm(lifted @ y - theta * y) >= floor:
+            break
+        val, vec = lowest(lifted, 1, tol)
+        if not val[0] < floor:
             break
         vals, vecs = np.append(vals, val), np.hstack((vecs, vec))
     g = op.grid

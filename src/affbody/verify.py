@@ -57,7 +57,7 @@ EQUIVALENCE_CASES = (
     (ModelKind.AFF_AFF, ModelParams(I=1.0, A=1.0, B=0.0), (0, 2)),
     (ModelKind.AFF_AFF, ModelParams(I=1.0, A=1.0, B=0.0), (1, 3)),
     (ModelKind.AFF_AFF, ModelParams(I=1.0, A=1.0, B=0.0), (-1, 2)),
-    (ModelKind.AFF_AFF, ModelParams(I=1.0, A=1.0, B=0.0), (-2, 1)),
+    (ModelKind.AFF_AFF, ModelParams(I=1.0, A=1.0, B=0.0), (-1, 3)),
     (ModelKind.MET_AFF, ModelParams(I=2.0, A=1.0, B=0.0), (0, 3)),
     (ModelKind.MET_AFF, ModelParams(I=2.0, A=1.0, B=0.0), (1, 3)),
     (ModelKind.AFF_MET, ModelParams(I=2.0, A=1.0, B=0.0), (0, 2)),

@@ -7,6 +7,7 @@ import scipy.linalg
 
 from affbody.errors import CapacityError, DomainError
 from affbody.hamiltonians import (
+    MAX_FIELD_ELEMENTS,
     ChannelOperator1D,
     Grid1D,
     GridND,
@@ -422,6 +423,50 @@ class TestApplyArithmetic:
         got = op.apply(g)
         split = op.apply(g.real) + 1j * op.apply(g.imag)
         assert np.max(np.abs(got - split)) <= 1e-14 * np.max(np.abs(split))
+
+
+class TestSymmetricMatrix:
+    @pytest.mark.parametrize("kind,grid", ALL_MODELS)
+    @pytest.mark.parametrize("labels", LABELS)
+    def test_is_the_sqrt_weight_similarity_of_apply(self, kind, grid, labels):
+        grid = GridND(4, grid.q_min, grid.q_max)
+        op = assemble_nd_channel(kind, params3(I=3, A=1, B=1), labels, grid)
+        root = np.repeat(np.sqrt(op.weight).reshape(-1), op.shape[3] * op.shape[4])
+        want = np.stack(
+            [root * op.apply((e / root).reshape(op.shape)).reshape(-1) for e in np.eye(len(root))],
+            axis=1,
+        )
+        got = op.symmetric_matrix().toarray()
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(got - got.T)) <= 1e-14 * np.max(np.abs(got))
+
+    def test_built_once(self):
+        op = assemble_nd_channel(ModelKind.MET_AFF, params3(), (1, 1), GridND(4, -1, 1))
+        assert op.symmetric_matrix() is op.symmetric_matrix()
+
+    def test_assembly_memory_is_a_small_multiple_of_the_matrix(self):
+        import tracemalloc
+
+        par = ModelParams(I=2, A=1, B=0.5, n=3)
+        assemble_nd_channel(ModelKind.MET_AFF, par, (1, 1), GridND(3, -3, 3)).symmetric_matrix()
+        op = assemble_nd_channel(ModelKind.MET_AFF, par, (1, 1), GridND(9, -3, 3))
+        op._flux
+        tracemalloc.start()
+        try:
+            A = op.symmetric_matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A.indices.dtype == A.indptr.dtype == np.int32
+        assert peak <= 3 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+    def test_capacity_counts_nonzeros_before_assembly(self):
+        # the amplitude field alone fits; the matrix's nonzeros do not
+        grid = GridND(40, -1, 1)
+        assert grid.npoints**3 * 21 * 21 <= MAX_FIELD_ELEMENTS
+        with pytest.raises(CapacityError, match="nonzeros"):
+            assemble_nd_channel(ModelKind.AFF_AFF, params3(), (10, 10), grid)
 
 
 class TestAssembleND:

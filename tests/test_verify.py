@@ -78,6 +78,12 @@ class TestEquivalence:
         kind, params, channel = case
         assert equivalence_defect(kind, params, channel) < EQUIVALENCE_TOL
 
+    def test_roster_has_no_label_twins(self):
+        # channels with equal |n-m| and |n+m| assemble the same operator, so
+        # a twin in the roster would run one check twice
+        keys = [(k, p, abs(n - m), abs(n + m)) for k, p, (m, n) in EQUIVALENCE_CASES]
+        assert len(set(keys)) == len(keys)
+
     def test_defect_scale_guard(self):
         # Identical spectra would give defect 0; a coarse base grid still
         # has to land under the tolerance after extrapolation.
