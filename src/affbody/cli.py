@@ -15,7 +15,7 @@ schema).  The manifest written next to each table embeds the normalized
 config, so a manifest file is itself a valid ``--config`` argument and
 replays the run it records.  Every float in a table is printed as %.14e
 and rows are ordered by channel label, which makes reruns with the same
-config and seed byte-identical regardless of the parallelism degree.
+config and seed byte-identical.
 
 The default output directory is taken from the AFFBODY_OUTPUT_DIR
 environment variable when set, falling back to the working directory.
@@ -28,7 +28,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +47,7 @@ from .hamiltonians import (
     assemble_nd_channel,
     check_gates,
 )
+from .peter_weyl import TargetSpace, superselection_violation
 from .spectra import (
     DEFAULT_BOX,
     DEFAULT_NPOINTS,
@@ -95,7 +95,7 @@ class RunConfig:
     levels: int
     dil: PotentialSpec
     shear: PotentialSpec
-    target_space: str
+    target_space: TargetSpace
     table_name: str
     manifest_name: str
     seed: int
@@ -134,7 +134,7 @@ class RunConfig:
                 "q_max": self.gridnd.q_max,
                 "npoints": self.gridnd.npoints,
             }
-            doc["target_space"] = self.target_space
+            doc["target_space"] = self.target_space.value
         return doc
 
 
@@ -156,15 +156,22 @@ def _number(field: str, value, integral: bool = False) -> float:
     return float(value)
 
 
+def _object(field: str, doc, keys) -> dict:
+    """doc, checked to be an object whose entries all lie in keys."""
+    if not isinstance(doc, dict):
+        raise UsageError(f"{field}: expected an object")
+    extras = set(doc) - set(keys)
+    if extras:
+        raise UsageError(f"{field}: unknown entries {sorted(extras)}")
+    return doc
+
+
 def _parse_potential(field: str, doc) -> PotentialSpec:
     if doc is None:
         return ZERO_POTENTIAL
     if not isinstance(doc, dict) or "kind" not in doc:
         raise UsageError(f"{field}: expected an object with a 'kind' entry")
-    kind = doc["kind"]
-    extras = set(doc) - {"kind", "k", "q0", "depth", "width"}
-    if extras:
-        raise UsageError(f"{field}: unknown entries {sorted(extras)}")
+    kind = _object(field, doc, {"kind", "k", "q0", "depth", "width"})["kind"]
     if kind == "zero":
         return ZERO_POTENTIAL
     if kind == "harmonic":
@@ -182,7 +189,7 @@ def _parse_potential(field: str, doc) -> PotentialSpec:
     raise UsageError(f"{field}.kind: unknown potential kind {kind!r}")
 
 
-def _parse_channels(doc, dimension: int, target_space: str) -> tuple:
+def _parse_channels(doc, dimension: int, target_space: TargetSpace) -> tuple:
     if isinstance(doc, dict):
         if set(doc) != {"square"}:
             raise UsageError("channels: range spec must be {'square': [lo, hi]}")
@@ -215,17 +222,15 @@ def _parse_channels(doc, dimension: int, target_space: str) -> tuple:
     if len(set(channels)) != len(channels):
         raise UsageError("channels: duplicate entries")
     if dimension == 3:
-        bad = []
-        for s, j in channels:
-            half_s, half_j = int(2 * s) % 2, int(2 * j) % 2
-            if target_space == "glplus" and (half_s or half_j):
-                bad.append((s, j))
-            elif target_space == "double-cover" and half_s != half_j:
-                bad.append((s, j))
+        bad = [
+            (s, j)
+            for s, j in channels
+            if superselection_violation(target_space, int(2 * s) % 2 == 1, int(2 * j) % 2 == 1)
+        ]
         if bad:
             raise UsageError(
                 f"channels: labels {bad} violate superselection on target space "
-                f"'{target_space}'"
+                f"'{target_space.value}'"
             )
     return tuple(sorted(channels))
 
@@ -234,11 +239,7 @@ def _parse_grid(doc, dimension: int):
     if dimension == 2:
         if doc is None:
             return Grid1D.from_spec(DEFAULT_BOX, DEFAULT_NPOINTS), None
-        if not isinstance(doc, dict):
-            raise UsageError("grid: expected an object")
-        extras = set(doc) - {"x_min", "x_max", "npoints", "h"}
-        if extras:
-            raise UsageError(f"grid: unknown entries {sorted(extras)}")
+        _object("grid", doc, {"x_min", "x_max", "npoints", "h"})
         if "x_max" not in doc:
             raise UsageError("grid: 'x_max' is required")
         x_min = _number("grid.x_min", doc.get("x_min", 0.0))
@@ -258,11 +259,7 @@ def _parse_grid(doc, dimension: int):
             raise UsageError(f"grid: {exc}") from exc
     if doc is None:
         raise UsageError("grid: required for dimension 3 ('q_min', 'q_max', 'npoints')")
-    if not isinstance(doc, dict):
-        raise UsageError("grid: expected an object")
-    extras = set(doc) - {"q_min", "q_max", "npoints"}
-    if extras:
-        raise UsageError(f"grid: unknown entries {sorted(extras)}")
+    _object("grid", doc, {"q_min", "q_max", "npoints"})
     for key in ("q_min", "q_max", "npoints"):
         if key not in doc:
             raise UsageError(f"grid: '{key}' is required for dimension 3")
@@ -283,11 +280,7 @@ def parse_config(doc: dict) -> RunConfig:
     Raises UsageError naming the failing field, including model-gate
     violations (these depend on params and model jointly).
     """
-    if not isinstance(doc, dict):
-        raise UsageError("config: expected a JSON object at top level")
-    extras = set(doc) - _CONFIG_KEYS
-    if extras:
-        raise UsageError(f"config: unknown fields {sorted(extras)}")
+    _object("config", doc, _CONFIG_KEYS)
     if "model" not in doc:
         raise UsageError("model: required")
     try:
@@ -301,12 +294,7 @@ def parse_config(doc: dict) -> RunConfig:
     if dimension not in (2, 3):
         raise UsageError(f"dimension: must be 2 or 3, got {dimension}")
 
-    pdoc = doc.get("params")
-    if not isinstance(pdoc, dict):
-        raise UsageError("params: required object with I, A, B")
-    extras = set(pdoc) - _PARAM_KEYS
-    if extras:
-        raise UsageError(f"params: unknown entries {sorted(extras)}")
+    pdoc = _object("params", doc.get("params"), _PARAM_KEYS)
     for key in ("I", "A", "B"):
         if key not in pdoc:
             raise UsageError(f"params.{key}: required")
@@ -322,11 +310,13 @@ def parse_config(doc: dict) -> RunConfig:
     except AffbodyError as exc:
         raise UsageError(f"params: {exc}") from exc
 
-    target_space = doc.get("target_space", "glplus")
-    if target_space not in ("glplus", "double-cover"):
+    try:
+        target_space = TargetSpace(doc.get("target_space", "glplus"))
+    except ValueError as exc:
+        choices = " or ".join(repr(t.value) for t in TargetSpace)
         raise UsageError(
-            f"target_space: expected 'glplus' or 'double-cover', got {target_space!r}"
-        )
+            f"target_space: expected {choices}, got {doc['target_space']!r}"
+        ) from exc
     if "target_space" in doc and dimension == 2:
         raise UsageError("target_space: only meaningful for dimension 3")
 
@@ -349,12 +339,7 @@ def parse_config(doc: dict) -> RunConfig:
     if dimension == 3 and count > _MAX_ND_COUNT:
         raise UsageError(f"count: at most {_MAX_ND_COUNT} for dimension 3, got {count}")
 
-    potdoc = doc.get("potentials", {})
-    if not isinstance(potdoc, dict):
-        raise UsageError("potentials: expected an object")
-    extras = set(potdoc) - {"dilatation", "shear"}
-    if extras:
-        raise UsageError(f"potentials: unknown entries {sorted(extras)}")
+    potdoc = _object("potentials", doc.get("potentials", {}), {"dilatation", "shear"})
     try:
         dil = _parse_potential("potentials.dilatation", potdoc.get("dilatation"))
         shear = _parse_potential("potentials.shear", potdoc.get("shear"))
@@ -365,12 +350,7 @@ def parse_config(doc: dict) -> RunConfig:
     ):
         raise UsageError("potentials: only kind 'zero' is supported for dimension 3")
 
-    outdoc = doc.get("outputs", {})
-    if not isinstance(outdoc, dict):
-        raise UsageError("outputs: expected an object")
-    extras = set(outdoc) - {"table", "manifest"}
-    if extras:
-        raise UsageError(f"outputs: unknown entries {sorted(extras)}")
+    outdoc = _object("outputs", doc.get("outputs", {}), {"table", "manifest"})
     table_name = outdoc.get("table", "spectrum.txt")
     manifest_name = outdoc.get("manifest", "manifest.json")
     for key, name in (("table", table_name), ("manifest", manifest_name)):
@@ -415,35 +395,28 @@ def _label_key(channel) -> str:
     return f"{channel[0]},{channel[1]}"
 
 
-def _parallel_channels(channels, worker, jobs: int):
-    """Run worker(channel) per channel; results keyed and ordered by label."""
+def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, write_rows) -> int:
+    """Run worker(channel, memo) per channel in label order; write table and manifest.
+
+    memo is the call's cache of tridiagonal solves.  A channel's exception
+    is recorded in the manifest and on stderr, and the other channels still
+    run.  write_rows(fh, results) writes the table from the results of the
+    channels that succeeded, keyed by channel in label order.  Returns the
+    exit code: 1 if any channel failed, else 0.
+    """
+    t0, memo = time.perf_counter(), {}
     results, errors, timings = {}, {}, {}
-
-    def timed(ch):
-        t0 = time.perf_counter()
-        out = worker(ch)
-        return out, time.perf_counter() - t0
-
-    if jobs <= 1:
-        for ch in channels:
-            try:
-                results[ch], timings[ch] = timed(ch)
-            except Exception as exc:  # noqa: BLE001 - per-channel isolation
-                errors[ch] = f"{type(exc).__name__}: {exc}"
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {ch: pool.submit(timed, ch) for ch in channels}
-            for ch, fut in futures.items():
-                try:
-                    results[ch], timings[ch] = fut.result()
-                except Exception as exc:  # noqa: BLE001
-                    errors[ch] = f"{type(exc).__name__}: {exc}"
-    return results, errors, timings
-
-
-def _write_manifest(
-    path, cfg: RunConfig, subcommand: str, timings, errors, total: float, solves: int
-):
+    for ch in sorted(cfg.channels):
+        start = time.perf_counter()
+        try:
+            results[ch] = worker(ch, memo)
+        except Exception as exc:  # noqa: BLE001 - per-channel isolation
+            errors[ch] = f"{type(exc).__name__}: {exc}"
+        else:
+            timings[ch] = time.perf_counter() - start
+    table_path = os.path.join(output_dir, cfg.table_name)
+    with open(table_path, "w", encoding="utf-8") as fh:
+        write_rows(fh, results)
     manifest = {
         "format": "affbody-manifest 1",
         "subcommand": subcommand,
@@ -455,80 +428,60 @@ def _write_manifest(
             "python": platform.python_version(),
         },
         "timings": {
-            "total_seconds": total,
-            "per_channel_seconds": {
-                _label_key(ch): timings[ch] for ch in sorted(timings)
-            },
+            "total_seconds": time.perf_counter() - t0,
+            "per_channel_seconds": {_label_key(ch): t for ch, t in timings.items()},
         },
-        "errors": {_label_key(ch): errors[ch] for ch in sorted(errors)},
+        "errors": {_label_key(ch): msg for ch, msg in errors.items()},
         "table": cfg.table_name,
-        "tridiagonal_solves": solves,
+        "tridiagonal_solves": len(memo),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    manifest_path = os.path.join(output_dir, cfg.manifest_name)
+    with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _report_errors(errors) -> None:
-    for ch in sorted(errors):
-        print(f"channel {ch}: {errors[ch]}", file=sys.stderr)
+    print(table_path)
+    print(manifest_path)
+    for ch, msg in errors.items():
+        print(f"channel {ch}: {msg}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 def _solve_channel(cfg: RunConfig, channel, memo: dict) -> list:
     """All refinement levels for one channel, coarsest first."""
     rows = []
-    if cfg.dimension == 2:
-        grid = cfg.grid1d
-        for level in range(cfg.refinements + 1):
-            op = assemble_2d_channel(
-                cfg.kind, cfg.params, channel, grid, cfg.dil, cfg.shear
-            )
-            rows.append(replace(solve_1d(op, cfg.count, memo), refinement=level))
-            grid = grid.refine()
-        return rows
-    grid = cfg.gridnd
+    grid = cfg.grid1d if cfg.dimension == 2 else cfg.gridnd
     for level in range(cfg.refinements + 1):
-        op = assemble_nd_channel(cfg.kind, cfg.params, channel, grid)
-        rows.append(replace(solve_nd(op, cfg.count, seed=cfg.seed), refinement=level))
+        if cfg.dimension == 2:
+            op = assemble_2d_channel(cfg.kind, cfg.params, channel, grid, cfg.dil, cfg.shear)
+            res = solve_1d(op, cfg.count, memo)
+        else:
+            op = assemble_nd_channel(cfg.kind, cfg.params, channel, grid)
+            res = solve_nd(op, cfg.count, seed=cfg.seed)
+        rows.append(replace(res, refinement=level))
         grid = grid.refine()
     return rows
 
 
-def cmd_run(cfg: RunConfig, output_dir: str, jobs: int) -> int:
-    t0, memo = time.perf_counter(), {}
-    results, errors, timings = _parallel_channels(
-        cfg.channels, lambda ch: _solve_channel(cfg, ch, memo), jobs
+def cmd_run(cfg: RunConfig, output_dir: str) -> int:
+    def write_rows(fh, results):
+        write_spectrum_table(fh, [res for rows in results.values() for res in rows])
+
+    return _run_channels(
+        cfg, output_dir, "run", lambda ch, memo: _solve_channel(cfg, ch, memo), write_rows
     )
-    ordered = [res for ch in sorted(results) for res in results[ch]]
-    table_path = os.path.join(output_dir, cfg.table_name)
-    write_spectrum_table(table_path, ordered)
-    manifest_path = os.path.join(output_dir, cfg.manifest_name)
-    _write_manifest(
-        manifest_path, cfg, "run", timings, errors, time.perf_counter() - t0, len(memo)
-    )
-    print(table_path)
-    print(manifest_path)
-    if errors:
-        _report_errors(errors)
-        return 1
-    return 0
 
 
-def cmd_scan_threshold(cfg: RunConfig, output_dir: str, jobs: int) -> int:
+def cmd_scan_threshold(cfg: RunConfig, output_dir: str) -> int:
     if cfg.dimension != 2:
         raise UsageError("dimension: scan-threshold supports dimension 2 only")
-    t0, memo = time.perf_counter(), {}
 
-    def worker(ch):
+    def worker(ch, memo):
         op = assemble_2d_channel(cfg.kind, cfg.params, ch, cfg.grid1d, cfg.dil, cfg.shear)
         return solve_1d(op, cfg.count, memo)
 
-    results, errors, timings = _parallel_channels(cfg.channels, worker, jobs)
-    table_path = os.path.join(output_dir, cfg.table_name)
-    with open(table_path, "w", encoding="utf-8") as fh:
+    def write_rows(fh, results):
         fh.write("# model l1 l2 class bound lowest threshold X h\n")
-        for ch in sorted(results):
-            res = results[ch]
+        for ch, res in results.items():
             cls = classify_channel(ch)
             bound = "-" if cls is SpectralClass.MARGINAL else str(res.bound_count)
             fh.write(
@@ -536,25 +489,15 @@ def cmd_scan_threshold(cfg: RunConfig, output_dir: str, jobs: int) -> int:
                 f"{res.eigenvalues[0]:.14e} {res.threshold:.14e} "
                 f"{res.x_max:.14e} {res.h:.14e}\n"
             )
-    manifest_path = os.path.join(output_dir, cfg.manifest_name)
-    _write_manifest(
-        manifest_path, cfg, "scan-threshold", timings, errors, time.perf_counter() - t0,
-        len(memo),
-    )
-    print(table_path)
-    print(manifest_path)
-    if errors:
-        _report_errors(errors)
-        return 1
-    return 0
+
+    return _run_channels(cfg, output_dir, "scan-threshold", worker, write_rows)
 
 
-def cmd_convergence(cfg: RunConfig, output_dir: str, jobs: int) -> int:
+def cmd_convergence(cfg: RunConfig, output_dir: str) -> int:
     if cfg.dimension != 2:
         raise UsageError("dimension: convergence supports dimension 2 only")
-    t0, memo = time.perf_counter(), {}
 
-    def worker(ch):
+    def worker(ch, memo):
         return convergence_study(
             lambda g: assemble_2d_channel(cfg.kind, cfg.params, ch, g, cfg.dil, cfg.shear),
             cfg.grid1d,
@@ -563,12 +506,9 @@ def cmd_convergence(cfg: RunConfig, output_dir: str, jobs: int) -> int:
             memo=memo,
         )
 
-    results, errors, timings = _parallel_channels(cfg.channels, worker, jobs)
-    table_path = os.path.join(output_dir, cfg.table_name)
-    with open(table_path, "w", encoding="utf-8") as fh:
+    def write_rows(fh, results):
         fh.write("# model l1 l2 record h values...\n")
-        for ch in sorted(results):
-            study = results[ch]
+        for ch, study in results.items():
             for i, h in enumerate(study.hs):
                 vals = " ".join(f"{v:.14e}" for v in study.eigenvalues[i])
                 fh.write(f"{cfg.kind.value} {ch[0]} {ch[1]} level-{i} {h:.14e} {vals}\n")
@@ -576,17 +516,8 @@ def cmd_convergence(cfg: RunConfig, output_dir: str, jobs: int) -> int:
             fh.write(f"{cfg.kind.value} {ch[0]} {ch[1]} order nan {vals}\n")
             vals = " ".join(f"{v:.14e}" for v in study.extrapolated)
             fh.write(f"{cfg.kind.value} {ch[0]} {ch[1]} limit nan {vals}\n")
-    manifest_path = os.path.join(output_dir, cfg.manifest_name)
-    _write_manifest(
-        manifest_path, cfg, "convergence", timings, errors, time.perf_counter() - t0,
-        len(memo),
-    )
-    print(table_path)
-    print(manifest_path)
-    if errors:
-        _report_errors(errors)
-        return 1
-    return 0
+
+    return _run_channels(cfg, output_dir, "convergence", worker, write_rows)
 
 
 def cmd_verify(suite: str, seed: int) -> int:
@@ -614,7 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"output directory (default: ${OUTPUT_DIR_ENV} or the working directory)",
     )
     common.add_argument(
-        "--jobs", type=int, default=1, help="parallel channel jobs (default 1)"
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored: channels run one at a time",
     )
     common.add_argument(
         "--seed", type=int, default=None, help="override the config seed"
@@ -647,10 +581,10 @@ def main(argv=None) -> int:
         output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or os.getcwd()
         os.makedirs(output_dir, exist_ok=True)
         if args.command == "run":
-            return cmd_run(cfg, output_dir, args.jobs)
+            return cmd_run(cfg, output_dir)
         if args.command == "scan-threshold":
-            return cmd_scan_threshold(cfg, output_dir, args.jobs)
-        return cmd_convergence(cfg, output_dir, args.jobs)
+            return cmd_scan_threshold(cfg, output_dir)
+        return cmd_convergence(cfg, output_dir)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and the text-file target helper shared across the package."""
+
+import os
+from contextlib import contextmanager
 
 
 class AffbodyError(Exception):
@@ -19,3 +22,16 @@ class CapacityError(AffbodyError, RuntimeError):
 
 class UsageError(AffbodyError, ValueError):
     """Malformed or inconsistent run configuration."""
+
+
+@contextmanager
+def text_file(target, mode: str):
+    """Open a path (str, bytes or os.PathLike) as UTF-8 text, or pass a handle through.
+
+    A file opened here is closed on exit; a handle passed in is left open.
+    """
+    if isinstance(target, (str, bytes, os.PathLike)):
+        with open(target, mode, encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield target

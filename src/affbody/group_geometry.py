@@ -125,15 +125,32 @@ def reconstruct(config: TwoPolarConfig) -> np.ndarray:
     return (config.L * np.exp(config.q)) @ config.R.T
 
 
+def pair_weight(kind: WeightKind, q) -> np.ndarray:
+    """P_lambda or P_l of the invariants along the last axis of q.
+
+    The factors |sinh(q^a - q^b)| (LAMBDA) or |(Q^a + Q^b)(Q^a - Q^b)| (L)
+    are multiplied in the pair order (0, 1), (0, 2), ..., (1, 2), ....
+    """
+    q = np.asarray(q, dtype=float)
+    n = q.shape[-1]
+    out = None
+    for a in range(n):
+        for b in range(a + 1, n):
+            qa, qb = q[..., a], q[..., b]
+            if kind is WeightKind.LAMBDA:
+                factor = np.abs(np.sinh(qa - qb))
+            else:
+                factor = np.abs((qa + qb) * (qa - qb))
+            out = factor if out is None else out * factor
+    return out
+
+
 def weight_lambda(q) -> MeasureWeight:
     """Radial weight of the q-coordinate measure, prod_{a<b} |sinh(q^a - q^b)|."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or q.shape[0] < 2:
         raise DomainError(f"need a vector of at least two invariants, got shape {q.shape}")
-    diffs = q[:, None] - q[None, :]
-    iu = np.triu_indices(q.shape[0], k=1)
-    value = float(np.prod(np.abs(np.sinh(diffs[iu]))))
-    return MeasureWeight(WeightKind.LAMBDA, value)
+    return MeasureWeight(WeightKind.LAMBDA, float(pair_weight(WeightKind.LAMBDA, q)))
 
 
 def weight_l(Q) -> MeasureWeight:
@@ -143,11 +160,7 @@ def weight_l(Q) -> MeasureWeight:
         raise DomainError(f"need a vector of at least two invariants, got shape {Q.shape}")
     if np.any(Q <= 0.0):
         raise DomainError("deformation invariants Q^a must be positive")
-    iu = np.triu_indices(Q.shape[0], k=1)
-    sums = (Q[:, None] + Q[None, :])[iu]
-    diffs = (Q[:, None] - Q[None, :])[iu]
-    value = float(np.prod(np.abs(sums * diffs)))
-    return MeasureWeight(WeightKind.L, value)
+    return MeasureWeight(WeightKind.L, float(pair_weight(WeightKind.L, Q)))
 
 
 def haar_density_ratio(phi, target: MeasureTarget) -> float:

@@ -53,7 +53,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, text_file
+from .group_geometry import WeightKind, pair_weight
 from .representations import RepLabel, generators
 
 MAX_TWICE_SPIN = 20
@@ -383,10 +384,6 @@ def symmetrize(op: ChannelOperator1D) -> SymmetrizedOperator1D:
     )
 
 
-def _sym_tail(weight_kind: WeightKind1D, c: float) -> float:
-    return 0.25 * c if weight_kind is WeightKind1D.SINH else 0.0
-
-
 def assemble_2d_channel(
     kind: ModelKind,
     params: ModelParams,
@@ -488,7 +485,7 @@ def assemble_q_sector(qsec: QSector, grid: Grid1D) -> ChannelOperator1D:
         kinetic_coeff=qsec.coeff,
         diag_potential=diag,
         constant_shift=0.0,
-        threshold=_sym_tail(qsec.weight_kind, qsec.coeff)
+        threshold=(0.25 * qsec.coeff if qsec.weight_kind is WeightKind1D.SINH else 0.0)
         + float(potential(qsec.potential, grid.x_max)),
         inv_sq_coeff=qsec.inv_sq_coeff,
     )
@@ -536,14 +533,8 @@ _PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
 
 def _weight_nd(kind: ModelKind, axes) -> np.ndarray:
-    g = np.meshgrid(*axes, indexing="ij")
-    out = np.ones_like(g[0])
-    for a, b, _ in _PAIRS:
-        if kind is ModelKind.DALEMBERT:
-            out = out * np.abs((g[a] + g[b]) * (g[a] - g[b]))
-        else:
-            out = out * np.abs(np.sinh(g[a] - g[b]))
-    return out
+    weight = WeightKind.L if kind is ModelKind.DALEMBERT else WeightKind.LAMBDA
+    return pair_weight(weight, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -764,13 +755,7 @@ def kinetic_from_casimirs(
 
 def write_operator(target, op) -> None:
     """Dump a 1D operator as structured text (grid, weight, diagonal)."""
-    close = False
-    if isinstance(target, (str, bytes)):
-        fh = open(target, "w", encoding="utf-8")
-        close = True
-    else:
-        fh = target
-    try:
+    with text_file(target, "w") as fh:
         flat = isinstance(op, SymmetrizedOperator1D)
         fh.write("# affbody-operator 1\n")
         fh.write(f"# kind {op.kind.value}\n")
@@ -786,9 +771,6 @@ def write_operator(target, op) -> None:
         w = np.ones_like(x) if flat else op.weight
         for xi, wi, vi in zip(x, w, op.diag_potential):
             fh.write(f"{xi:.17g} {wi:.17g} {vi:.17g}\n")
-    finally:
-        if close:
-            fh.close()
 
 
 __all__ = [

@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
-from .errors import DomainError
+from .errors import DomainError, text_file
+from .group_geometry import WeightKind, pair_weight
 from .representations import (
     Group,
     RepLabel,
@@ -89,13 +89,7 @@ class QGrid:
 
     def weight_field(self) -> np.ndarray:
         """P_lambda evaluated on every node."""
-        pts = self.points()
-        n = self.ndim
-        out = np.ones(self.shape)
-        for a in range(n):
-            for b in range(a + 1, n):
-                out = out * np.abs(np.sinh(pts[..., a] - pts[..., b]))
-        return out
+        return pair_weight(WeightKind.LAMBDA, self.points())
 
     def symmetric(self) -> bool:
         first = self.axes[0]
@@ -168,6 +162,8 @@ class Expansion:
 
 
 def _interpolate(amplitude: ChannelAmplitude, q: np.ndarray) -> np.ndarray:
+    from scipy.interpolate import RegularGridInterpolator
+
     interp = RegularGridInterpolator(
         amplitude.grid.axes, amplitude.values, bounds_error=True
     )
@@ -257,25 +253,29 @@ class SuperselectionReport:
         return not self.violations
 
 
-def validate_superselection(expansion: Expansion) -> SuperselectionReport:
-    """Check every channel against the expansion's target space.
+def superselection_violation(target: TargetSpace, half_a: bool, half_b: bool) -> str | None:
+    """Why a channel with labels of the given halfness is barred from target, or None.
 
     On the identity component both labels must be integral; on the
     double cover they must have equal halfness.
     """
+    if target is TargetSpace.GLPLUS:
+        if half_a or half_b:
+            return "half-integer label on the identity component"
+    elif half_a != half_b:
+        return "labels of unequal halfness on the double cover"
+    return None
+
+
+def validate_superselection(expansion: Expansion) -> SuperselectionReport:
+    """Check every channel against the expansion's target space."""
     violations = []
     for i, ch in enumerate(expansion.channels):
-        ha, hb = ch.alpha.half_integer, ch.beta.half_integer
-        if expansion.target_space is TargetSpace.GLPLUS:
-            if ha or hb:
-                violations.append(
-                    (i, ch.alpha, ch.beta, "half-integer label on the identity component")
-                )
-        else:
-            if ha != hb:
-                violations.append(
-                    (i, ch.alpha, ch.beta, "labels of unequal halfness on the double cover")
-                )
+        why = superselection_violation(
+            expansion.target_space, ch.alpha.half_integer, ch.beta.half_integer
+        )
+        if why is not None:
+            violations.append((i, ch.alpha, ch.beta, why))
     return SuperselectionReport(expansion.target_space, tuple(violations))
 
 
@@ -343,13 +343,11 @@ def validate_w_symmetry(amplitude: ChannelAmplitude, W) -> float:
     point set coincides with the grid.
     """
     W = np.asarray(W, dtype=float)
-    if not _is_signed_permutation(W):
-        raise DomainError("W must be a signed permutation matrix with determinant +1")
+    perm = invariant_permutation(W)
     if W.shape[0] != amplitude.grid.ndim:
         raise DomainError("symmetry element dimension does not match the grid")
     if not amplitude.grid.symmetric():
         raise DomainError("grid must be identical along every axis")
-    perm = invariant_permutation(W)
     n = amplitude.grid.ndim
     # g[i_1..i_n] = f at the permuted point, i.e. axis j of f indexed by i_perm(j)
     inv = np.empty(n, dtype=int)
@@ -376,13 +374,7 @@ def write_amplitudes(target, expansion: Expansion) -> None:
     then the matrix entries row-major as real/imaginary pairs.  Floats
     are written with enough digits to round-trip exactly.
     """
-    close = False
-    if isinstance(target, (str, bytes)):
-        fh = open(target, "w", encoding="utf-8")
-        close = True
-    else:
-        fh = target
-    try:
+    with text_file(target, "w") as fh:
         fh.write("# affbody-amplitudes 1\n")
         fh.write(f"# target {expansion.target_space.value}\n")
         for ch in expansion.channels:
@@ -401,20 +393,11 @@ def write_amplitudes(target, expansion: Expansion) -> None:
                     cols.append(f"{z.real:.17g}")
                     cols.append(f"{z.imag:.17g}")
                 fh.write(" ".join(cols) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def read_amplitudes(source) -> Expansion:
     """Inverse of write_amplitudes."""
-    close = False
-    if isinstance(source, (str, bytes)):
-        fh = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        fh = source
-    try:
+    with text_file(source, "r") as fh:
         target = TargetSpace.GLPLUS
         records: dict = {}
         order: list = []
@@ -440,9 +423,6 @@ def read_amplitudes(source) -> Expansion:
                 records[key] = {}
                 order.append(key)
             records[key][q] = mat
-    finally:
-        if close:
-            fh.close()
     channels = []
     for alpha, beta in order:
         data = records[(alpha, beta)]
@@ -486,6 +466,7 @@ __all__ = [
     "read_amplitudes",
     "scalar_product",
     "signed_permutation_group",
+    "superselection_violation",
     "validate_superselection",
     "validate_w_symmetry",
     "write_amplitudes",

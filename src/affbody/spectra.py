@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, text_file
 from .hamiltonians import (
     ChannelOperator1D,
     Grid1D,
@@ -75,12 +75,10 @@ class SpectrumResult:
     refinement: int = 0
 
     def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", vals)
-        marg = np.array(self.margins, dtype=float)
-        marg.flags.writeable = False
-        object.__setattr__(self, "margins", marg)
+        for name in ("eigenvalues", "margins"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def bound_flags(self) -> np.ndarray:
@@ -359,13 +357,7 @@ def convergence_study(
 
 def write_spectrum_table(target, results) -> None:
     """Delimited spectrum table, one row per eigenvalue, %.14e throughout."""
-    close = False
-    if isinstance(target, (str, bytes)):
-        fh = open(target, "w", encoding="utf-8")
-        close = True
-    else:
-        fh = target
-    try:
+    with text_file(target, "w") as fh:
         fh.write("# model l1 l2 index energy threshold bound X h\n")
         for res in results:
             flags = res.bound_flags
@@ -375,9 +367,6 @@ def write_spectrum_table(target, results) -> None:
                     f"{val:.14e} {res.threshold:.14e} {int(flags[i])} "
                     f"{res.x_max:.14e} {res.h:.14e}\n"
                 )
-    finally:
-        if close:
-            fh.close()
 
 
 __all__ = [

@@ -238,11 +238,6 @@ def orthogonality_suite(seed: int = 7) -> list:
     ]
 
 
-def extrapolated_levels(make_op, base_grid: Grid1D, count: int) -> np.ndarray:
-    """Lowest eigenvalues on three nested grids, Richardson-extrapolated."""
-    return convergence_study(make_op, base_grid, levels=3, count=count).extrapolated
-
-
 def equivalence_defect(
     kind: ModelKind,
     params: ModelParams,
@@ -257,14 +252,15 @@ def equivalence_defect(
     each discretization carries.
     """
     base = base_grid if base_grid is not None else Grid1D.from_spec(30.0, 499)
-    weighted = extrapolated_levels(
-        lambda g: assemble_2d_channel(kind, params, channel, g), base, count
-    )
-    flat = extrapolated_levels(
+    weighted = convergence_study(
+        lambda g: assemble_2d_channel(kind, params, channel, g), base, levels=3, count=count
+    ).extrapolated
+    flat = convergence_study(
         lambda g: symmetrize(assemble_2d_channel(kind, params, channel, g)),
         base,
-        count,
-    )
+        levels=3,
+        count=count,
+    ).extrapolated
     scale = np.maximum(np.maximum(np.abs(weighted), np.abs(flat)), 1e-12)
     return float(np.max(np.abs(weighted - flat) / scale))
 
@@ -323,7 +319,6 @@ __all__ = [
     "CheckResult",
     "algebra_suite",
     "equivalence_defect",
-    "extrapolated_levels",
     "format_report",
     "measures_suite",
     "orthogonality_suite",

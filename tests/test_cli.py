@@ -1,12 +1,26 @@
+import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.linalg
 
+import affbody
 from affbody.cli import OUTPUT_DIR_ENV, main, parse_config
 from affbody.errors import UsageError
+from affbody.peter_weyl import (
+    ChannelAmplitude,
+    Expansion,
+    QGrid,
+    TargetSpace,
+    validate_superselection,
+)
+from affbody.representations import Group, RepLabel
 from affbody.spectra import SpectralClass, classify_channel
 
 
@@ -94,6 +108,28 @@ class TestParseConfig:
         doc["channels"] = [[0.5, 1.5]]
         cfg = parse_config(doc)
         assert cfg.channels == ((0.5, 1.5),)
+
+    @pytest.mark.parametrize("target", list(TargetSpace))
+    def test_nd_superselection_matches_peter_weyl(self, target):
+        grid = QGrid((np.array([0.0, 1.0]),) * 3)
+        for twice_s in range(7):
+            for twice_j in range(7):
+                s, j = RepLabel(Group.SU2, twice_s), RepLabel(Group.SU2, twice_j)
+                amp = ChannelAmplitude(s, j, grid, np.zeros(grid.shape + (s.dim, j.dim)))
+                flagged = not validate_superselection(Expansion((amp,), target)).ok
+                doc = base_config(
+                    dimension=3,
+                    channels=[[s.spin, j.spin]],
+                    grid={"q_min": -1.0, "q_max": 1.0, "npoints": 7},
+                    target_space=target.value,
+                )
+                try:
+                    parse_config(doc)
+                    rejected = False
+                except UsageError as exc:
+                    assert "superselection" in str(exc)
+                    rejected = True
+                assert rejected == flagged, (target, twice_s, twice_j)
 
     def test_nd_count_cap(self):
         doc = base_config(
@@ -234,22 +270,50 @@ class TestRun:
         assert main(["run", "--config", cfg, "--jobs", "0"]) == 2
         assert "jobs" in capsys.readouterr().err
 
-    def test_partial_failure_exit_1(self, tmp_path, capsys):
-        doc = {
-            "model": "dalembert",
-            "dimension": 3,
-            "params": {"I": 2.0, "A": 0.0, "B": 0.0},
-            "channels": [[0, 0], [1, 1]],
-            "grid": {"q_min": -1.0, "q_max": 1.0, "npoints": 7},
-            "count": 2,
-        }
+    # the isotropic model needs positive invariants: every channel raises DomainError
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            (
+                "run",
+                {
+                    "model": "dalembert",
+                    "dimension": 3,
+                    "params": {"I": 2.0, "A": 0.0, "B": 0.0},
+                    "channels": [[0.0, 0.0], [1.0, 1.0]],
+                    "grid": {"q_min": -1.0, "q_max": 1.0, "npoints": 7},
+                    "count": 2,
+                },
+            ),
+            *(
+                (
+                    command,
+                    base_config(
+                        model="dalembert",
+                        params={"I": 2.0, "A": 0.0, "B": 0.0},
+                        channels=[[0, 2], [1, 1], [2, 0]],
+                        grid={"x_min": -1.0, "x_max": 10.0, "npoints": 99},
+                    ),
+                )
+                for command in ("scan-threshold", "convergence")
+            ),
+        ],
+        ids=["run", "scan-threshold", "convergence"],
+    )
+    def test_partial_failure_exit_1(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, doc)
-        code = main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")])
+        code = main([command, "--config", cfg, "--output-dir", str(tmp_path / "o")])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "channel (0.0, 0.0)" in err and "channel (1.0, 1.0)" in err
+        channels = [tuple(ch) for ch in doc["channels"]]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(channels)
+        for line, ch in zip(err, channels):
+            assert line.startswith(f"channel {ch}: DomainError: ")
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-        assert len(manifest["errors"]) == 2
+        assert sorted(manifest["errors"]) == [f"{a},{b}" for a, b in channels]
+        assert manifest["timings"]["per_channel_seconds"] == {}
+        table = (tmp_path / "o" / "spectrum.txt").read_text().splitlines()
+        assert len(table) == 1 and table[0].startswith("# model l1 l2 ")
 
     def test_output_dir_env(self, tmp_path, monkeypatch):
         out = tmp_path / "envout"
@@ -340,26 +404,6 @@ class TestSolveMemo:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["tridiagonal_solves"] == len(calls)
 
-    def test_threads_share_memo_byte_identical(self, tmp_path):
-        # more jobs than cores and a short switch interval, so that threads
-        # race on the shared memo
-        cfg = write_config(tmp_path, self.DOC)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for jobs in ("1", "2", "4"):
-                argv = ["run", "--config", cfg, "--output-dir", str(tmp_path / jobs)]
-                assert main(argv + ["--jobs", jobs]) == 0
-        finally:
-            sys.setswitchinterval(interval)
-        for jobs in ("2", "4"):
-            out = tmp_path / jobs
-            assert (out / "spectrum.txt").read_bytes() == (
-                tmp_path / "1" / "spectrum.txt"
-            ).read_bytes()
-            manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["tridiagonal_solves"] == 4 * len(self.PAIRS)
-
 
 class TestScanThreshold:
     def test_classification_column_matches(self, tmp_path):
@@ -437,3 +481,51 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "bogus"])
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    src = os.path.dirname(os.path.dirname(affbody.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, affbody.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+class TestBenchTracing:
+    """The benchmark's tracer finds every name it wraps, and close() restores them."""
+
+    @staticmethod
+    def load_tracing():
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @staticmethod
+    def current(owner, attr):
+        return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+    def test_install_then_close_restores_every_name(self, tmp_path):
+        tracing = self.load_tracing()
+        tracer = tracing.Tracer()
+        eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+        cfg = write_config(tmp_path, base_config(grid={"x_max": 20.0, "npoints": 99}, count=1))
+        try:
+            tracing.install(tracer)
+            patched = list(tracer._patches)
+            for owner, attr, original in patched:
+                assert self.current(owner, attr) is not original, attr
+            assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+        finally:
+            tracer.close()
+        # the run reached the layers through the names the tracer wraps
+        for name in ("hamiltonians.assemble_1d", "spectra.solve_1d", "spectra.write"):
+            assert tracer.n_calls(name) == 1, name
+        assert tracer.n_calls("spectra.tridiag") >= 1
+        assert len(patched) > 20
+        for owner, attr, original in patched:
+            assert self.current(owner, attr) is original, attr
+        assert scipy.linalg.eigh_tridiagonal is eigh_tridiagonal

@@ -469,6 +469,32 @@ class TestSymmetricMatrix:
             assemble_nd_channel(ModelKind.AFF_AFF, params3(), (10, 10), grid)
 
 
+def loop_weight_nd(kind, axes):
+    """Pair product on a mesh, pairs (0, 1), (0, 2), (1, 2), starting from ones."""
+    g = np.meshgrid(*axes, indexing="ij")
+    out = np.ones_like(g[0])
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        if kind is ModelKind.DALEMBERT:
+            out = out * np.abs((g[a] + g[b]) * (g[a] - g[b]))
+        else:
+            out = out * np.abs(np.sinh(g[a] - g[b]))
+    return out
+
+
+class TestWeightND:
+    @pytest.mark.parametrize("kind,grid", ALL_MODELS)
+    def test_weight_and_flux_match_loop_reference_bitwise(self, kind, grid):
+        op = assemble_nd_channel(kind, params3(), (1, 1), grid)
+        assert op.weight.tobytes() == loop_weight_nd(kind, grid.axes).tobytes()
+        h = grid.step
+        for a in range(3):
+            axes = list(grid.axes)
+            axes[a] = np.concatenate(([axes[a][0] - h], axes[a])) + 0.5 * h
+            want = loop_weight_nd(kind, axes)
+            assert op._flux[a].shape == want.shape
+            assert op._flux[a].tobytes() == want.tobytes()
+
+
 class TestAssembleND:
     def test_shapes_and_weight_positivity(self):
         grid = GridND(5, -1.0, 1.0)

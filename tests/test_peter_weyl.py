@@ -1,12 +1,14 @@
 """Tests for channel expansions, scalar products and the symmetry validators."""
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from affbody.errors import DomainError
 from affbody.group_geometry import weight_lambda
+from affbody.hamiltonians import Grid1D, ModelKind, ModelParams, assemble_2d_channel, write_operator
 from affbody.peter_weyl import (
     ChannelAmplitude,
     Expansion,
@@ -33,6 +35,7 @@ from affbody.representations import (
     wigner_D,
     wigner_D_batch,
 )
+from affbody.spectra import solve_1d, write_spectrum_table
 
 
 def grid2(nq1=7, nq2=6):
@@ -100,6 +103,16 @@ class TestQGrid:
         pts = g.points()
         for idx in [(0, 1, 2), (3, 0, 1), (2, 2, 2)]:
             assert field[idx] == pytest.approx(weight_lambda(pts[idx]).value, rel=1e-14)
+
+    @pytest.mark.parametrize("g", [grid2(4, 3), grid3(4)])
+    def test_weight_field_matches_loop_reference_bitwise(self, g):
+        # the pair product in the order (0, 1), (0, 2), (1, 2), starting from ones
+        pts = g.points()
+        want = np.ones(g.shape)
+        for a in range(g.ndim):
+            for b in range(a + 1, g.ndim):
+                want = want * np.abs(np.sinh(pts[..., a] - pts[..., b]))
+        assert g.weight_field().tobytes() == want.tobytes()
 
     def test_weight_field_two_axes(self):
         g = grid2(4, 3)
@@ -581,6 +594,29 @@ class TestAmplitudeIO:
         write_amplitudes(str(path), e)
         e2 = read_amplitudes(str(path))
         assert np.array_equal(e2.channels[0].values, e.channels[0].values)
+
+    @pytest.mark.parametrize(
+        "name", ["write_spectrum_table", "write_operator", "write_amplitudes", "read_amplitudes"]
+    )
+    def test_pathlike_target_gives_same_bytes_as_str(self, tmp_path, name):
+        op = assemble_2d_channel(
+            ModelKind.AFF_AFF, ModelParams(I=1.0, A=1.0, B=0.0), (0, 2), Grid1D(0.0, 10.0, 19)
+        )
+        expansion = self.build(np.random.default_rng(26))
+        source = tmp_path / "source.txt"
+        write_amplitudes(str(source), expansion)
+        write = {
+            "write_spectrum_table": lambda t: write_spectrum_table(t, [solve_1d(op, 2)]),
+            "write_operator": lambda t: write_operator(t, op),
+            "write_amplitudes": lambda t: write_amplitudes(t, expansion),
+            # reads the source as the target's type, writes through a str
+            "read_amplitudes": lambda t: write_amplitudes(
+                str(t), read_amplitudes(source if isinstance(t, Path) else str(source))
+            ),
+        }[name]
+        write(str(tmp_path / "str.txt"))
+        write(tmp_path / "path.txt")
+        assert (tmp_path / "path.txt").read_bytes() == (tmp_path / "str.txt").read_bytes()
 
     def test_header_present(self):
         rng = np.random.default_rng(25)
