@@ -28,7 +28,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy
@@ -54,6 +54,7 @@ from .spectra import (
     SpectralClass,
     classify_channel,
     convergence_study,
+    nested_grids,
     solve_1d,
     solve_nd,
     write_spectrum_table,
@@ -123,17 +124,9 @@ class RunConfig:
             "seed": self.seed,
         }
         if self.dimension == 2:
-            doc["grid"] = {
-                "x_min": self.grid1d.x_min,
-                "x_max": self.grid1d.x_max,
-                "npoints": self.grid1d.npoints,
-            }
+            doc["grid"] = asdict(self.grid1d)
         else:
-            doc["grid"] = {
-                "q_min": self.gridnd.q_min,
-                "q_max": self.gridnd.q_max,
-                "npoints": self.gridnd.npoints,
-            }
+            doc["grid"] = asdict(self.gridnd)
             doc["target_space"] = self.target_space.value
         return doc
 
@@ -449,8 +442,8 @@ def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, writ
 def _solve_channel(cfg: RunConfig, channel, memo: dict) -> list:
     """All refinement levels for one channel, coarsest first."""
     rows = []
-    grid = cfg.grid1d if cfg.dimension == 2 else cfg.gridnd
-    for level in range(cfg.refinements + 1):
+    grids = nested_grids(cfg.grid1d if cfg.dimension == 2 else cfg.gridnd, cfg.refinements + 1)
+    for level, grid in enumerate(grids):
         if cfg.dimension == 2:
             op = assemble_2d_channel(cfg.kind, cfg.params, channel, grid, cfg.dil, cfg.shear)
             res = solve_1d(op, cfg.count, memo)
@@ -458,7 +451,6 @@ def _solve_channel(cfg: RunConfig, channel, memo: dict) -> list:
             op = assemble_nd_channel(cfg.kind, cfg.params, channel, grid)
             res = solve_nd(op, cfg.count, seed=cfg.seed)
         rows.append(replace(res, refinement=level))
-        grid = grid.refine()
     return rows
 
 

@@ -1,4 +1,4 @@
-"""Exception types and the text-file target helper shared across the package."""
+"""Exception types and the small helpers shared across the package."""
 
 import os
 from contextlib import contextmanager
@@ -35,3 +35,9 @@ def text_file(target, mode: str):
             yield fh
     else:
         yield target
+
+
+def readonly(a):
+    """a itself, marked read-only."""
+    a.flags.writeable = False
+    return a

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, readonly
 
 DEGENERACY_TOL = 1e-10
 
@@ -80,26 +80,26 @@ class TwoPolarConfig:
         return self.q.shape[0]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _configuration(phi):
+    """(phi as a float array, det(phi)); DomainError unless square with finite det > 0."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
+        raise DomainError(f"configuration must be square, got shape {phi.shape}")
+    det = np.linalg.det(phi)
+    if not np.isfinite(det) or det <= 0.0:
+        raise DomainError(f"configuration must have positive determinant, got {det}")
+    return phi, det
 
 
 def two_polar_decompose(phi) -> TwoPolarConfig:
     """Factor phi = L @ diag(exp(q)) @ R^{-1} with L, R in SO(n).
 
-    Raises DomainError for non-square input, n < 2 or det(phi) <= 0,
+    Raises DomainError for non-square input, det(phi) <= 0 or n < 2,
     and NumericalError if the underlying factorization fails.
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
-        raise DomainError(f"configuration must be square, got shape {phi.shape}")
-    n = phi.shape[0]
-    if n < 2:
-        raise DomainError(f"need n >= 2, got n = {n}")
-    det = np.linalg.det(phi)
-    if not np.isfinite(det) or det <= 0.0:
-        raise DomainError(f"configuration must have positive determinant, got {det}")
+    phi, _ = _configuration(phi)
+    if phi.shape[0] < 2:
+        raise DomainError(f"need n >= 2, got n = {phi.shape[0]}")
     try:
         u, s, vt = np.linalg.svd(phi)
     except np.linalg.LinAlgError as exc:
@@ -116,7 +116,7 @@ def two_polar_decompose(phi) -> TwoPolarConfig:
     q = np.log(s)
     degenerate = bool(np.any(np.abs(np.diff(q)) < DEGENERACY_TOL))
     return TwoPolarConfig(
-        L=_readonly(u), q=_readonly(q), R=_readonly(vt.T.copy()), degenerate=degenerate
+        L=readonly(u), q=readonly(q), R=readonly(vt.T.copy()), degenerate=degenerate
     )
 
 
@@ -169,13 +169,8 @@ def haar_density_ratio(phi, target: MeasureTarget) -> float:
     Returns det(phi)^(-n) for the internal measure and det(phi)^(-n-1)
     for the full-group measure.
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
-        raise DomainError(f"configuration must be square, got shape {phi.shape}")
+    phi, det = _configuration(phi)
     n = phi.shape[0]
-    det = np.linalg.det(phi)
-    if not np.isfinite(det) or det <= 0.0:
-        raise DomainError(f"configuration must have positive determinant, got {det}")
     if target is MeasureTarget.LAMBDA_INTERNAL:
         return float(det ** (-n))
     if target is MeasureTarget.ALPHA_FULL_GROUP:

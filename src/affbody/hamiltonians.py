@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, text_file
+from .errors import CapacityError, DomainError, readonly, text_file
 from .group_geometry import WeightKind, pair_weight
 from .representations import RepLabel, generators
 
@@ -292,25 +292,20 @@ class ChannelOperator1D:
     q_sector: QSector | None = None
 
     def __post_init__(self):
-        diag = np.array(self.diag_potential, dtype=float)
+        diag = readonly(np.array(self.diag_potential, dtype=float))
         if diag.shape != (self.grid.npoints,):
             raise DomainError("diagonal potential does not match the grid")
-        diag.flags.writeable = False
         object.__setattr__(self, "diag_potential", diag)
         if self.kinetic_coeff <= 0.0:
             raise DomainError("kinetic coefficient must be positive")
 
     @cached_property
     def weight(self) -> np.ndarray:
-        w = _weight_values(self.weight_kind, self.grid.points)
-        w.flags.writeable = False
-        return w
+        return readonly(_weight_values(self.weight_kind, self.grid.points))
 
     @cached_property
     def weight_mid(self) -> np.ndarray:
-        w = _weight_values(self.weight_kind, self.grid.midpoints)
-        w.flags.writeable = False
-        return w
+        return readonly(_weight_values(self.weight_kind, self.grid.midpoints))
 
     def tridiagonal_weighted(self):
         """(K_diag, K_off, P) of the generalized problem K u = E P u."""
@@ -345,9 +340,9 @@ class SymmetrizedOperator1D:
     source_weight: WeightKind1D
 
     def __post_init__(self):
-        diag = np.array(self.diag_potential, dtype=float)
-        diag.flags.writeable = False
-        object.__setattr__(self, "diag_potential", diag)
+        object.__setattr__(
+            self, "diag_potential", readonly(np.array(self.diag_potential, dtype=float))
+        )
 
     def symmetric_tridiagonal(self):
         h2 = self.grid.step**2
@@ -402,69 +397,54 @@ def assemble_2d_channel(
     m, n = int(m), int(n)
     hb2 = params.hbar**2
     x = grid.points
+    shear = potential(shear_potential, x)
+    edge = float(potential(shear_potential, grid.x_max))
 
     if kind is ModelKind.DALEMBERT:
         if grid.x_min < 0.0:
             raise DomainError("isotropic shear sector lives on positive coordinates")
-        c = hb2 / params.I
+        c = q_coeff = hb2 / params.I
+        shift = sh_coeff = ch_coeff = 0.0
         inv_sq = hb2 * (n - m) ** 2 / (4.0 * params.I)
-        diag = inv_sq / x**2 + potential(shear_potential, x)
-        qsec = QSector(
-            kind,
-            (m, n),
-            coeff=c,
-            weight_kind=WeightKind1D.LINEAR,
-            inv_sq_coeff=hb2 * (n + m) ** 2 / (4.0 * params.I),
-            potential=dil_potential,
-        )
-        return ChannelOperator1D(
-            kind=kind,
-            channel=(m, n),
-            grid=grid,
-            weight_kind=WeightKind1D.LINEAR,
-            kinetic_coeff=c,
-            diag_potential=diag,
-            constant_shift=0.0,
-            threshold=float(potential(shear_potential, grid.x_max)),
-            inv_sq_coeff=inv_sq,
-            q_sector=qsec,
-        )
-
-    if kind is ModelKind.AFF_AFF:
-        denom = params.A
-        shift = 0.0
-        q_coeff = hb2 / (4.0 * (params.A + 2.0 * params.B))
+        q_inv_sq = hb2 * (n + m) ** 2 / (4.0 * params.I)
+        weight = q_weight = WeightKind1D.LINEAR
+        diag = inv_sq / x**2 + shear
+        threshold = edge
     else:
-        denom = cons.alpha
-        gyro = m if kind is ModelKind.MET_AFF else n
-        shift = hb2 * gyro**2 / cons.mu
-        q_coeff = hb2 / (2.0 * cons.beta_tilde)
+        if kind is ModelKind.AFF_AFF:
+            denom = params.A
+            shift = 0.0
+            q_coeff = hb2 / (4.0 * (params.A + 2.0 * params.B))
+        else:
+            denom = cons.alpha
+            gyro = m if kind is ModelKind.MET_AFF else n
+            shift = hb2 * gyro**2 / cons.mu
+            q_coeff = hb2 / (2.0 * cons.beta_tilde)
+        c = hb2 / denom
+        sh_coeff = hb2 * (n - m) ** 2 / (16.0 * denom)
+        ch_coeff = hb2 * (n + m) ** 2 / (16.0 * denom)
+        inv_sq = q_inv_sq = 0.0
+        weight, q_weight = WeightKind1D.SINH, WeightKind1D.FLAT
+        half = 0.5 * x
+        diag = sh_coeff / np.sinh(half) ** 2 - ch_coeff / np.cosh(half) ** 2 + shift + shear
+        threshold = shift + 0.25 * c + edge
 
-    c = hb2 / denom
-    sh_coeff = hb2 * (n - m) ** 2 / (16.0 * denom)
-    ch_coeff = hb2 * (n + m) ** 2 / (16.0 * denom)
-    half = 0.5 * x
-    diag = (
-        sh_coeff / np.sinh(half) ** 2
-        - ch_coeff / np.cosh(half) ** 2
-        + shift
-        + potential(shear_potential, x)
-    )
     qsec = QSector(
-        kind, (m, n), coeff=q_coeff, weight_kind=WeightKind1D.FLAT,
-        inv_sq_coeff=0.0, potential=dil_potential,
+        kind, (m, n), coeff=q_coeff, weight_kind=q_weight,
+        inv_sq_coeff=q_inv_sq, potential=dil_potential,
     )
     return ChannelOperator1D(
         kind=kind,
         channel=(m, n),
         grid=grid,
-        weight_kind=WeightKind1D.SINH,
+        weight_kind=weight,
         kinetic_coeff=c,
         diag_potential=diag,
         constant_shift=shift,
-        threshold=shift + 0.25 * c + float(potential(shear_potential, grid.x_max)),
+        threshold=threshold,
         sh_coeff=sh_coeff,
         ch_coeff=ch_coeff,
+        inv_sq_coeff=inv_sq,
         q_sector=qsec,
     )
 
@@ -565,9 +545,7 @@ class NDChannelOperator:
 
     @cached_property
     def weight(self) -> np.ndarray:
-        w = _weight_nd(self.kind, self.grid.axes)
-        w.flags.writeable = False
-        return w
+        return readonly(_weight_nd(self.kind, self.grid.axes))
 
     @cached_property
     def _flux(self) -> tuple:
@@ -579,9 +557,7 @@ class NDChannelOperator:
             axes = list(self.grid.axes)
             ax = axes[a]
             axes[a] = np.concatenate(([ax[0] - h], ax)) + 0.5 * h
-            w = _weight_nd(self.kind, axes)
-            w.flags.writeable = False
-            out.append(w)
+            out.append(readonly(_weight_nd(self.kind, axes)))
         return tuple(out)
 
     @cached_property
@@ -706,20 +682,12 @@ def assemble_nd_channel(
     if kind is ModelKind.DALEMBERT:
         if grid.q_min < 0.0:
             raise DomainError("isotropic invariants live on positive coordinates")
-        return NDChannelOperator(
-            kind, params, (s, j), grid,
-            kinetic_coeff=hb2 / (2.0 * params.I),
-            q2_coeff=0.0,
-            casimir_shift=0.0,
-            pair_coeff=1.0 / (8.0 * params.I) * 2.0,  # ordered double count
-        )
-
-    if kind is ModelKind.AFF_AFF:
-        denom = params.A
+        denom, barrier, q2, shift = params.I, 8.0, 0.0, 0.0
+    elif kind is ModelKind.AFF_AFF:
+        denom, barrier, shift = params.A, 32.0, 0.0
         q2 = hb2 * params.B / (2.0 * params.A * (params.A + 3.0 * params.B))
-        shift = 0.0
     else:
-        denom = cons.alpha
+        denom, barrier = cons.alpha, 32.0
         q2 = 0.0 if math.isinf(cons.beta) else -hb2 / (2.0 * cons.beta)
         gyro = s if kind is ModelKind.MET_AFF else j
         shift = hb2 * gyro * (gyro + 1.0) / (2.0 * cons.mu)
@@ -728,7 +696,7 @@ def assemble_nd_channel(
         kinetic_coeff=hb2 / (2.0 * denom),
         q2_coeff=q2,
         casimir_shift=shift,
-        pair_coeff=1.0 / (32.0 * denom) * 2.0,  # ordered double count
+        pair_coeff=1.0 / (barrier * denom) * 2.0,  # ordered double count
     )
 
 

@@ -40,15 +40,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, text_file
+from .errors import DomainError, readonly, text_file
 from .group_geometry import WeightKind, pair_weight
-from .representations import (
-    Group,
-    RepLabel,
-    RotationVector,
-    rotation_vector_from_matrix,
-    wigner_D,
-)
+from .representations import Group, RepLabel, rotation_vector_from_matrix, wigner_D
 
 
 class TargetSpace(Enum):
@@ -71,8 +65,7 @@ class QGrid:
                 raise DomainError("each grid axis needs at least two nodes")
             if np.any(np.diff(ax) <= 0.0):
                 raise DomainError("grid axes must be strictly increasing")
-            ax.flags.writeable = False
-        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "axes", tuple(readonly(ax) for ax in axes))
 
     @property
     def ndim(self) -> int:
@@ -92,9 +85,12 @@ class QGrid:
         return pair_weight(WeightKind.LAMBDA, self.points())
 
     def symmetric(self) -> bool:
-        first = self.axes[0]
-        return all(
-            ax.shape == first.shape and np.array_equal(ax, first) for ax in self.axes[1:]
+        return self.same_nodes(QGrid((self.axes[0],) * self.ndim))
+
+    def same_nodes(self, other: "QGrid") -> bool:
+        """True when other has this grid's axes, node for node."""
+        return self.shape == other.shape and all(
+            np.array_equal(a, b) for a, b in zip(self.axes, other.axes)
         )
 
 
@@ -122,8 +118,7 @@ class ChannelAmplitude:
                 raise DomainError("SO(2) channel pairs require a two-dimensional grid")
         elif self.grid.ndim != 3:
             raise DomainError("three-dimensional channel pairs require a three-dimensional grid")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", readonly(vals))
 
     @property
     def planar(self) -> bool:
@@ -173,9 +168,18 @@ def _interpolate(amplitude: ChannelAmplitude, q: np.ndarray) -> np.ndarray:
         raise DomainError(f"point {q} outside the amplitude grid") from exc
 
 
-def _right_factor_3d(beta: RepLabel, R) -> np.ndarray:
-    # D^beta(R^{-1}) computed as the exact unitary inverse
-    return wigner_D(beta, R).conj().T
+def _factors(alpha: RepLabel, beta: RepLabel, left, right) -> tuple:
+    """The channel factors D^alpha(left) and D^beta(right^{-1}) as matrices.
+
+    For SO(2) labels these are the phases exp(i m left) and exp(i n right);
+    otherwise D^beta(right^{-1}) is the exact unitary inverse D^beta(right)^H.
+    """
+    if alpha.group is Group.SO2:
+        return (
+            np.array([[np.exp(1j * alpha.m * float(left))]]),
+            np.array([[np.exp(1j * beta.m * float(right))]]),
+        )
+    return wigner_D(alpha, left), wigner_D(beta, right).conj().T
 
 
 def evaluate(expansion: Expansion, left, q, right) -> complex:
@@ -191,14 +195,8 @@ def evaluate(expansion: Expansion, left, q, right) -> complex:
     for ch in expansion.channels:
         if q.shape != (ch.grid.ndim,):
             raise DomainError(f"point shape {q.shape} does not match grid dimension {ch.grid.ndim}")
-        f = _interpolate(ch, q)
-        if ch.planar:
-            total += np.exp(1j * ch.alpha.m * float(left)) * f[0, 0] * np.exp(
-                1j * ch.beta.m * float(right)
-            )
-        else:
-            mat = wigner_D(ch.alpha, left) @ f @ _right_factor_3d(ch.beta, right)
-            total += mat.sum()
+        dl, dr = _factors(ch.alpha, ch.beta, left, right)
+        total += (dl @ _interpolate(ch, q) @ dr).sum()
     return complex(total)
 
 
@@ -226,14 +224,9 @@ def scalar_product(e1: Expansion, e2: Expansion, grid: QGrid | None = None) -> c
         ch2 = lookup.get(ch1.channel_key())
         if ch2 is None:
             continue
-        if ch1.grid.shape != ch2.grid.shape or any(
-            not np.array_equal(a, b) for a, b in zip(ch1.grid.axes, ch2.grid.axes)
-        ):
+        if not ch1.grid.same_nodes(ch2.grid):
             raise DomainError("matched channels must share the deformation grid")
-        if grid is not None and (
-            ch1.grid.shape != grid.shape
-            or any(not np.array_equal(a, b) for a, b in zip(ch1.grid.axes, grid.axes))
-        ):
+        if grid is not None and not ch1.grid.same_nodes(grid):
             raise DomainError("channel grid differs from the requested grid")
         weight = ch1.grid.weight_field()
         trace = np.einsum("...ab,...ab->...", ch1.values.conj(), ch2.values)
@@ -292,8 +285,7 @@ def signed_permutation_group(n: int) -> list:
             for j, (row, s) in enumerate(zip(perm, signs)):
                 W[row, j] = s
             if np.linalg.det(W) > 0.0:
-                W.flags.writeable = False
-                out.append(W)
+                out.append(readonly(W))
     return out
 
 
@@ -321,19 +313,16 @@ def invariant_permutation(W) -> np.ndarray:
 def channel_d_factors(alpha: RepLabel, beta: RepLabel, W) -> tuple:
     """Left and right channel factors (DL(W), DR(W)) of a symmetry element.
 
-    The right factor follows the same convention as evaluate: for SO(2)
-    labels both factors are phases at W's rotation angle, otherwise the
-    right factor is D^beta(W^{-1}).
+    The factors are evaluate's at left = right = W: for SO(2) labels both
+    are phases at W's rotation angle, otherwise the right factor is
+    D^beta(W^{-1}).
     """
     W = np.asarray(W, dtype=float)
     if alpha.group is Group.SO2:
-        theta = float(np.arctan2(W[1, 0], W[0, 0]))
-        return (
-            np.array([[np.exp(1j * alpha.m * theta)]]),
-            np.array([[np.exp(1j * beta.m * theta)]]),
-        )
-    k = rotation_vector_from_matrix(W)
-    return wigner_D(alpha, k), wigner_D(beta, k).conj().T
+        w = float(np.arctan2(W[1, 0], W[0, 0]))
+    else:
+        w = rotation_vector_from_matrix(W)
+    return _factors(alpha, beta, w, w)
 
 
 def validate_w_symmetry(amplitude: ChannelAmplitude, W) -> float:
@@ -396,36 +385,36 @@ def write_amplitudes(target, expansion: Expansion) -> None:
 
 
 def read_amplitudes(source) -> Expansion:
-    """Inverse of write_amplitudes."""
+    """Inverse of write_amplitudes; a malformed line raises DomainError naming it."""
     with text_file(source, "r") as fh:
         target = TargetSpace.GLPLUS
-        records: dict = {}
-        order: list = []
-        for line in fh:
+        records: dict = {}  # per (alpha, beta), in order of appearance: q -> matrix
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts and parts[0] == "target":
-                    target = TargetSpace(parts[1])
-                continue
-            cols = line.split()
-            alpha = RepLabel(_TAG_GROUPS[cols[0]], int(cols[1]))
-            beta = RepLabel(_TAG_GROUPS[cols[2]], int(cols[3]))
-            da, db = alpha.dim, beta.dim
-            n_matrix = 2 * da * db
-            q = tuple(float(x) for x in cols[4 : len(cols) - n_matrix])
-            flat = np.array([float(x) for x in cols[len(cols) - n_matrix :]])
-            mat = (flat[0::2] + 1j * flat[1::2]).reshape(da, db)
-            key = (alpha, beta)
-            if key not in records:
-                records[key] = {}
-                order.append(key)
-            records[key][q] = mat
+            try:
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if parts and parts[0] == "target":
+                        target = TargetSpace(parts[1])
+                    continue
+                cols = line.split()
+                alpha = RepLabel(_TAG_GROUPS[cols[0]], int(cols[1]))
+                beta = RepLabel(_TAG_GROUPS[cols[2]], int(cols[3]))
+                da, db = alpha.dim, beta.dim
+                n_matrix = 2 * da * db
+                q = tuple(float(x) for x in cols[4 : len(cols) - n_matrix])
+                flat = np.array([float(x) for x in cols[len(cols) - n_matrix :]])
+                mat = (flat[0::2] + 1j * flat[1::2]).reshape(da, db)
+                data = records.setdefault((alpha, beta), {})
+                if data and len(q) != len(next(iter(data))):
+                    raise ValueError("invariant count differs from the channel's first record")
+            except (KeyError, IndexError, ValueError) as exc:
+                raise DomainError(f"amplitudes line {number}: malformed ({exc!r})") from exc
+            data[q] = mat
     channels = []
-    for alpha, beta in order:
-        data = records[(alpha, beta)]
+    for (alpha, beta), data in records.items():
         pts = np.array(sorted(data.keys()))
         ndim = pts.shape[1]
         axes = tuple(np.unique(pts[:, d]) for d in range(ndim))

@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, readonly
 
 _ANGLE_TOL = 1e-12
 
@@ -150,24 +150,18 @@ def _ladder(twice_spin: int):
     s_plus[np.arange(d - 1), np.arange(1, d)] = amp
     s1 = (s_plus + s_plus.conj().T) / 2.0
     s2 = (s_plus - s_plus.conj().T) / 2j
-    for a in (s1, s2, s3):
-        a.flags.writeable = False
-    return s1, s2, s3
+    return tuple(readonly(a) for a in (s1, s2, s3))
 
 
 def generators(label: RepLabel, hbar: float = 1.0) -> GeneratorSet:
     """Angular momentum matrices of the labeled representation."""
     if label.group is Group.SO2:
-        mat = np.array([[hbar * label.m]], dtype=complex)
-        mat.flags.writeable = False
+        mat = readonly(np.array([[hbar * label.m]], dtype=complex))
         return GeneratorSet(label, (mat,), hbar)
     s1, s2, s3 = _ladder(label.twice_spin)
     if hbar == 1.0:
         return GeneratorSet(label, (s1, s2, s3), hbar)
-    scaled = tuple(hbar * a for a in (s1, s2, s3))
-    for a in scaled:
-        a.flags.writeable = False
-    return GeneratorSet(label, scaled, hbar)
+    return GeneratorSet(label, tuple(readonly(hbar * a) for a in (s1, s2, s3)), hbar)
 
 
 def casimir(gen: GeneratorSet) -> np.ndarray:
@@ -398,6 +392,4 @@ def haar_quadrature(group: Group, order: int) -> HaarQuadrature:
     )
     vectors = (k[:, None, None, None] * axis[None, :, :, :]).reshape(-1, 3)
     weights = (wk[:, None, None] * wt[None, :, None] * wphi[None, None, :]).reshape(-1)
-    vectors.flags.writeable = False
-    weights.flags.writeable = False
-    return HaarQuadrature(group, order, vectors, weights)
+    return HaarQuadrature(group, order, readonly(vectors), readonly(weights))

@@ -18,6 +18,10 @@ sqrt-weight similarity as the 1D operators and handed to scipy's `eigsh`
 (ARPACK's implicitly restarted Lanczos).  Found eigenvectors are lifted
 out of the spectrum and a loose check, else a tight rerun, looks for a
 level left below them, so degenerate eigenvalues keep their multiplicity.
+
+Refined solves walk one chain, `nested_grids`: a grid and its halved-step
+refinements, coarsest first, for a Grid1D or a GridND alike.  Both
+`convergence_study` and the refinement levels of `affbody run` take it.
 """
 
 import math
@@ -27,15 +31,8 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, NumericalError, text_file
-from .hamiltonians import (
-    ChannelOperator1D,
-    Grid1D,
-    ModelKind,
-    ModelParams,
-    SymmetrizedOperator1D,
-    assemble_2d_channel,
-)
+from .errors import DomainError, NumericalError, readonly, text_file
+from .hamiltonians import Grid1D, ModelKind, ModelParams, assemble_2d_channel
 
 DEFAULT_BOX = 40.0
 DEFAULT_NPOINTS = 999
@@ -76,9 +73,7 @@ class SpectrumResult:
 
     def __post_init__(self):
         for name in ("eigenvalues", "margins"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, readonly(np.array(getattr(self, name), dtype=float)))
 
     @property
     def bound_flags(self) -> np.ndarray:
@@ -131,10 +126,9 @@ def _lowest_1d(op, count: int, nodes: bool = False, memo: dict | None = None):
         raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
     if nodes:
         vals, vecs = out
-        result = vals, tuple(_count_nodes(vecs[:, i]) for i in range(count))
+        result = readonly(vals), tuple(_count_nodes(vecs[:, i]) for i in range(count))
     else:
-        result = out, None
-    result[0].flags.writeable = False
+        result = readonly(out), None
     if memo is not None and (nodes or key not in memo):
         memo[key] = result  # never replace an entry holding node counts
     return result
@@ -308,9 +302,7 @@ class ConvergenceStudy:
 
     def __post_init__(self):
         for name in ("eigenvalues", "orders", "extrapolated"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, readonly(np.array(getattr(self, name), dtype=float)))
 
 
 def richardson(e0, e1, e2):
@@ -329,6 +321,17 @@ def richardson(e0, e1, e2):
     return e2 + d2 / (2.0**p - 1.0), p
 
 
+def nested_grids(grid, levels: int) -> list:
+    """grid and its first levels - 1 refinements, coarsest first.
+
+    Only grid.refine() is used, so a Grid1D and a GridND both serve.
+    """
+    grids = [grid]
+    for _ in range(levels - 1):
+        grids.append(grids[-1].refine())
+    return grids
+
+
 def convergence_study(
     make_op, base_grid: Grid1D, levels: int = 3, count: int = 5, memo: dict | None = None
 ) -> ConvergenceStudy:
@@ -339,20 +342,13 @@ def convergence_study(
     """
     if levels < 3:
         raise DomainError("a convergence study needs at least three levels")
-    hs, table = [], []
-    grid = base_grid
-    for _ in range(levels):
-        op = make_op(grid)
-        vals, _ = _lowest_1d(op, count, memo=memo)
-        hs.append(grid.step)
-        table.append(vals)
-        grid = grid.refine()
-    table = np.array(table)
+    grids = nested_grids(base_grid, levels)
+    table = np.array([_lowest_1d(make_op(g), count, memo=memo)[0] for g in grids])
     orders = np.empty(count)
     extrap = np.empty(count)
     for i in range(count):
         extrap[i], orders[i] = richardson(table[-3, i], table[-2, i], table[-1, i])
-    return ConvergenceStudy(tuple(hs), table, orders, extrap)
+    return ConvergenceStudy(tuple(g.step for g in grids), table, orders, extrap)
 
 
 def write_spectrum_table(target, results) -> None:
@@ -380,6 +376,7 @@ __all__ = [
     "boundedness_scan",
     "classify_channel",
     "convergence_study",
+    "nested_grids",
     "richardson",
     "solve_1d",
     "solve_nd",

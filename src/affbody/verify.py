@@ -252,15 +252,13 @@ def equivalence_defect(
     each discretization carries.
     """
     base = base_grid if base_grid is not None else Grid1D.from_spec(30.0, 499)
-    weighted = convergence_study(
-        lambda g: assemble_2d_channel(kind, params, channel, g), base, levels=3, count=count
-    ).extrapolated
-    flat = convergence_study(
-        lambda g: symmetrize(assemble_2d_channel(kind, params, channel, g)),
-        base,
-        levels=3,
-        count=count,
-    ).extrapolated
+    weighted, flat = (
+        convergence_study(make_op, base, levels=3, count=count).extrapolated
+        for make_op in (
+            lambda g: assemble_2d_channel(kind, params, channel, g),
+            lambda g: symmetrize(assemble_2d_channel(kind, params, channel, g)),
+        )
+    )
     scale = np.maximum(np.maximum(np.abs(weighted), np.abs(flat)), 1e-12)
     return float(np.max(np.abs(weighted - flat) / scale))
 

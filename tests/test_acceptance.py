@@ -20,7 +20,6 @@ threshold).
 import itertools
 
 import numpy as np
-import pytest
 
 from affbody.group_geometry import reconstruct, two_polar_decompose
 from affbody.hamiltonians import (

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import math
@@ -13,6 +14,7 @@ import scipy.linalg
 import affbody
 from affbody.cli import OUTPUT_DIR_ENV, main, parse_config
 from affbody.errors import UsageError
+from affbody.hamiltonians import GridND, ModelKind, ModelParams, assemble_nd_channel
 from affbody.peter_weyl import (
     ChannelAmplitude,
     Expansion,
@@ -21,7 +23,7 @@ from affbody.peter_weyl import (
     validate_superselection,
 )
 from affbody.representations import Group, RepLabel
-from affbody.spectra import SpectralClass, classify_channel
+from affbody.spectra import SpectralClass, classify_channel, solve_nd
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -471,6 +473,63 @@ class TestConvergence:
         assert all(1.7 < p < 2.3 for p in order_vals)
 
 
+class TestRefinementChain:
+    """run, convergence and a direct solve all see the same nested grids."""
+
+    def test_run_levels_match_convergence_levels(self, tmp_path):
+        doc = base_config(
+            model="dalembert",
+            params={"I": 2.0, "A": 1.0, "B": 0.0},
+            channels=[[0, 2], [1, 3], [2, 2]],
+            grid={"x_max": 12.0, "npoints": 49},
+            potentials={"shear": {"kind": "harmonic", "k": 1.0, "q0": 3.0}},
+            count=3,
+            refinements=2,
+            levels=3,
+        )
+        cfg = write_config(tmp_path, doc)
+        for command in ("run", "convergence"):
+            out = str(tmp_path / command)
+            assert main([command, "--config", cfg, "--output-dir", out]) == 0
+        run_rows = (tmp_path / "run" / "spectrum.txt").read_text().splitlines()[1:]
+        conv_rows = (tmp_path / "convergence" / "spectrum.txt").read_text().splitlines()[1:]
+        # run: one row per eigenvalue, levels in order within each channel
+        from_run = {}
+        for row in run_rows:
+            _, m, n, _, energy, _, _, _, h = row.split()
+            from_run.setdefault((m, n), []).append((h, energy))
+        from_conv = {}
+        for row in conv_rows:
+            _, m, n, record, h, *values = row.split()
+            if record.startswith("level-"):
+                from_conv.setdefault((m, n), []).extend((h, v) for v in values)
+        assert len(from_run) == 3 and all(len(v) == 9 for v in from_run.values())
+        assert from_run == from_conv
+
+    def test_nd_refinement_rows_match_direct_solve(self, tmp_path):
+        params = {"I": 2.0, "A": 1.0, "B": 0.5}
+        doc = {
+            "model": "met-aff",
+            "dimension": 3,
+            "params": params,
+            "channels": [[1, 1]],
+            "grid": {"q_min": -3.0, "q_max": 3.0, "npoints": 3},
+            "refinements": 1,
+            "count": 2,
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+        rows = [r.split() for r in (tmp_path / "spectrum.txt").read_text().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["0", "1", "0", "1"]
+        h = [float(r[8]) for r in rows]
+        assert h[0] == h[1] == 2.0 * h[2] == 2.0 * h[3] == 1.5
+        op = assemble_nd_channel(
+            ModelKind.MET_AFF, ModelParams(**params, n=3), (1.0, 1.0), GridND(7, -3.0, 3.0)
+        )
+        direct = solve_nd(op, 2, seed=7).eigenvalues
+        np.testing.assert_allclose([float(r[4]) for r in rows[2:]], direct, rtol=1e-9)
+
+
 class TestVerifyCommand:
     def test_algebra_suite_passes(self, capsys):
         assert main(["verify", "--suite", "algebra"]) == 0
@@ -491,6 +550,30 @@ def test_import_leaves_scipy_interpolate_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# verify imports solve_1d without using it: the benchmark's tracer wraps
+# verify.solve_1d by name, so the import stays until the tracer changes
+ALLOWED_UNUSED_IMPORTS = {("verify", "solve_1d")}
+
+
+def test_package_modules_have_no_unused_imports():
+    unused = []
+    for path in sorted(Path(affbody.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, exported = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported |= set(ast.literal_eval(node.value))
+        referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.stem, name) for name in sorted(imported - referenced - exported)]
+    assert [u for u in unused if u not in ALLOWED_UNUSED_IMPORTS] == []
 
 
 class TestBenchTracing:

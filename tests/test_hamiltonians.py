@@ -8,7 +8,6 @@ import scipy.linalg
 from affbody.errors import CapacityError, DomainError
 from affbody.hamiltonians import (
     MAX_FIELD_ELEMENTS,
-    ChannelOperator1D,
     Grid1D,
     GridND,
     ModelKind,

@@ -1,6 +1,5 @@
 """Tests for channel expansions, scalar products and the symmetry validators."""
 
-import io
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +112,25 @@ class TestQGrid:
             for b in range(a + 1, g.ndim):
                 want = want * np.abs(np.sinh(pts[..., a] - pts[..., b]))
         assert g.weight_field().tobytes() == want.tobytes()
+
+    def test_same_nodes(self):
+        g = grid2(5, 4)
+        assert g.same_nodes(grid2(5, 4))
+        assert not g.same_nodes(grid2(5, 5))
+        assert not g.same_nodes(grid3(4))
+        shifted = QGrid((g.axes[0], g.axes[1] + 1e-12))
+        assert not g.same_nodes(shifted)
+
+    def test_scalar_product_requires_shared_nodes(self):
+        rng = np.random.default_rng(12)
+        label = RepLabel.so2(0)
+        e1 = Expansion((random_amplitude(rng, label, label, grid2(5, 4)),))
+        e2 = Expansion((random_amplitude(rng, label, label, grid2(5, 5)),))
+        with pytest.raises(DomainError, match="share the deformation grid"):
+            scalar_product(e1, e2)
+        with pytest.raises(DomainError, match="requested grid"):
+            scalar_product(e1, e1, grid=grid2(5, 5))
+        assert scalar_product(e1, e1, grid=grid2(5, 4)) == scalar_product(e1, e1)
 
     def test_weight_field_two_axes(self):
         g = grid2(4, 3)
@@ -617,6 +635,23 @@ class TestAmplitudeIO:
         write(str(tmp_path / "str.txt"))
         write(tmp_path / "path.txt")
         assert (tmp_path / "path.txt").read_bytes() == (tmp_path / "str.txt").read_bytes()
+
+    # each malformed line raises DomainError naming its line number
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "xx 0 so2 0 0.1 0.2 1 0",  # unknown group tag
+            "so2 zz so2 0 0.1 0.2 1 0",  # non-numeric entry
+            "so3",  # truncated record
+            "# target nowhere",  # unknown target space
+            "# target",  # target space missing
+            "so2 0 so2 0 0.1 1 0",  # fewer invariants than the line before
+        ],
+    )
+    def test_malformed_line_names_its_number(self, line):
+        text = "# affbody-amplitudes 1\nso2 0 so2 0 0.1 0.2 1 0\n\n" + line + "\n"
+        with pytest.raises(DomainError, match="line 4"):
+            loads_amplitudes(text)
 
     def test_header_present(self):
         rng = np.random.default_rng(25)

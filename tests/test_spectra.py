@@ -27,6 +27,7 @@ from affbody.spectra import (
     boundedness_scan,
     classify_channel,
     convergence_study,
+    nested_grids,
     richardson,
     solve_1d,
     solve_nd,
@@ -452,6 +453,16 @@ class TestConvergence:
     def test_levels_validation(self):
         with pytest.raises(DomainError):
             convergence_study(lambda g: flat_box(npoints=g.npoints), Grid1D(0, 1, 9), levels=2)
+
+    @pytest.mark.parametrize(
+        "grid,npoints", [(Grid1D(0.0, 2.0, 9), [9, 19, 39]), (GridND(3, -1.0, 1.0), [3, 7, 15])]
+    )
+    def test_nested_grids_halve_the_step(self, grid, npoints):
+        grids = nested_grids(grid, 3)
+        assert grids[0] is grid
+        assert [g.npoints for g in grids] == npoints
+        assert [g.step for g in grids] == [grid.step, grid.step / 2, grid.step / 4]
+        assert nested_grids(grid, 1) == [grid]
 
 
 class TestRichardson:
