@@ -34,7 +34,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import AffbodyError, UsageError
+from .errors import CapacityError, DomainError, UsageError
 from .hamiltonians import (
     Grid1D,
     GridND,
@@ -46,11 +46,14 @@ from .hamiltonians import (
     assemble_2d_channel,
     assemble_nd_channel,
     check_gates,
+    planar_labels,
+    spatial_labels,
 )
 from .peter_weyl import TargetSpace, superselection_violation
 from .spectra import (
     DEFAULT_BOX,
     DEFAULT_NPOINTS,
+    MAX_ND_COUNT,
     SpectralClass,
     classify_channel,
     convergence_study,
@@ -78,7 +81,12 @@ _CONFIG_KEYS = {
     "seed",
 }
 _PARAM_KEYS = {"I", "A", "B", "hbar"}
-_MAX_ND_COUNT = 10
+# each potential kind's entries with their defaults; None marks a required entry
+_POTENTIAL_ENTRIES = {
+    PotentialKind.ZERO: {},
+    PotentialKind.HARMONIC: {"k": 1.0, "q0": 0.0},
+    PotentialKind.FINITE_WELL: {"depth": None, "width": None},
+}
 
 
 @dataclass(frozen=True)
@@ -132,30 +140,50 @@ class RunConfig:
 
 
 def _potential_doc(spec: PotentialSpec) -> dict:
-    if spec.kind is PotentialKind.ZERO:
-        return {"kind": "zero"}
-    if spec.kind is PotentialKind.HARMONIC:
-        return {"kind": "harmonic", "k": spec.k, "q0": spec.q0}
-    return {"kind": "finite-well", "depth": spec.depth, "width": spec.width}
+    entries = _POTENTIAL_ENTRIES[spec.kind]
+    return {"kind": spec.kind.value, **{k: getattr(spec, k) for k in entries}}
 
 
-def _number(field: str, value, integral: bool = False) -> float:
+def _number(field: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"{field}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise UsageError(f"{field}: expected a finite number, got {value!r}")
-    if integral and float(value) != int(value):
+    return number
+
+
+def _integer(field: str, value, lo=-math.inf, hi=math.inf) -> int:
+    """value as an int in lo..hi; an integral float such as 3.0 counts."""
+    if not _number(field, value).is_integer():
         raise UsageError(f"{field}: expected an integer, got {value!r}")
-    return float(value)
+    if not lo <= value <= hi:
+        raise UsageError(f"{field}: must be in {lo}..{hi}, got {value!r}")
+    return int(value)
 
 
-def _object(field: str, doc, keys) -> dict:
-    """doc, checked to be an object whose entries all lie in keys."""
+def _choice(field: str, value, enum):
+    """The member of enum whose value is value."""
+    try:
+        return enum(value)
+    except ValueError:
+        choices = [member.value for member in enum]
+        raise UsageError(f"{field}: expected one of {choices}, got {value!r}") from None
+
+
+def _object(field: str, doc, keys, required=()) -> dict:
+    """doc, checked to be an object whose entries lie in keys and include required."""
     if not isinstance(doc, dict):
         raise UsageError(f"{field}: expected an object")
     extras = set(doc) - set(keys)
     if extras:
         raise UsageError(f"{field}: unknown entries {sorted(extras)}")
+    for key in required:
+        if key not in doc:
+            raise UsageError(f"{field}.{key}: required")
     return doc
 
 
@@ -164,22 +192,26 @@ def _parse_potential(field: str, doc) -> PotentialSpec:
         return ZERO_POTENTIAL
     if not isinstance(doc, dict) or "kind" not in doc:
         raise UsageError(f"{field}: expected an object with a 'kind' entry")
-    kind = _object(field, doc, {"kind", "k", "q0", "depth", "width"})["kind"]
-    if kind == "zero":
-        return ZERO_POTENTIAL
-    if kind == "harmonic":
-        return PotentialSpec.harmonic(
-            _number(f"{field}.k", doc.get("k", 1.0)),
-            _number(f"{field}.q0", doc.get("q0", 0.0)),
-        )
-    if kind == "finite-well":
-        if "depth" not in doc or "width" not in doc:
-            raise UsageError(f"{field}: finite-well needs 'depth' and 'width'")
-        return PotentialSpec.finite_well(
-            _number(f"{field}.depth", doc["depth"]),
-            _number(f"{field}.width", doc["width"]),
-        )
-    raise UsageError(f"{field}.kind: unknown potential kind {kind!r}")
+    kind = _choice(f"{field}.kind", doc["kind"], PotentialKind)
+    entries = _POTENTIAL_ENTRIES[kind]
+    _object(field, doc, {"kind", *entries}, [k for k, v in entries.items() if v is None])
+    values = {k: _number(f"{field}.{k}", doc.get(k, v)) for k, v in entries.items()}
+    try:
+        return PotentialSpec(kind, **values)
+    except DomainError as exc:
+        raise UsageError(f"{field}: {exc}") from exc
+
+
+def _label_pair(field: str, entry, dimension: int) -> tuple:
+    """entry as one channel's labels, judged by the library's rule for the dimension."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        raise UsageError(f"{field}: entry {entry!r} is not a label pair")
+    numbers = tuple(_number(field, v) for v in entry)
+    try:
+        # planar labels are judged as written, so no int rounds through a float
+        return planar_labels(entry) if dimension == 2 else spatial_labels(numbers)
+    except (DomainError, CapacityError) as exc:
+        raise UsageError(f"{field}: {exc}") from exc
 
 
 def _parse_channels(doc, dimension: int, target_space: TargetSpace) -> tuple:
@@ -188,30 +220,13 @@ def _parse_channels(doc, dimension: int, target_space: TargetSpace) -> tuple:
             raise UsageError("channels: range spec must be {'square': [lo, hi]}")
         if dimension != 2:
             raise UsageError("channels: square range specs need dimension 2")
-        lo_hi = doc["square"]
-        if not isinstance(lo_hi, (list, tuple)) or len(lo_hi) != 2:
-            raise UsageError("channels.square: expected [lo, hi]")
-        lo = int(_number("channels.square", lo_hi[0], integral=True))
-        hi = int(_number("channels.square", lo_hi[1], integral=True))
+        lo, hi = _label_pair("channels.square", doc["square"], dimension)
         if hi < lo:
             raise UsageError(f"channels.square: empty range [{lo}, {hi}]")
         return tuple((m, n) for m in range(lo, hi + 1) for n in range(lo, hi + 1))
     if not isinstance(doc, (list, tuple)) or not doc:
         raise UsageError("channels: expected a non-empty list of label pairs")
-    channels = []
-    for entry in doc:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise UsageError(f"channels: entry {entry!r} is not a label pair")
-        a = _number("channels", entry[0], integral=(dimension == 2))
-        b = _number("channels", entry[1], integral=(dimension == 2))
-        if dimension == 2:
-            channels.append((int(a), int(b)))
-            continue
-        if (2.0 * a) != int(2.0 * a) or (2.0 * b) != int(2.0 * b):
-            raise UsageError(f"channels: labels must be multiples of 1/2, got {entry!r}")
-        if a < 0.0 or b < 0.0:
-            raise UsageError(f"channels: spatial labels must be >= 0, got {entry!r}")
-        channels.append((a, b))
+    channels = [_label_pair("channels", entry, dimension) for entry in doc]
     if len(set(channels)) != len(channels):
         raise UsageError("channels: duplicate entries")
     if dimension == 3:
@@ -232,39 +247,30 @@ def _parse_grid(doc, dimension: int):
     if dimension == 2:
         if doc is None:
             return Grid1D.from_spec(DEFAULT_BOX, DEFAULT_NPOINTS), None
-        _object("grid", doc, {"x_min", "x_max", "npoints", "h"})
-        if "x_max" not in doc:
-            raise UsageError("grid: 'x_max' is required")
+        _object("grid", doc, {"x_min", "x_max", "npoints", "h"}, ("x_max",))
         x_min = _number("grid.x_min", doc.get("x_min", 0.0))
         x_max = _number("grid.x_max", doc["x_max"])
         if ("npoints" in doc) == ("h" in doc):
             raise UsageError("grid: give exactly one of 'npoints' or 'h'")
         if "npoints" in doc:
-            npoints = int(_number("grid.npoints", doc["npoints"], integral=True))
+            npoints = _integer("grid.npoints", doc["npoints"])
         else:
             h = _number("grid.h", doc["h"])
             if h <= 0.0:
                 raise UsageError(f"grid.h: must be positive, got {h}")
-            npoints = int(round((x_max - x_min) / h)) - 1
+            # a tiny h overflows the node count to inf, refused as grid.h
+            npoints = int(round(_number("grid.h", (x_max - x_min) / h))) - 1
         try:
             return Grid1D(x_min=x_min, x_max=x_max, npoints=npoints), None
-        except AffbodyError as exc:
+        except DomainError as exc:
             raise UsageError(f"grid: {exc}") from exc
-    if doc is None:
-        raise UsageError("grid: required for dimension 3 ('q_min', 'q_max', 'npoints')")
-    _object("grid", doc, {"q_min", "q_max", "npoints"})
-    for key in ("q_min", "q_max", "npoints"):
-        if key not in doc:
-            raise UsageError(f"grid: '{key}' is required for dimension 3")
+    _object("grid", doc, {"q_min", "q_max", "npoints"}, ("q_min", "q_max", "npoints"))
+    npoints = _integer("grid.npoints", doc["npoints"])
+    q_min, q_max = _number("grid.q_min", doc["q_min"]), _number("grid.q_max", doc["q_max"])
     try:
-        grid = GridND(
-            npoints=int(_number("grid.npoints", doc["npoints"], integral=True)),
-            q_min=_number("grid.q_min", doc["q_min"]),
-            q_max=_number("grid.q_max", doc["q_max"]),
-        )
-    except AffbodyError as exc:
+        return None, GridND(npoints=npoints, q_min=q_min, q_max=q_max)
+    except DomainError as exc:
         raise UsageError(f"grid: {exc}") from exc
-    return None, grid
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -274,70 +280,37 @@ def parse_config(doc: dict) -> RunConfig:
     violations (these depend on params and model jointly).
     """
     _object("config", doc, _CONFIG_KEYS)
-    if "model" not in doc:
-        raise UsageError("model: required")
-    try:
-        kind = ModelKind(doc["model"])
-    except ValueError as exc:
-        raise UsageError(
-            f"model: unknown model {doc['model']!r}; choose from "
-            f"{[k.value for k in ModelKind]}"
-        ) from exc
-    dimension = int(_number("dimension", doc.get("dimension", 2), integral=True))
-    if dimension not in (2, 3):
-        raise UsageError(f"dimension: must be 2 or 3, got {dimension}")
+    kind = _choice("model", doc.get("model"), ModelKind)
+    dimension = _integer("dimension", doc.get("dimension", 2), 2, 3)
 
-    pdoc = _object("params", doc.get("params"), _PARAM_KEYS)
-    for key in ("I", "A", "B"):
-        if key not in pdoc:
-            raise UsageError(f"params.{key}: required")
+    pdoc = _object("params", doc.get("params"), _PARAM_KEYS, ("I", "A", "B"))
+    I, A, B = (_number(f"params.{key}", pdoc[key]) for key in ("I", "A", "B"))
+    hbar = _number("params.hbar", pdoc.get("hbar", 1.0))
     try:
-        params = ModelParams(
-            I=_number("params.I", pdoc["I"]),
-            A=_number("params.A", pdoc["A"]),
-            B=_number("params.B", pdoc["B"]),
-            hbar=_number("params.hbar", pdoc.get("hbar", 1.0)),
-            n=dimension,
-        )
+        params = ModelParams(I=I, A=A, B=B, hbar=hbar, n=dimension)
         check_gates(kind, params)
-    except AffbodyError as exc:
+    except DomainError as exc:
         raise UsageError(f"params: {exc}") from exc
 
-    try:
-        target_space = TargetSpace(doc.get("target_space", "glplus"))
-    except ValueError as exc:
-        choices = " or ".join(repr(t.value) for t in TargetSpace)
-        raise UsageError(
-            f"target_space: expected {choices}, got {doc['target_space']!r}"
-        ) from exc
+    target_space = _choice("target_space", doc.get("target_space", "glplus"), TargetSpace)
     if "target_space" in doc and dimension == 2:
         raise UsageError("target_space: only meaningful for dimension 3")
 
-    if "channels" not in doc:
-        raise UsageError("channels: required")
-    channels = _parse_channels(doc["channels"], dimension, target_space)
+    channels = _parse_channels(doc.get("channels"), dimension, target_space)
     grid1d, gridnd = _parse_grid(doc.get("grid"), dimension)
-
-    refinements = int(_number("refinements", doc.get("refinements", 0), integral=True))
-    if not 0 <= refinements <= 6:
-        raise UsageError(f"refinements: must be in 0..6, got {refinements}")
-    levels = int(_number("levels", doc.get("levels", 3), integral=True))
-    if not 3 <= levels <= 8:
-        raise UsageError(f"levels: must be in 3..8, got {levels}")
-    count = int(
-        _number("count", doc.get("count", 5 if dimension == 2 else 4), integral=True)
+    refinements = _integer("refinements", doc.get("refinements", 0), 0, 6)
+    levels = _integer("levels", doc.get("levels", 3), 3, 8)
+    # a planar count is bounded by the base grid's matrix, an n=3 count by solve_nd
+    count = _integer(
+        "count",
+        doc.get("count", 5 if dimension == 2 else 4),
+        1,
+        grid1d.npoints if dimension == 2 else MAX_ND_COUNT,
     )
-    if count < 1:
-        raise UsageError(f"count: must be >= 1, got {count}")
-    if dimension == 3 and count > _MAX_ND_COUNT:
-        raise UsageError(f"count: at most {_MAX_ND_COUNT} for dimension 3, got {count}")
 
     potdoc = _object("potentials", doc.get("potentials", {}), {"dilatation", "shear"})
-    try:
-        dil = _parse_potential("potentials.dilatation", potdoc.get("dilatation"))
-        shear = _parse_potential("potentials.shear", potdoc.get("shear"))
-    except AffbodyError as exc:
-        raise UsageError(str(exc)) from exc
+    dil = _parse_potential("potentials.dilatation", potdoc.get("dilatation"))
+    shear = _parse_potential("potentials.shear", potdoc.get("shear"))
     if dimension == 3 and (
         dil.kind is not PotentialKind.ZERO or shear.kind is not PotentialKind.ZERO
     ):
@@ -350,7 +323,6 @@ def parse_config(doc: dict) -> RunConfig:
         if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\"):
             raise UsageError(f"outputs.{key}: expected a bare file name, got {name!r}")
 
-    seed = int(_number("seed", doc.get("seed", 7), integral=True))
     return RunConfig(
         kind=kind,
         dimension=dimension,
@@ -366,7 +338,7 @@ def parse_config(doc: dict) -> RunConfig:
         target_space=target_space,
         table_name=table_name,
         manifest_name=manifest_name,
-        seed=seed,
+        seed=_integer("seed", doc.get("seed", 7), 0),
     )
 
 
@@ -377,7 +349,7 @@ def load_config(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise UsageError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int too long to convert, or bytes not UTF-8
         raise UsageError(f"config: {path} is not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and isinstance(doc.get("config"), dict):
         return doc["config"]
@@ -567,9 +539,10 @@ def main(argv=None) -> int:
             return cmd_verify(args.suite, args.seed)
         if args.jobs < 1:
             raise UsageError(f"jobs: must be >= 1, got {args.jobs}")
-        cfg = parse_config(load_config(args.config))
-        if args.seed is not None:
-            cfg = replace(cfg, seed=int(args.seed))
+        doc = load_config(args.config)
+        if args.seed is not None:  # read like the config's own seed
+            doc = {**_object("config", doc, _CONFIG_KEYS), "seed": args.seed}
+        cfg = parse_config(doc)
         output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or os.getcwd()
         os.makedirs(output_dir, exist_ok=True)
         if args.command == "run":

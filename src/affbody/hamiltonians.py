@@ -379,6 +379,19 @@ def symmetrize(op: ChannelOperator1D) -> SymmetrizedOperator1D:
     )
 
 
+def planar_labels(channel) -> tuple:
+    """The planar labels (m, n) as ints: integers with |m|, |n| <= 2**53.
+
+    A float holds every integer up to 2**53 exactly, and below that bound
+    the barrier coefficients hbar^2 (n -+ m)^2 / 16A cannot overflow.
+    """
+    for v in channel:
+        if not abs(v) <= 2**53 or v != int(v):
+            raise DomainError(f"planar channel labels must be integers within 2**53, got {v!r}")
+    m, n = channel
+    return int(m), int(n)
+
+
 def assemble_2d_channel(
     kind: ModelKind,
     params: ModelParams,
@@ -391,10 +404,7 @@ def assemble_2d_channel(
     if params.n != 2:
         raise DomainError("planar channels require n = 2 parameters")
     cons = check_gates(kind, params)
-    m, n = channel
-    if m != int(m) or n != int(n):
-        raise DomainError("planar channel labels must be integers")
-    m, n = int(m), int(n)
+    m, n = planar_labels(channel)
     hb2 = params.hbar**2
     x = grid.points
     shear = potential(shear_potential, x)
@@ -663,6 +673,17 @@ class NDChannelOperator:
         return complex(np.sum(tr * self.weight) * self.grid.step**3)
 
 
+def spatial_labels(labels) -> tuple:
+    """The spins (s, j): non-negative half-integers, each at most MAX_TWICE_SPIN / 2."""
+    for v in labels:
+        if not v >= 0 or (2 * v) % 1 != 0:
+            raise DomainError(f"channel labels must be non-negative half-integers, got {v!r}")
+    s, j = labels
+    if 2 * s > MAX_TWICE_SPIN or 2 * j > MAX_TWICE_SPIN:
+        raise CapacityError(f"channel labels ({s}, {j}) exceed the configured maximum")
+    return s, j
+
+
 def assemble_nd_channel(
     kind: ModelKind, params: ModelParams, labels, grid: GridND
 ) -> NDChannelOperator:
@@ -670,13 +691,7 @@ def assemble_nd_channel(
     if params.n != 3:
         raise DomainError("matrix channels require n = 3 parameters")
     cons = check_gates(kind, params)
-    s, j = labels
-    for val in (s, j):
-        twice = 2.0 * val
-        if twice != int(twice) or val < 0:
-            raise DomainError(f"channel labels must be non-negative half-integers, got {val}")
-    if 2 * s > MAX_TWICE_SPIN or 2 * j > MAX_TWICE_SPIN:
-        raise CapacityError(f"channel labels ({s}, {j}) exceed the configured maximum")
+    s, j = spatial_labels(labels)
     hb2 = params.hbar**2
 
     if kind is ModelKind.DALEMBERT:
@@ -764,7 +779,9 @@ __all__ = [
     "derived_constants",
     "effective_weight_potential",
     "kinetic_from_casimirs",
+    "planar_labels",
     "potential",
+    "spatial_labels",
     "symmetrize",
     "write_operator",
 ]

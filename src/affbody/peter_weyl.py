@@ -57,7 +57,7 @@ class QGrid:
     axes: tuple
 
     def __post_init__(self):
-        axes = tuple(np.asarray(ax, dtype=float) for ax in self.axes)
+        axes = tuple(np.array(ax, dtype=float) for ax in self.axes)
         if len(axes) < 2:
             raise DomainError("need at least two invariant axes")
         for ax in axes:
@@ -107,7 +107,7 @@ class ChannelAmplitude:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.array(self.values, dtype=complex)
         want = self.grid.shape + (self.alpha.dim, self.beta.dim)
         if vals.shape != want:
             raise DomainError(f"amplitude shape {vals.shape} does not match {want}")

@@ -39,6 +39,7 @@ DEFAULT_NPOINTS = 999
 NODE_CLIP = 1e-8
 MARGIN_FACTOR = 3.0
 LOOSE_CHECK_TOL = 1e-4  # ARPACK accuracy of solve_nd's first check for a missed level
+MAX_ND_COUNT = 10  # most eigenvalues solve_nd is asked for
 
 
 class SpectralClass(Enum):
@@ -137,9 +138,10 @@ def _lowest_1d(op, count: int, nodes: bool = False, memo: dict | None = None):
 def _coarsened(op, count: int, memo: dict | None = None):
     """Eigenvalues of the same operator restricted to a 2h grid, or None.
 
-    Odd node counts coarsen exactly (every second node is a coarse node);
-    otherwise the stored diagonal is linearly interpolated, which is
-    accurate enough for an error estimate.
+    The stored diagonal is linearly interpolated onto the coarse nodes.
+    On odd node counts every coarse node is a fine node, so this samples
+    the diagonal exactly; otherwise it is accurate enough for an error
+    estimate.
     """
     g = op.grid
     try:
@@ -148,10 +150,7 @@ def _coarsened(op, count: int, memo: dict | None = None):
         return None
     if count > coarse.npoints:
         return None
-    if g.npoints % 2 == 1:
-        diag = op.diag_potential[1::2]
-    else:
-        diag = np.interp(coarse.points, g.points, op.diag_potential)
+    diag = np.interp(coarse.points, g.points, op.diag_potential)
     return _lowest_1d(replace(op, grid=coarse, diag_potential=diag), count, memo=memo)[0]
 
 
@@ -236,8 +235,8 @@ def solve_nd(op, count: int, seed: int = 7, tol: float = 1e-9, maxiter: int = 60
 
     if count < 1:
         raise DomainError("count must be at least 1")
-    if count > 10:
-        raise DomainError("count must not exceed 10 for the iterative solver")
+    if count > MAX_ND_COUNT:
+        raise DomainError(f"count must not exceed {MAX_ND_COUNT} for the iterative solver")
     A = op.symmetric_matrix()
     size = A.shape[0]
     if count >= size:
@@ -369,6 +368,7 @@ __all__ = [
     "DEFAULT_BOX",
     "DEFAULT_NPOINTS",
     "MARGIN_FACTOR",
+    "MAX_ND_COUNT",
     "ConvergenceStudy",
     "ScanRow",
     "SpectralClass",

@@ -263,6 +263,43 @@ class TestRun:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "escape.txt").exists()
 
+    ND = {
+        "model": "met-aff",
+        "dimension": 3,
+        "params": {"I": 2.0, "A": 1.0, "B": 0.5},
+        "channels": [[1, 1]],
+        "grid": {"q_min": -3.0, "q_max": 3.0, "npoints": 3},
+    }
+
+    # each of these used to parse and then fail every channel with exit 1
+    @pytest.mark.parametrize(
+        "doc,args,field",
+        [
+            ({**ND, "seed": -1}, [], "seed"),
+            (ND, ["--seed", "-5"], "seed"),
+            ({**ND, "channels": [[11, 11]]}, [], "channels"),
+            (base_config(channels=[[1e300, 0]]), [], "channels"),
+            (base_config(grid={"x_max": 20.0, "npoints": 19}, count=50), [], "count"),
+            (
+                base_config(potentials={"shear": {"kind": "finite-well", "depth": 1, "width": -1}}),
+                [],
+                "potentials.shear",
+            ),
+        ],
+        ids=["seed", "seed-flag", "spin-cap", "planar-overflow", "count-above-grid", "well-width"],
+    )
+    def test_unrunnable_config_exit_2(self, tmp_path, capsys, doc, args, field):
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o"), *args]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}")
+        assert not (tmp_path / "o").exists()
+
+    def test_unparsable_number_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": ' + "9" * 5000 + "}")
+        assert main(["run", "--config", str(path), "--output-dir", str(tmp_path)]) == 2
+        assert "config" in capsys.readouterr().err
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "gone.json")]) == 2
         assert "config" in capsys.readouterr().err

@@ -23,7 +23,9 @@ from affbody.hamiltonians import (
     derived_constants,
     effective_weight_potential,
     kinetic_from_casimirs,
+    planar_labels,
     potential,
+    spatial_labels,
     symmetrize,
     write_operator,
 )
@@ -240,6 +242,39 @@ class TestAssemble2D:
             assemble_2d_channel(ModelKind.AFF_AFF, params2(), (0.5, 0), g)
         with pytest.raises(DomainError):
             assemble_2d_channel(ModelKind.AFF_AFF, params3(), (0, 0), g)
+
+
+class TestLabelRules:
+    """One rule per dimension, shared by the assemblers and the config parser."""
+
+    @pytest.mark.parametrize(
+        "channel", [(0.5, 0), (1e300, 0), (0, 2**53 + 1), (math.nan, 1), (1, -math.inf)]
+    )
+    def test_planar_rule_rejects(self, channel):
+        with pytest.raises(DomainError, match="integers within 2\\*\\*53"):
+            planar_labels(channel)
+        with pytest.raises(DomainError, match="integers within 2\\*\\*53"):
+            assemble_2d_channel(ModelKind.AFF_AFF, params2(), channel, Grid1D.from_spec(10.0, 20))
+
+    def test_planar_rule_accepts_integers_up_to_2_53(self):
+        assert planar_labels((3.0, -(2**53))) == (3, -(2**53))
+        assert type(planar_labels((3.0, 2))[0]) is int
+        op = assemble_2d_channel(
+            ModelKind.AFF_AFF, params2(), (2**53, -(2**53)), Grid1D.from_spec(10.0, 20)
+        )
+        assert np.all(np.isfinite(op.diag_potential))
+
+    @pytest.mark.parametrize("labels", [(-0.5, 0), (0.3, 0), (math.nan, 0), (0, math.inf)])
+    def test_spatial_rule_rejects(self, labels):
+        with pytest.raises(DomainError, match="half-integers"):
+            spatial_labels(labels)
+        with pytest.raises(DomainError, match="half-integers"):
+            assemble_nd_channel(ModelKind.AFF_AFF, params3(), labels, GridND(4, -1, 1))
+
+    def test_spatial_rule_caps_the_spin(self):
+        assert spatial_labels((10, 9.5)) == (10, 9.5)
+        with pytest.raises(CapacityError):
+            spatial_labels((10.5, 0))
 
 
 class TestQSector:

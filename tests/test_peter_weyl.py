@@ -121,6 +121,18 @@ class TestQGrid:
         shifted = QGrid((g.axes[0], g.axes[1] + 1e-12))
         assert not g.same_nodes(shifted)
 
+    def test_caller_arrays_stay_writable(self):
+        ax = np.linspace(0.0, 1.0, 3)
+        g = QGrid((ax, ax + 1.0))
+        label = RepLabel.so2(0)
+        vals = np.zeros(g.shape + (1, 1), dtype=complex)
+        amp = ChannelAmplitude(label, label, g, vals)
+        assert ax.flags.writeable and vals.flags.writeable
+        assert not any(a.flags.writeable for a in g.axes)
+        assert not amp.values.flags.writeable
+        ax[0], vals[0, 0, 0, 0] = -1.0, 1.0
+        assert g.axes[0][0] == 0.0 and amp.values[0, 0, 0, 0] == 0.0
+
     def test_scalar_product_requires_shared_nodes(self):
         rng = np.random.default_rng(12)
         label = RepLabel.so2(0)

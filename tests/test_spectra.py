@@ -155,6 +155,36 @@ class TestSolve1D:
         with pytest.raises(DomainError):
             solve_1d(object(), 1)
 
+    @pytest.mark.parametrize(
+        "kind,channel,grid,shear",
+        [
+            (ModelKind.AFF_AFF, (2, 1), Grid1D(0.0, 40.0, 999), None),
+            (ModelKind.AFF_AFF, (1, 3), Grid1D(0.0, 40.0, 1999), None),
+            (ModelKind.MET_AFF, (0, 2), Grid1D(-2.0, 7.5, 21), PotentialSpec.harmonic(1.5, 0.5)),
+            (ModelKind.DALEMBERT, (0, 2), Grid1D(0.5, 10.0, 7), PotentialSpec.finite_well(2, 3)),
+        ],
+    )
+    def test_margin_grid_of_an_odd_grid_keeps_every_second_node(self, kind, channel, grid, shear):
+        # every coarse node is a fine node, so the coarse diagonal is a slice
+        op = assemble_2d_channel(
+            kind, P2(I=2, A=1, B=0), channel, grid, shear_potential=shear or PotentialSpec.zero()
+        )
+        res = solve_1d(op, 3)
+        coarse = dataclasses.replace(
+            op, grid=grid.coarsen(), diag_potential=op.diag_potential[1::2]
+        )
+        want = np.abs(res.eigenvalues - solve_1d(coarse, 3).eigenvalues)
+        assert res.margins.tobytes() == want.tobytes()
+
+    def test_margin_grid_of_an_even_grid_interpolates_the_diagonal(self):
+        # a linear diagonal is interpolated exactly onto the coarse nodes
+        res = solve_1d(flat_box(npoints=20, diag=lambda x: 30.0 * x - 4.0), 3)
+        coarse = solve_1d(flat_box(npoints=9, diag=lambda x: 30.0 * x - 4.0), 3)
+        np.testing.assert_allclose(
+            res.margins, np.abs(res.eigenvalues - coarse.eigenvalues), rtol=0, atol=1e-10
+        )
+        assert np.all(res.margins > 0.0)
+
 
 def assert_same_result(a, b):
     """Every SpectrumResult field equal, floats and arrays bit for bit."""
