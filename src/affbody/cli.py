@@ -379,6 +379,7 @@ def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, writ
             errors[ch] = f"{type(exc).__name__}: {exc}"
         else:
             timings[ch] = time.perf_counter() - start
+    os.makedirs(output_dir, exist_ok=True)
     table_path = os.path.join(output_dir, cfg.table_name)
     with open(table_path, "w", encoding="utf-8") as fh:
         write_rows(fh, results)
@@ -412,18 +413,25 @@ def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, writ
 
 
 def _solve_channel(cfg: RunConfig, channel, memo: dict) -> list:
-    """All refinement levels for one channel, coarsest first."""
-    rows = []
-    grids = nested_grids(cfg.grid1d if cfg.dimension == 2 else cfg.gridnd, cfg.refinements + 1)
-    for level, grid in enumerate(grids):
-        if cfg.dimension == 2:
-            op = assemble_2d_channel(cfg.kind, cfg.params, channel, grid, cfg.dil, cfg.shear)
-            res = solve_1d(op, cfg.count, memo)
-        else:
-            op = assemble_nd_channel(cfg.kind, cfg.params, channel, grid)
-            res = solve_nd(op, cfg.count, seed=cfg.seed)
-        rows.append(replace(res, refinement=level))
-    return rows
+    """All refinement levels for one channel, coarsest first.
+
+    Every level is assembled before any is solved, so a level past the
+    capacity raises before the first solve (n=3 matrices are built lazily).
+    """
+    levels = cfg.refinements + 1
+    if cfg.dimension == 2:
+        ops = [
+            assemble_2d_channel(cfg.kind, cfg.params, channel, g, cfg.dil, cfg.shear)
+            for g in nested_grids(cfg.grid1d, levels)
+        ]
+        results = [solve_1d(op, cfg.count, memo) for op in ops]
+    else:
+        ops = [
+            assemble_nd_channel(cfg.kind, cfg.params, channel, g)
+            for g in nested_grids(cfg.gridnd, levels)
+        ]
+        results = [solve_nd(op, cfg.count, seed=cfg.seed) for op in ops]
+    return [replace(res, refinement=level) for level, res in enumerate(results)]
 
 
 def cmd_run(cfg: RunConfig, output_dir: str) -> int:
@@ -544,7 +552,6 @@ def main(argv=None) -> int:
             doc = {**_object("config", doc, _CONFIG_KEYS), "seed": args.seed}
         cfg = parse_config(doc)
         output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or os.getcwd()
-        os.makedirs(output_dir, exist_ok=True)
         if args.command == "run":
             return cmd_run(cfg, output_dir)
         if args.command == "scan-threshold":

@@ -55,6 +55,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, readonly, text_file
 from .group_geometry import WeightKind, pair_weight
+from .peter_weyl import channel_d_factors
 from .representations import RepLabel, generators
 
 MAX_TWICE_SPIN = 20
@@ -527,6 +528,65 @@ def _weight_nd(kind: ModelKind, axes) -> np.ndarray:
     return pair_weight(weight, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
 
 
+def _spin_pattern(mats: np.ndarray) -> tuple:
+    """rows, cols of the union pattern of mats (k, r, r) and the diagonal.
+
+    Entries below 1e-14 of the largest are the rounding left where a
+    projection cancels exactly, and are not part of the pattern.
+    """
+    big = np.abs(mats) > 1e-14 * np.max(np.abs(mats), initial=0.0)
+    return np.nonzero(np.any(big, axis=0) | np.eye(mats.shape[1], dtype=bool))
+
+
+# the rotations by pi about axes 0, 1, 2; with the identity, the Klein group K4
+KLEIN_ROTATIONS = tuple(readonly(np.diag(np.where(np.arange(3) == a, 1.0, -1.0))) for a in range(3))
+# the rotation by pi/2 about axis 1, which swaps the Klein rotations about axes 0 and 2
+TWIN_ROTATION = readonly(np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
+
+
+def spin_action(labels, W) -> np.ndarray:
+    """U(W) = D_L(W) (x) D_R(W)^T: f -> D_L(W) f D_R(W) on one cell's row-major f."""
+    dl, dr = channel_d_factors(RepLabel.su2(labels[0]), RepLabel.su2(labels[1]), W)
+    return np.kron(dl, dr.T)
+
+
+def klein_projectors(labels) -> tuple:
+    """P_k = 1/4 sum over K4 of chi_k(W) U(W), for k = 0..3.
+
+    chi_0 is the trivial character and chi_(1+a) the one that is +1 on the
+    rotation about axis a (Serre, Linear Representations of Finite Groups,
+    2.6).  They project onto the Klein blocks only for labels of equal
+    halfness; otherwise the lifts of K4 do not commute.
+    """
+    Us = [spin_action(labels, W) for W in KLEIN_ROTATIONS]
+    eye = np.eye(len(Us[0]))
+    return tuple(
+        (eye + sum((1.0 if k in (0, 1 + a) else -1.0) * U for a, U in enumerate(Us))) / 4.0
+        for k in range(4)
+    )
+
+
+def klein_bases(labels) -> tuple:
+    """Real orthonormal bases V_k (d x r_k) of one cell's Klein blocks.
+
+    For labels of equal halfness K4 acts on the ladder basis by phased
+    permutations that pair (m_s, m_j) with (-m_s, -m_j), so each P_k is real
+    and column a of P_k, normalized, is a basis vector of block k when a is
+    the first index of its pair.  Labels of unequal halfness give the one
+    block V = I.
+    """
+    s, j = labels
+    d = int(2 * s + 1) * int(2 * j + 1)
+    if (2 * s - 2 * j) % 2:
+        return (readonly(np.eye(d)),)
+    bases = []
+    for P in klein_projectors(labels):
+        P = P.real
+        first = [a for a in range(d) if P[a, a] > 0.25 and not np.any(np.abs(P[:a, a]) > 0.25)]
+        bases.append(readonly(P[:, first] / np.sqrt(np.diag(P)[first])))
+    return tuple(bases)
+
+
 @dataclass(frozen=True)
 class NDChannelOperator:
     """Reduced operator on amplitudes of shape grid + (ds, dj), kept as a sparse matrix."""
@@ -544,7 +604,7 @@ class NDChannelOperator:
         # the matrix's nonzeros: d per neighbour link, the spin pattern per cell
         N = self.grid.npoints
         links = 6 * N * N * (N - 1) + (2 * (N - 1) ** 3 if self.q2_coeff else 0)
-        nnz = self.shape[3] * self.shape[4] * links + N**3 * len(self._spin_blocks[0])
+        nnz = self.shape[3] * self.shape[4] * links + N**3 * len(_spin_pattern(self._spin_mats)[0])
         if nnz > MAX_FIELD_ELEMENTS:
             raise CapacityError(f"operator of {nnz} nonzeros exceeds the configured maximum")
 
@@ -571,26 +631,39 @@ class NDChannelOperator:
         return tuple(out)
 
     @cached_property
-    def _spin_blocks(self) -> tuple:
+    def _spin_mats(self) -> np.ndarray:
         # In the ladder basis S_1, S_3 are real and S_2 imaginary, so per pair
         # Q = S^2 (x) 1 + 1 (x) (J^2)^T and X = S (x) J^T (dual-axis generators)
         # are real and symmetric, and (S -+ J)^2 = Q -+ 2 X on one cell's f.
-        # Returns the six's union pattern with the diagonal and their entries.
         gs, gj = (generators(RepLabel.su2(v), self.params.hbar).S for v in self.labels)
         ones_s, ones_j = np.eye(len(gs[0])), np.eye(len(gj[0]))
         mats = []
         for _, _, c in _PAIRS:
             S, J = gs[c], gj[c]
             mats += [np.kron(S @ S, ones_j) + np.kron(ones_s, (J @ J).T), np.kron(S, J.T)]
-        mats = np.stack([m.real for m in mats])
-        rows, cols = np.nonzero(np.any(mats != 0.0, axis=0) | np.eye(mats.shape[1], dtype=bool))
-        return rows, cols, mats[:, rows, cols]
+        return readonly(np.stack([m.real for m in mats]))
 
     @cached_property
-    def _symmetric(self):
-        import scipy.sparse
+    def _klein_bases(self) -> tuple:
+        return klein_bases(self.labels)
 
-        N, d = self.grid.npoints, self.shape[3] * self.shape[4]
+    @property
+    def block_copies(self) -> tuple:
+        """How often each block's eigenvalues count in the spectrum.
+
+        Blocks are the Klein blocks of `klein_bases`.  An empty block counts
+        0 times.  For every model but dalembert the twin map of
+        `symmetry_defect` carries block 1 onto block 3, so block 1 counts
+        twice and block 3 is not solved.
+        """
+        copies = [1 if V.shape[1] else 0 for V in self._klein_bases]
+        if len(copies) == 4 and self.kind is not ModelKind.DALEMBERT:
+            copies[1], copies[3] = 2 * copies[1], 0
+        return tuple(copies)
+
+    def _cell_terms(self):
+        """Neighbour links, the diagonal centre and the six pair fields per cell."""
+        N = self.grid.npoints
         h2 = self.grid.step**2
         c, q2 = self.kinetic_coeff / h2, self.q2_coeff / h2
         P = self.weight
@@ -614,7 +687,7 @@ class NDChannelOperator:
             face = -c * mid[pre + (slice(1, -1),)] / (root[lo] * root[hi])
             links.append((cell[lo], cell[hi], face, face))
 
-        # per cell, the pair barriers on the spin pattern plus the centre
+        # per cell, the coefficients of Q_c and X_c in the pair barriers
         fields = []
         axes = self.grid.axes
         for a, b, _ in _PAIRS:
@@ -627,36 +700,55 @@ class NDChannelOperator:
                 minus, plus = 1.0 / np.sinh(half) ** 2, -1.0 / np.cosh(half) ** 2
             fields += [minus + plus, 2.0 * (plus - minus)]
         fields = np.stack([np.broadcast_to(v, P.shape).ravel() for v in fields], axis=-1)
-        rows, cols, spin = self._spin_blocks
-        block = (self.pair_coeff * fields) @ spin
+        return links, center, fields
+
+    def _assemble(self, V):
+        """(I (x) V)^T (R H R^-1) (I (x) V) as CSR, for V (d x r) with orthonormal columns."""
+        import scipy.sparse
+
+        N, r = self.grid.npoints, V.shape[1]
+        links, center, fields = self._cell_terms()
+        cell = np.arange(N**3)
+        # per cell, the pair barriers on the projected spin pattern plus the centre
+        mats = V.T @ self._spin_mats @ V
+        rows, cols = _spin_pattern(mats)
+        block = (self.pair_coeff * fields) @ mats[:, rows, cols]
         block[:, rows == cols] += center.reshape(-1, 1)
 
         # row (cell, k) holds its lower neighbours, block row k and upper
         # neighbours, in that order, each written at the row's cursor
-        per_row = np.bincount(rows, minlength=d)
+        per_row = np.bincount(rows, minlength=r)
         ends = np.concatenate([x.ravel() for link in links for x in link[:2]])
-        indptr = np.zeros(N**3 * d + 1, dtype=np.int32)
+        indptr = np.zeros(N**3 * r + 1, dtype=np.int32)
         np.cumsum(np.bincount(ends, minlength=N**3)[:, None] + per_row, out=indptr[1:])
         indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
-        cursor = indptr[:-1].reshape(-1, d).copy()
+        cursor = indptr[:-1].reshape(-1, r).copy()
 
         def put(at, to, vals):
             pos = cursor[at.ravel()]
-            indices[pos], data[pos] = to.reshape(-1, 1) * d + np.arange(d), vals.reshape(-1, 1)
+            indices[pos], data[pos] = to.reshape(-1, 1) * r + np.arange(r), vals.reshape(-1, 1)
             cursor[at.ravel()] += 1
 
         for lo, hi, _, down in links:
             put(hi, lo, down)
         pos = cursor[:, rows] + np.arange(len(rows)) - (np.cumsum(per_row) - per_row)[rows]
-        indices[pos], data[pos] = cell.reshape(-1, 1) * d + cols, block
+        indices[pos], data[pos] = cell.reshape(-1, 1) * r + cols, block
         cursor += per_row
         for lo, hi, up, _ in reversed(links):
             put(lo, hi, up)
-        return scipy.sparse.csr_array((data, indices, indptr), shape=(N**3 * d,) * 2)
+        return scipy.sparse.csr_array((data, indices, indptr), shape=(N**3 * r,) * 2)
+
+    @cached_property
+    def _symmetric(self):
+        return self._assemble(np.eye(self.shape[3] * self.shape[4]))
 
     def symmetric_matrix(self):
         """R H R^-1, R = sqrt(P) per cell, as a real symmetric CSR array (built once)."""
         return self._symmetric
+
+    def block_matrix(self, k: int):
+        """Klein block k of `symmetric_matrix()`, (I (x) V_k)^T A (I (x) V_k), built anew."""
+        return self._assemble(self._klein_bases[k])
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """H f for an amplitude f of shape self.shape (float64 for real f)."""
@@ -671,6 +763,33 @@ class NDChannelOperator:
         """Sum of tr(f^+ g) P over the grid times the cell volume."""
         tr = np.einsum("ijkab,ijkab->ijk", f.conj(), g)
         return complex(np.sum(tr * self.weight) * self.grid.step**3)
+
+
+def symmetry_defect(op: NDChannelOperator, W) -> float:
+    """Largest entry of A T - T A over that of A, A = op.symmetric_matrix().
+
+    T is the action of W on amplitudes.  A Klein rotation acts by
+    `spin_action` in each cell.  TWIN_ROTATION also maps cell (i0, i1, i2)
+    to (N-1-i2, N-1-i1, N-1-i0), which is q -> (-q^2, -q^1, -q^0) up to a
+    shift along the grid diagonal: this map, tau, leaves the operator of
+    every model but dalembert invariant, whose barriers hold q^a + q^b.
+    """
+    import scipy.sparse
+
+    N = op.grid.npoints
+    if np.array_equal(W, TWIN_ROTATION):
+        cells = np.ravel_multi_index(N - 1 - np.indices((N,) * 3).reshape(3, -1)[::-1], (N,) * 3)
+    elif any(np.array_equal(W, R) for R in KLEIN_ROTATIONS):
+        cells = np.arange(N**3)
+    else:
+        raise DomainError("W must be a Klein rotation or TWIN_ROTATION")
+    # both maps are involutions, so row c of the cell permutation holds a 1 at cells[c]
+    move = scipy.sparse.csr_array((np.ones(N**3), cells, np.arange(N**3 + 1)), shape=(N**3,) * 2)
+    U = spin_action(op.labels, W)
+    U[np.abs(U) < 1e-14] = 0.0  # rounding where the rotation's matrix has exact zeros
+    T = scipy.sparse.kron(move, scipy.sparse.csr_array(U), format="csr")
+    A = op.symmetric_matrix()
+    return float(np.max(np.abs((A @ T - T @ A).data), initial=0.0) / np.abs(A.data).max())
 
 
 def spatial_labels(labels) -> tuple:
@@ -763,6 +882,7 @@ __all__ = [
     "DerivedConstants",
     "Grid1D",
     "GridND",
+    "KLEIN_ROTATIONS",
     "ModelKind",
     "ModelParams",
     "NDChannelOperator",
@@ -770,6 +890,7 @@ __all__ = [
     "PotentialSpec",
     "QSector",
     "SymmetrizedOperator1D",
+    "TWIN_ROTATION",
     "WeightKind1D",
     "ZERO_POTENTIAL",
     "assemble_2d_channel",
@@ -779,9 +900,13 @@ __all__ = [
     "derived_constants",
     "effective_weight_potential",
     "kinetic_from_casimirs",
+    "klein_bases",
+    "klein_projectors",
     "planar_labels",
     "potential",
     "spatial_labels",
+    "spin_action",
     "symmetrize",
+    "symmetry_defect",
     "write_operator",
 ]

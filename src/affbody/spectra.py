@@ -13,11 +13,12 @@ reverse leaves only the repulsive sh^-2 core (purely continuous), and
 equality is reported as marginal with no verdict.
 
 The n=3 matrix-valued operators are self-adjoint only in the weighted
-inner product, so each is assembled as a sparse matrix in the same
-sqrt-weight similarity as the 1D operators and handed to scipy's `eigsh`
-(ARPACK's implicitly restarted Lanczos).  Found eigenvectors are lifted
-out of the spectrum and a loose check, else a tight rerun, looks for a
-level left below them, so degenerate eigenvalues keep their multiplicity.
+inner product, so each is assembled as sparse matrices in the same
+sqrt-weight similarity as the 1D operators, one per exact symmetry block,
+and each block is handed to scipy's `eigsh` (ARPACK's implicitly
+restarted Lanczos).  Found eigenvectors are lifted out of the block's
+spectrum and a loose check, else a tight rerun, looks for a level left
+below them, so degenerate eigenvalues keep their multiplicity.
 
 Refined solves walk one chain, `nested_grids`: a grid and its halved-step
 refinements, coarsest first, for a Grid1D or a GridND alike.  Both
@@ -216,32 +217,13 @@ def boundedness_scan(
 # matrix-valued channels
 
 
-def solve_nd(op, count: int, seed: int = 7, tol: float = 1e-9, maxiter: int = 600) -> SpectrumResult:
-    """Lowest eigenvalues of an n=3 channel operator.
-
-    scipy's `eigsh` (ARPACK's implicitly restarted Lanczos) runs on A =
-    `op.symmetric_matrix()`, which must be real and pass a random symmetry
-    probe at 1e-12 relative (else DomainError).  `tol` is ARPACK's relative
-    accuracy, `maxiter` its limit on restarts per run, and `seed` draws the
-    probe and the start vectors.  A degenerate level shows once per Krylov
-    space, so the vectors V found are lifted (M = A + sigma V V^T, above the
-    count-th value) and M's lowest value is checked: first at
-    LOOSE_CHECK_TOL, where a Ritz pair (theta, y) ends the solve if
-    theta - |M y - theta y| clears the count-th value less 10 tol scale, then
-    at `tol`, where a value below that bound joins the spectrum and the
-    check repeats.
-    """
+def _lowest_block(A, count: int, rng, tol: float, maxiter: int) -> np.ndarray:
+    """Lowest `count` eigenvalues of one real symmetric sparse block A, ascending."""
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    if count < 1:
-        raise DomainError("count must be at least 1")
-    if count > MAX_ND_COUNT:
-        raise DomainError(f"count must not exceed {MAX_ND_COUNT} for the iterative solver")
-    A = op.symmetric_matrix()
     size = A.shape[0]
     if count >= size:
         raise DomainError(f"count = {count} exceeds the problem dimension {size}")
-    rng = np.random.default_rng(seed)
     probe = rng.standard_normal(size)
     image = A @ probe
     if np.iscomplexobj(A) or np.linalg.norm(image - A.T @ probe) > 1e-12 * np.linalg.norm(image):
@@ -268,16 +250,49 @@ def solve_nd(op, count: int, seed: int = 7, tol: float = 1e-9, maxiter: int = 60
         )
         theta, y = lowest(lifted, 1, LOOSE_CHECK_TOL)
         if theta[0] - np.linalg.norm(lifted @ y - theta * y) >= floor:
-            break
+            return vals[:count]
         val, vec = lowest(lifted, 1, tol)
         if not val[0] < floor:
-            break
+            return vals[:count]
         vals, vecs = np.append(vals, val), np.hstack((vecs, vec))
+
+
+def solve_nd(op, count: int, seed: int = 7, tol: float = 1e-9, maxiter: int = 600) -> SpectrumResult:
+    """Lowest eigenvalues of an n=3 channel operator.
+
+    The operator splits into blocks: `op.block_matrix(k)` is block k and
+    each of its eigenvalues counts `op.block_copies[k]` times.  A block
+    with copies c > 0 is built, solved for its lowest ceil(count / c)
+    values and dropped before the next; the merged values are sorted and
+    the lowest `count` kept.
+
+    Per block, scipy's `eigsh` (ARPACK's implicitly restarted Lanczos) runs
+    on the block A, which must be real and pass a random symmetry probe at
+    1e-12 relative (else DomainError).  `tol` is ARPACK's relative
+    accuracy, `maxiter` its limit on restarts per run, and `seed` draws the
+    probes and the start vectors.  A degenerate level shows once per Krylov
+    space, so the vectors V found are lifted (M = A + sigma V V^T, above the
+    block's k-th value) and M's lowest value is checked: first at
+    LOOSE_CHECK_TOL, where a Ritz pair (theta, y) ends the block if
+    theta - |M y - theta y| clears the k-th value less 10 tol scale, then
+    at `tol`, where a value below that bound joins the block's values and
+    the check repeats.
+    """
+    if count < 1:
+        raise DomainError("count must be at least 1")
+    if count > MAX_ND_COUNT:
+        raise DomainError(f"count must not exceed {MAX_ND_COUNT} for the iterative solver")
+    rng = np.random.default_rng(seed)
+    found = []
+    for k, copies in enumerate(op.block_copies):
+        if copies:
+            vals = _lowest_block(op.block_matrix(k), math.ceil(count / copies), rng, tol, maxiter)
+            found.append(np.repeat(vals, copies))
     g = op.grid
     return SpectrumResult(
         kind=op.kind,
         channel=tuple(op.labels),
-        eigenvalues=vals[:count],
+        eigenvalues=np.sort(np.concatenate(found))[:count],
         threshold=math.nan,
         bound_count=0,
         node_counts=(),

@@ -4,7 +4,8 @@ Four suites probe the load-bearing invariants of the package from the
 outside.  ``algebra`` re-derives the commutation relations and Casimir
 eigenvalues of the generator sets; ``measures`` compares group-volume
 quadrature, weight factors, Haar density ratios, and the two-polar
-roundtrip with closed forms; ``orthogonality`` assembles Peter-Weyl gram
+roundtrip with closed forms, and checks that the n=3 operator commutes
+with its Klein and twin symmetries; ``orthogonality`` assembles Peter-Weyl gram
 matrices and checks them against vol/(2s+1) times the identity pattern;
 ``spectral-equivalence`` cross-checks the weighted divergence-form
 eigensolver against the sqrt-weight symmetrized form on a fixed roster
@@ -30,11 +31,16 @@ from .group_geometry import (
     weight_lambda,
 )
 from .hamiltonians import (
+    KLEIN_ROTATIONS,
+    TWIN_ROTATION,
     Grid1D,
+    GridND,
     ModelKind,
     ModelParams,
     assemble_2d_channel,
+    assemble_nd_channel,
     symmetrize,
+    symmetry_defect,
 )
 from .representations import (
     Group,
@@ -140,7 +146,7 @@ def algebra_suite(seed: int = 7) -> list:
 
 
 def measures_suite(seed: int = 7) -> list:
-    """Volumes, weight factors, density ratios, and the two-polar roundtrip."""
+    """Volumes, weight factors, density ratios, the two-polar roundtrip, n=3 symmetry."""
     results = []
     for group, vol in ((Group.SO3, 8.0 * np.pi**2), (Group.SU2, 16.0 * np.pi**2)):
         quad = haar_quadrature(group, 24)
@@ -194,6 +200,18 @@ def measures_suite(seed: int = 7) -> list:
             worst,
             1e-12,
             f"{draws} draws each for n = 2, 3",
+        )
+    )
+    # the rotations about axes 0 and 1 generate the Klein group
+    op = assemble_nd_channel(
+        ModelKind.MET_AFF, ModelParams(I=2.0, A=1.0, B=0.5, n=3), (1, 1), GridND(4, -3.0, 3.0)
+    )
+    results.append(
+        CheckResult(
+            "Klein and twin symmetry of the n=3 operator",
+            max(symmetry_defect(op, W) for W in KLEIN_ROTATIONS[:2] + (TWIN_ROTATION,)),
+            1e-14,
+            "met-aff (1, 1), N = 4: |A T - T A| / |A|",
         )
     )
     return results

@@ -294,6 +294,28 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {field}")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["scan-threshold", "convergence"])
+    def test_planar_only_command_leaves_no_directory(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, self.ND)
+        assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: dimension")
+        assert not (tmp_path / "o").exists()
+
+    def test_nd_capacity_fails_before_the_first_solve(self, tmp_path, capsys, monkeypatch):
+        # refinements 6 from N = 3 reach N = 255, past the nonzero capacity;
+        # every level is assembled, which allocates nothing, before any solve
+        import scipy.sparse.linalg
+
+        calls = []
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **k: calls.append(k))
+        cfg = write_config(tmp_path, {**self.ND, "refinements": 6})
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 1
+        assert calls == []
+        (error,) = json.loads((out / "manifest.json").read_text())["errors"].values()
+        assert error.startswith("CapacityError")
+        assert "CapacityError" in capsys.readouterr().err
+
     def test_unparsable_number_exit_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text('{"seed": ' + "9" * 5000 + "}")

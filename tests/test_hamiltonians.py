@@ -7,7 +7,9 @@ import scipy.linalg
 
 from affbody.errors import CapacityError, DomainError
 from affbody.hamiltonians import (
+    KLEIN_ROTATIONS,
     MAX_FIELD_ELEMENTS,
+    TWIN_ROTATION,
     Grid1D,
     GridND,
     ModelKind,
@@ -23,10 +25,14 @@ from affbody.hamiltonians import (
     derived_constants,
     effective_weight_potential,
     kinetic_from_casimirs,
+    klein_bases,
+    klein_projectors,
     planar_labels,
     potential,
     spatial_labels,
+    spin_action,
     symmetrize,
+    symmetry_defect,
     write_operator,
 )
 
@@ -501,6 +507,90 @@ class TestSymmetricMatrix:
         assert grid.npoints**3 * 21 * 21 <= MAX_FIELD_ELEMENTS
         with pytest.raises(CapacityError, match="nonzeros"):
             assemble_nd_channel(ModelKind.AFF_AFF, params3(), (10, 10), grid)
+
+
+EQUAL_HALFNESS = [v for v in LABELS if (2 * v[0] - 2 * v[1]) % 2 == 0]
+TWIN_MODELS = [ModelKind.AFF_AFF, ModelKind.MET_AFF, ModelKind.AFF_MET]
+
+
+class TestKleinBlocks:
+    @pytest.mark.parametrize("kind,grid", ALL_MODELS)
+    @pytest.mark.parametrize("labels", EQUAL_HALFNESS)
+    def test_klein_action_commutes(self, kind, grid, labels):
+        op = assemble_nd_channel(kind, params3(), labels, GridND(4, grid.q_min, grid.q_max))
+        for W in KLEIN_ROTATIONS:
+            assert symmetry_defect(op, W) <= 1e-14
+
+    @pytest.mark.parametrize("kind", TWIN_MODELS)
+    @pytest.mark.parametrize("box", [(-3.0, 3.0), (-1.0, 5.0)])
+    @pytest.mark.parametrize("labels", EQUAL_HALFNESS)
+    def test_twin_map_commutes(self, kind, box, labels):
+        op = assemble_nd_channel(kind, params3(), labels, GridND(4, *box))
+        assert symmetry_defect(op, TWIN_ROTATION) <= 1e-14
+
+    @pytest.mark.parametrize("labels", EQUAL_HALFNESS)
+    def test_twin_map_carries_block_1_onto_block_3(self, labels):
+        U = spin_action(labels, TWIN_ROTATION)
+        P = klein_projectors(labels)
+        assert np.max(np.abs(U @ P[1] @ U.conj().T - P[3])) <= 1e-14
+
+    @pytest.mark.parametrize("labels", EQUAL_HALFNESS)
+    def test_twin_map_breaks_dalembert(self, labels):
+        # dalembert's barriers hold q^a + q^b, which q -> -q does not keep, so
+        # its blocks 1 and 3 are both solved
+        op = assemble_nd_channel(ModelKind.DALEMBERT, params3(), labels, GridND(4, 0.0, 3.0))
+        assert symmetry_defect(op, TWIN_ROTATION) > 1e-3
+        assert 2 not in op.block_copies
+
+    @pytest.mark.parametrize("kind,grid", ALL_MODELS)
+    @pytest.mark.parametrize("labels", EQUAL_HALFNESS)
+    def test_block_is_the_projected_matrix(self, kind, grid, labels):
+        op = assemble_nd_channel(kind, params3(), labels, GridND(4, grid.q_min, grid.q_max))
+        A = op.symmetric_matrix().toarray()
+        bases = klein_bases(labels)
+        projectors = klein_projectors(labels)
+        assert len(bases) == 4
+        assert sum(V.shape[1] for V in bases) == A.shape[0] // 64
+        for k, (V, P) in enumerate(zip(bases, projectors)):
+            assert np.max(np.abs(P.imag)) <= 1e-14
+            assert np.max(np.abs(V @ V.T - P.real), initial=0.0) <= 1e-14
+            assert np.max(np.abs(V.T @ V - np.eye(V.shape[1])), initial=0.0) <= 1e-14
+            if V.shape[1]:
+                E = np.kron(np.eye(64), V)
+                want = E.T @ A @ E
+                got = op.block_matrix(k).toarray()
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "kind,labels,copies",
+        [
+            (ModelKind.MET_AFF, (0, 0), (1, 0, 0, 0)),
+            (ModelKind.MET_AFF, (1, 0), (0, 2, 1, 0)),
+            (ModelKind.AFF_AFF, (1, 1), (1, 2, 1, 0)),
+            (ModelKind.DALEMBERT, (1, 1), (1, 1, 1, 1)),
+            (ModelKind.AFF_MET, (0.5, 0), (1,)),
+        ],
+    )
+    def test_block_copies(self, kind, labels, copies):
+        grid = GridND(3, 0.0, 3.0)
+        assert assemble_nd_channel(kind, params3(), labels, grid).block_copies == copies
+
+    def test_unequal_halfness_is_one_full_block(self):
+        # the lifts of K4 do not commute here, so its "projectors" are not
+        # real projectors at all, and the one block is the whole matrix
+        P = klein_projectors((0.5, 0))
+        assert np.max(np.abs(P[1].imag)) > 0.1
+        assert np.max(np.abs(P[1] @ P[1] - P[1])) > 0.1
+        op = assemble_nd_channel(ModelKind.MET_AFF, params3(), (0.5, 0), GridND(4, -1.5, 1.5))
+        assert op.block_copies == (1,)
+        block, A = op.block_matrix(0), op.symmetric_matrix()
+        assert block is not A
+        assert (block != A).nnz == 0
+
+    def test_symmetry_defect_rejects_other_elements(self):
+        op = assemble_nd_channel(ModelKind.MET_AFF, params3(), (1, 1), GridND(3, -1.0, 1.0))
+        with pytest.raises(DomainError):
+            symmetry_defect(op, np.eye(3))
 
 
 def loop_weight_nd(kind, axes):

@@ -316,6 +316,12 @@ class FlatBoxND:
         eye = scipy.sparse.eye_array(self.multiplicity)
         return (self.c / self.grid.step**2) * scipy.sparse.kron(box, eye, format="csr")
 
+    # one block holding the whole matrix, solved once
+    block_copies = (1,)
+
+    def block_matrix(self, k):
+        return self.symmetric_matrix()
+
 
 class TestSolveND:
     def test_flat_box_exact_discrete_values(self):
@@ -349,11 +355,9 @@ class TestSolveND:
         res = solve_nd(op, 5)
         np.testing.assert_allclose(res.eigenvalues, dense[:5], rtol=1e-8, atol=1e-10)
 
-    def test_double_ground_level_against_dense_matrix(self, monkeypatch):
-        # an exactly double ground level: one Krylov space finds one copy, so
-        # the loose check must fall through to a tight rerun for the other
-        import scipy.sparse.linalg
-
+    def test_double_ground_level_against_dense_matrix(self):
+        # an exactly double ground level, one copy from each of the twin Klein
+        # blocks 1 and 3
         op = assemble_nd_channel(
             ModelKind.MET_AFF, ModelParams(I=2, A=1, B=0.5, n=3), (1, 0), GridND(5, -3.0, 3.0)
         )
@@ -361,6 +365,40 @@ class TestSolveND:
         assert A.shape == (375, 375)
         dense = scipy.linalg.eigvalsh(A.toarray())
         assert dense[1] - dense[0] < 1e-12 * dense[0]
+        res = solve_nd(op, 4)
+        np.testing.assert_allclose(res.eigenvalues, dense[:4], rtol=1e-9)
+
+    def test_blocks_without_twin_against_dense_matrix(self):
+        # dalembert has no twin blocks: all four Klein blocks are solved
+        op = assemble_nd_channel(
+            ModelKind.DALEMBERT, ModelParams(I=2, A=1, B=0.5, n=3), (1, 1), GridND(4, 0.5, 3.0)
+        )
+        assert op.block_copies == (1, 1, 1, 1)
+        dense = scipy.linalg.eigvalsh(op.symmetric_matrix().toarray())
+        res = solve_nd(op, 6)
+        np.testing.assert_allclose(res.eigenvalues, dense[:6], rtol=1e-9)
+
+    def test_blocks_are_built_per_solve_and_not_kept(self, monkeypatch):
+        op = assemble_nd_channel(
+            ModelKind.MET_AFF, ModelParams(I=2, A=1, B=0.5, n=3), (1, 1), GridND(5, -3.0, 3.0)
+        )
+        built = []
+        block_matrix = type(op).block_matrix
+        monkeypatch.setattr(
+            type(op), "block_matrix", lambda self, k: built.append(k) or block_matrix(self, k)
+        )
+        solve_nd(op, 4)
+        assert built == [0, 1, 2]  # block 3 is block 1's twin
+        assert "_symmetric" not in vars(op)  # the full matrix is never formed
+
+    def test_degeneracy_inside_one_block_takes_the_tight_rerun(self, monkeypatch):
+        # every level of the box doubled inside the one block: one Krylov
+        # space finds one copy, so the loose check must fall through to a
+        # tight rerun for the other
+        import scipy.sparse.linalg
+
+        op = FlatBoxND(1.0, 6, 1.0, multiplicity=2)
+        dense = scipy.linalg.eigvalsh(op.symmetric_matrix().toarray())
         calls = []
         eigsh = scipy.sparse.linalg.eigsh
 

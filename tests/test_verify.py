@@ -47,6 +47,10 @@ class TestSuites:
         assert any("so3" in n for n in names)
         assert any("roundtrip" in n for n in names)
 
+    def test_measures_checks_the_n3_symmetry(self):
+        (res,) = [r for r in measures_suite() if "Klein" in r.name]
+        assert res.passed and 0.0 <= res.defect <= 1e-14
+
     def test_measures_deterministic(self):
         a = measures_suite(seed=3)
         b = measures_suite(seed=3)
