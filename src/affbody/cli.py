@@ -36,6 +36,7 @@ import scipy
 from . import __version__
 from .errors import CapacityError, DomainError, UsageError
 from .hamiltonians import (
+    MAX_FIELD_ELEMENTS,
     Grid1D,
     GridND,
     ModelKind,
@@ -214,7 +215,7 @@ def _label_pair(field: str, entry, dimension: int) -> tuple:
         raise UsageError(f"{field}: {exc}") from exc
 
 
-def _parse_channels(doc, dimension: int, target_space: TargetSpace) -> tuple:
+def _parse_channels(doc, dimension: int, target_space: TargetSpace, grid1d) -> tuple:
     if isinstance(doc, dict):
         if set(doc) != {"square"}:
             raise UsageError("channels: range spec must be {'square': [lo, hi]}")
@@ -223,6 +224,13 @@ def _parse_channels(doc, dimension: int, target_space: TargetSpace) -> tuple:
         lo, hi = _label_pair("channels.square", doc["square"], dimension)
         if hi < lo:
             raise UsageError(f"channels.square: empty range [{lo}, {hi}]")
+        # bounded before it is expanded, since the range holds (hi - lo + 1)**2 channels
+        size = (hi - lo + 1) ** 2
+        if size * grid1d.npoints > MAX_FIELD_ELEMENTS:
+            raise UsageError(
+                f"channels.square: {size} channels of {grid1d.npoints} nodes exceed "
+                f"the capacity of {MAX_FIELD_ELEMENTS} elements"
+            )
         return tuple((m, n) for m in range(lo, hi + 1) for n in range(lo, hi + 1))
     if not isinstance(doc, (list, tuple)) or not doc:
         raise UsageError("channels: expected a non-empty list of label pairs")
@@ -296,8 +304,8 @@ def parse_config(doc: dict) -> RunConfig:
     if "target_space" in doc and dimension == 2:
         raise UsageError("target_space: only meaningful for dimension 3")
 
-    channels = _parse_channels(doc.get("channels"), dimension, target_space)
     grid1d, gridnd = _parse_grid(doc.get("grid"), dimension)
+    channels = _parse_channels(doc.get("channels"), dimension, target_space, grid1d)
     refinements = _integer("refinements", doc.get("refinements", 0), 0, 6)
     levels = _integer("levels", doc.get("levels", 3), 3, 8)
     # a planar count is bounded by the base grid's matrix, an n=3 count by solve_nd
@@ -551,6 +559,13 @@ def main(argv=None) -> int:
         if args.seed is not None:  # read like the config's own seed
             doc = {**_object("config", doc, _CONFIG_KEYS), "seed": args.seed}
         cfg = parse_config(doc)
+        # the finest planar grid: run refines it `refinements` times, convergence `levels - 1`
+        growth = {"run": cfg.refinements, "convergence": cfg.levels - 1}.get(args.command, 0)
+        if cfg.dimension == 2 and cfg.grid1d.npoints << growth > MAX_FIELD_ELEMENTS:
+            raise UsageError(
+                f"grid.npoints: {cfg.grid1d.npoints} nodes refined to "
+                f"{cfg.grid1d.npoints << growth} exceed the capacity of {MAX_FIELD_ELEMENTS}"
+            )
         output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or os.getcwd()
         if args.command == "run":
             return cmd_run(cfg, output_dir)

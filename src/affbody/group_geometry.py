@@ -94,8 +94,9 @@ def _configuration(phi):
 def two_polar_decompose(phi) -> TwoPolarConfig:
     """Factor phi = L @ diag(exp(q)) @ R^{-1} with L, R in SO(n).
 
-    Raises DomainError for non-square input, det(phi) <= 0 or n < 2,
-    and NumericalError if the underlying factorization fails.
+    Raises DomainError for non-square input, det(phi) <= 0, n < 2 or a
+    singular value that rounds to zero (no finite q), and NumericalError
+    if the underlying factorization fails.
     """
     phi, _ = _configuration(phi)
     if phi.shape[0] < 2:

@@ -21,8 +21,19 @@ representing it is
     D^s(k) = exp(-i k . S / hbar),
 
 which for s = 1/2 coincides with the SU(2) element
-u(k) = cos(|k|/2) Id - i sin(|k|/2) (n . sigma).  On rotations about a
-common axis D^s is a homomorphism, and D^s(2 pi n) = (-1)^(2s) Id.
+u(k) = cos(|k|/2) Id - i sin(|k|/2) (n . sigma) = [[a, b], [c, d]].  On
+rotations about a common axis D^s is a homomorphism, and
+D^s(2 pi n) = (-1)^(2s) Id.
+
+D^s is computed as the symmetric power of u rather than as a matrix
+exponential.  The spin-s space is spanned by the monomials
+
+    |s, m> = xi^(s+m) eta^(s-m) / sqrt((s+m)! (s-m)!),
+
+on which S_+ acts as xi d/d(eta), which reproduces the ladder basis
+above.  u maps xi to a xi + c eta and eta to b xi + d eta, so column m of
+D^s holds the coefficients of (a xi + c eta)^(s+m) (b xi + d eta)^(s-m)
+in these monomials: a polynomial of degree 2s in a, b, c and d.
 
 The biinvariant measure on the rotation group reads, in the rotation
 vector's polar coordinates (k, theta, phi),
@@ -35,6 +46,7 @@ with k in [0, pi] for SO(3) (volume 8 pi^2) and [0, 2 pi] for SU(2)
     integral D^s_mn conj(D^s'_m'n') d(mu) = Vol / (2s+1) * delta delta delta.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -260,11 +272,14 @@ def rotation_vector_from_matrix(W) -> np.ndarray:
     return np.pi * col / np.linalg.norm(col)
 
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+def _su2_batch(ks: np.ndarray) -> np.ndarray:
+    """su2_element over an (N, 3) array of rotation vectors, shape (N, 2, 2)."""
+    angle = np.linalg.norm(ks, axis=-1, keepdims=True)
+    small = angle < _ANGLE_TOL
+    # sin(|k|/2) n, which tends to k/2 as |k| -> 0
+    h = np.where(small, 0.5 * ks, np.sin(angle / 2.0) * ks / np.where(small, 1.0, angle))
+    c, (h1, h2, h3) = np.cos(angle[:, 0] / 2.0), h.T
+    return np.stack([c - 1j * h3, -h2 - 1j * h1, h2 - 1j * h1, c + 1j * h3], -1).reshape(-1, 2, 2)
 
 
 def su2_element(k) -> np.ndarray:
@@ -272,15 +287,7 @@ def su2_element(k) -> np.ndarray:
 
     Satisfies su2_element(2 pi n) = -Id for any unit axis n.
     """
-    v = _as_kvec(k)
-    angle = float(np.linalg.norm(v))
-    if angle < 1e-12:
-        half = 0.5 * v  # sin(k/2) * n -> k/2 as k -> 0
-    else:
-        half = np.sin(angle / 2.0) * v / angle
-    return np.cos(angle / 2.0) * np.eye(2, dtype=complex) - 1j * (
-        half[0] * _PAULI[0] + half[1] * _PAULI[1] + half[2] * _PAULI[2]
-    )
+    return _su2_batch(_as_kvec(k)[None, :])[0]
 
 
 def wigner_D(label: RepLabel, k) -> np.ndarray:
@@ -299,22 +306,45 @@ def wigner_D(label: RepLabel, k) -> np.ndarray:
     return wigner_D_batch(label, v[None, :])[0]
 
 
+@lru_cache(maxsize=None)
+def _symmetric_power(twice_spin: int):
+    """The monomials in (a, b, c, d) that make up each entry of D^s.
+
+    With n = 2s, p = s + m' and j = s + m, entry (m', m) is a sum over i
+    of the monomials a^i b^(p-i) c^(j-i) d^(n-j-p+i).  Returns their
+    exponents (4, T), their weights (T,) and the index of each entry's
+    first monomial, entries in row-major order of the descending-m basis.
+    """
+    n = twice_spin
+    fact = [math.factorial(i) for i in range(n + 1)]
+    exponents, weights, starts = [], [], []
+    for p in range(n, -1, -1):
+        for j in range(n, -1, -1):
+            starts.append(len(weights))
+            scale = math.sqrt(fact[p] * fact[n - p] / (fact[j] * fact[n - j]))
+            for i in range(max(0, p + j - n), min(p, j) + 1):
+                exponents.append((i, p - i, j - i, n - j - p + i))
+                weights.append(math.comb(j, i) * math.comb(n - j, p - i) * scale)
+    return np.array(exponents).T, np.array(weights), np.array(starts)
+
+
 def wigner_D_batch(label: RepLabel, ks: np.ndarray) -> np.ndarray:
     """Vectorized wigner_D over an (N, 3) array of rotation vectors."""
     if label.group is Group.SO2:
         raise DomainError("batched evaluation supports the three-dimensional groups only")
-    ks = np.asarray(ks, dtype=float)
-    s1, s2, s3 = _ladder(label.twice_spin)
-    # generator combination is Hermitian, so a batched eigendecomposition
-    # yields an exactly unitary exponential
-    M = (
-        ks[:, 0, None, None] * s1
-        + ks[:, 1, None, None] * s2
-        + ks[:, 2, None, None] * s3
-    )
-    w, V = np.linalg.eigh(M)
-    phases = np.exp(-1j * w)
-    return np.einsum("nij,nj,nkj->nik", V, phases, V.conj())
+    # D^s is the symmetric power of u = [[a, b], [c, d]]: column m holds the
+    # coefficients of (a xi + c eta)^(s+m) (b xi + d eta)^(s-m), each scaled
+    # by sqrt((s+m')! (s-m')! / ((s+m)! (s-m)!)), so no matrix function is
+    # evaluated and D^(1/2) is u itself
+    abcd = _su2_batch(np.asarray(ks, dtype=float)).reshape(-1, 4).T
+    n = label.twice_spin
+    powers = np.ones((n + 1,) + abcd.shape, dtype=complex)
+    for e in range(1, n + 1):
+        powers[e] = powers[e - 1] * abcd
+    exponents, weights, starts = _symmetric_power(n)
+    a, b, c, d = (powers[e, x] for x, e in enumerate(exponents))
+    entries = np.add.reduceat(weights[:, None] * a * b * c * d, starts, axis=0)
+    return entries.T.reshape(-1, n + 1, n + 1)
 
 
 def group_volume(group: Group) -> float:
@@ -341,8 +371,9 @@ class HaarQuadrature:
     """Product quadrature for integrals over the rotation group.
 
     vectors has shape (N, 3) and weights shape (N,); summing
-    f(vectors) * weights approximates integral f d(mu).  Iterating the
-    object yields (RotationVector, weight) pairs.
+    f(vectors) * weights approximates integral f d(mu).  The rows are
+    grouped by radial shell: `order` shells of one |k| each, with
+    2 * order**2 consecutive rows per shell.  Iterating the object yields (RotationVector, weight) pairs.
     """
 
     group: Group

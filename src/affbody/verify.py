@@ -5,8 +5,9 @@ outside.  ``algebra`` re-derives the commutation relations and Casimir
 eigenvalues of the generator sets; ``measures`` compares group-volume
 quadrature, weight factors, Haar density ratios, and the two-polar
 roundtrip with closed forms, and checks that the n=3 operator commutes
-with its Klein and twin symmetries; ``orthogonality`` assembles Peter-Weyl gram
-matrices and checks them against vol/(2s+1) times the identity pattern;
+with its Klein and twin symmetries; ``orthogonality`` assembles one Peter-Weyl
+gram matrix over all label pairs and checks it against vol/(2s+1) times the
+identity;
 ``spectral-equivalence`` cross-checks the weighted divergence-form
 eigensolver against the sqrt-weight symmetrized form on a fixed roster
 of planar channels, after Richardson extrapolation of both.
@@ -218,23 +219,24 @@ def measures_suite(seed: int = 7) -> list:
 
 
 def _gram_defect(group: Group, labels, order: int = 24) -> float:
+    """max |G - diag(vol/d_l)| / vol over the Peter-Weyl gram of all label pairs.
+
+    G = sum_k w_k F_k^T conj(F_k), where F_k holds every label's flattened
+    D at node k, so block (l, l') of G holds the integrals of
+    D^l_ab conj(D^l'_cd).  G is summed one radial shell of the product
+    quadrature at a time, which keeps one shell's matrices in memory.
+    """
     quad = haar_quadrature(group, order)
     vol = group_volume(group)
-    mats = {label: wigner_D_batch(label, quad.vectors) for label in labels}
-    worst = 0.0
-    for la in labels:
-        for lb in labels:
-            gram = np.einsum(
-                "k,kab,kcd->abcd", quad.weights, mats[la], np.conj(mats[lb])
-            )
-            expect = np.zeros_like(gram)
-            if la == lb:
-                dim = la.twice_spin + 1
-                for a in range(dim):
-                    for b in range(dim):
-                        expect[a, b, a, b] = vol / dim
-            worst = max(worst, float(np.max(np.abs(gram - expect))) / vol)
-    return worst
+    dims = [label.dim for label in labels]
+    gram = 0.0
+    for ks, ws in zip(quad.vectors.reshape(order, -1, 3), quad.weights.reshape(order, -1)):
+        F = np.concatenate(
+            [wigner_D_batch(label, ks).reshape(len(ks), -1) for label in labels], axis=1
+        )
+        gram = gram + (ws[:, None] * F).T @ F.conj()
+    expect = np.diag(np.repeat([vol / d for d in dims], [d * d for d in dims]))
+    return float(np.max(np.abs(gram - expect))) / vol
 
 
 def orthogonality_suite(seed: int = 7) -> list:

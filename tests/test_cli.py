@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,13 @@ import scipy.linalg
 import affbody
 from affbody.cli import OUTPUT_DIR_ENV, main, parse_config
 from affbody.errors import UsageError
-from affbody.hamiltonians import GridND, ModelKind, ModelParams, assemble_nd_channel
+from affbody.hamiltonians import (
+    MAX_FIELD_ELEMENTS,
+    GridND,
+    ModelKind,
+    ModelParams,
+    assemble_nd_channel,
+)
 from affbody.peter_weyl import (
     ChannelAmplitude,
     Expansion,
@@ -69,6 +76,28 @@ class TestParseConfig:
         cfg = parse_config(base_config(channels={"square": [-1, 1]}))
         assert len(cfg.channels) == 9
         assert cfg.channels == tuple(sorted(cfg.channels))
+
+    def test_square_bounded_before_expansion(self):
+        # 9 channels times the nodes of one grid, at and just past the capacity
+        square = {"square": [-1, 1]}
+        at_cap = MAX_FIELD_ELEMENTS // 9
+        cfg = parse_config(base_config(channels=square, grid={"x_max": 1.0, "npoints": at_cap}))
+        assert len(cfg.channels) == 9
+        with pytest.raises(UsageError, match="^channels.square"):
+            parse_config(base_config(channels=square, grid={"x_max": 1.0, "npoints": at_cap + 1}))
+        # the bench's squares: 121 channels of 999 nodes
+        cfg = parse_config(
+            base_config(channels={"square": [-5, 5]}, grid={"x_max": 40.0, "npoints": 999})
+        )
+        assert len(cfg.channels) == 121
+
+    def test_huge_square_refused_at_once(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(channels={"square": [0, 10**9]}))
+        start = time.perf_counter()
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("error: channels.square")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "doc,field",
@@ -285,13 +314,31 @@ class TestRun:
                 [],
                 "potentials.shear",
             ),
+            # 2**21 nodes refined 6 times reach 2**27 nodes
+            (base_config(grid={"x_max": 20.0, "npoints": 2**21}, refinements=6), [], "grid.npoints"),
         ],
-        ids=["seed", "seed-flag", "spin-cap", "planar-overflow", "count-above-grid", "well-width"],
+        ids=[
+            "seed",
+            "seed-flag",
+            "spin-cap",
+            "planar-overflow",
+            "count-above-grid",
+            "well-width",
+            "refined-grid-capacity",
+        ],
     )
     def test_unrunnable_config_exit_2(self, tmp_path, capsys, doc, args, field):
         cfg = write_config(tmp_path, doc)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o"), *args]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}")
+        assert not (tmp_path / "o").exists()
+
+    def test_convergence_grid_capacity_exit_2(self, tmp_path, capsys):
+        # levels 8 refine 2**19 + 1 nodes 7 times, past 2**26
+        doc = base_config(grid={"x_max": 20.0, "npoints": 2**19 + 1}, levels=8)
+        cfg = write_config(tmp_path, doc)
+        assert main(["convergence", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: grid.npoints")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["scan-threshold", "convergence"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from affbody.errors import DomainError
 from affbody.representations import (
@@ -236,6 +237,20 @@ class TestWignerD:
         assert D[0, 0] == pytest.approx(np.exp(-1j))
         with pytest.raises(DomainError):
             wigner_D(RepLabel.so2(1), [0.1, 0.0, 0.5])
+
+    @pytest.mark.parametrize("twice_spin", range(21))
+    def test_matches_matrix_exponential(self, twice_spin):
+        # exp(-i k . S) from the generators is independent of the symmetric power
+        S = generators(RepLabel.su2(twice_spin / 2)).S
+        rng = np.random.default_rng(71 + twice_spin)
+        axes = rng.standard_normal((12, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        angles = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 9), [3e-13, 0.0, 2.0 * np.pi]])
+        ks = angles[:, None] * axes
+        got = wigner_D_batch(RepLabel.su2(twice_spin / 2), ks)
+        for k, D in zip(ks, got):
+            want = scipy.linalg.expm(-1j * (k[0] * S[0] + k[1] * S[1] + k[2] * S[2]))
+            assert np.max(np.abs(D - want)) <= 1e-12
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(67)

@@ -3,11 +3,19 @@ import pytest
 
 from affbody.errors import DomainError
 from affbody.hamiltonians import Grid1D, ModelKind, ModelParams
+from affbody.representations import (
+    Group,
+    RepLabel,
+    group_volume,
+    haar_quadrature,
+    wigner_D_batch,
+)
 from affbody.verify import (
     EQUIVALENCE_CASES,
     EQUIVALENCE_TOL,
     SUITES,
     CheckResult,
+    _gram_defect,
     algebra_suite,
     equivalence_defect,
     format_report,
@@ -15,6 +23,25 @@ from affbody.verify import (
     orthogonality_suite,
     run_suite,
 )
+
+
+def per_pair_gram_defect(group, labels, order):
+    """The per-pair einsum form of verify._gram_defect, kept as its reference."""
+    quad = haar_quadrature(group, order)
+    vol = group_volume(group)
+    mats = {label: wigner_D_batch(label, quad.vectors) for label in labels}
+    worst = 0.0
+    for la in labels:
+        for lb in labels:
+            gram = np.einsum("k,kab,kcd->abcd", quad.weights, mats[la], np.conj(mats[lb]))
+            expect = np.zeros_like(gram)
+            if la == lb:
+                dim = la.twice_spin + 1
+                for a in range(dim):
+                    for b in range(dim):
+                        expect[a, b, a, b] = vol / dim
+            worst = max(worst, float(np.max(np.abs(gram - expect))) / vol)
+    return worst
 
 
 class TestCheckResult:
@@ -61,6 +88,25 @@ class TestSuites:
         assert len(results) == 2
         assert all(r.passed for r in results)
         assert all(r.defect < 1e-10 for r in results)
+
+    @pytest.mark.parametrize(
+        "group,labels",
+        [
+            (Group.SO3, [RepLabel.so3(s) for s in range(5)]),
+            (Group.SU2, [RepLabel.su2(k / 2) for k in range(9)]),
+        ],
+    )
+    def test_gram_matches_per_pair_einsum(self, group, labels):
+        # at order 8 the radial rule is far from converged for the top labels,
+        # so the defect is large and both forms must agree on its value
+        want = per_pair_gram_defect(group, labels, order=8)
+        assert want > 1e-3
+        assert abs(_gram_defect(group, labels, order=8) - want) <= 1e-12
+
+    def test_gram_fails_on_a_repeated_label(self):
+        # two copies of one label are not orthogonal: their cross block is vol/d
+        labels = [RepLabel.su2(0.5), RepLabel.su2(1), RepLabel.su2(0.5)]
+        assert _gram_defect(Group.SU2, labels, order=8) >= 0.1
 
     def test_dispatch_and_all(self):
         assert len(run_suite("algebra")) == 4
