@@ -528,16 +528,6 @@ def _weight_nd(kind: ModelKind, axes) -> np.ndarray:
     return pair_weight(weight, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
 
 
-def _spin_pattern(mats: np.ndarray) -> tuple:
-    """rows, cols of the union pattern of mats (k, r, r) and the diagonal.
-
-    Entries below 1e-14 of the largest are the rounding left where a
-    projection cancels exactly, and are not part of the pattern.
-    """
-    big = np.abs(mats) > 1e-14 * np.max(np.abs(mats), initial=0.0)
-    return np.nonzero(np.any(big, axis=0) | np.eye(mats.shape[1], dtype=bool))
-
-
 # the rotations by pi about axes 0, 1, 2; with the identity, the Klein group K4
 KLEIN_ROTATIONS = tuple(readonly(np.diag(np.where(np.arange(3) == a, 1.0, -1.0))) for a in range(3))
 # the rotation by pi/2 about axis 1, which swaps the Klein rotations about axes 0 and 2
@@ -601,12 +591,25 @@ class NDChannelOperator:
     pair_coeff: float
 
     def __post_init__(self):
-        # the matrix's nonzeros: d per neighbour link, the spin pattern per cell
+        # solve_nd builds one Klein block at a time: only the blocks it solves must fit
+        for k in np.flatnonzero(self.block_copies):
+            self._projected_pattern(self._klein_bases[k])
+
+    def _projected_pattern(self, V) -> tuple:
+        """mats = V^T M V for the spin mats M, and rows, cols of their pattern.
+
+        The pattern holds the diagonal and no entry below 1e-14 of the largest (rounding).
+        CapacityError if `_assemble(V)` would hold over MAX_FIELD_ELEMENTS nonzeros.
+        """
         N = self.grid.npoints
+        mats = V.T @ self._spin_mats @ V
+        big = np.abs(mats) > 1e-14 * np.max(np.abs(mats), initial=0.0)
+        rows, cols = np.nonzero(np.any(big, axis=0) | np.eye(V.shape[1], dtype=bool))
         links = 6 * N * N * (N - 1) + (2 * (N - 1) ** 3 if self.q2_coeff else 0)
-        nnz = self.shape[3] * self.shape[4] * links + N**3 * len(_spin_pattern(self._spin_mats)[0])
+        nnz = V.shape[1] * links + N**3 * len(rows)  # r per link, the pattern per cell
         if nnz > MAX_FIELD_ELEMENTS:
-            raise CapacityError(f"operator of {nnz} nonzeros exceeds the configured maximum")
+            raise CapacityError(f"matrix of {nnz} nonzeros exceeds the configured maximum")
+        return mats, rows, cols
 
     @property
     def shape(self) -> tuple:
@@ -707,11 +710,10 @@ class NDChannelOperator:
         import scipy.sparse
 
         N, r = self.grid.npoints, V.shape[1]
+        mats, rows, cols = self._projected_pattern(V)
         links, center, fields = self._cell_terms()
         cell = np.arange(N**3)
         # per cell, the pair barriers on the projected spin pattern plus the centre
-        mats = V.T @ self._spin_mats @ V
-        rows, cols = _spin_pattern(mats)
         block = (self.pair_coeff * fields) @ mats[:, rows, cols]
         block[:, rows == cols] += center.reshape(-1, 1)
 
@@ -819,7 +821,7 @@ def assemble_nd_channel(
         denom, barrier, q2, shift = params.I, 8.0, 0.0, 0.0
     elif kind is ModelKind.AFF_AFF:
         denom, barrier, shift = params.A, 32.0, 0.0
-        q2 = hb2 * params.B / (2.0 * params.A * (params.A + 3.0 * params.B))
+        q2 = hb2 * params.B / (2.0 * params.A) / (params.A + 3.0 * params.B)
     else:
         denom, barrier = cons.alpha, 32.0
         q2 = 0.0 if math.isinf(cons.beta) else -hb2 / (2.0 * cons.beta)

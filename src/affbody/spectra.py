@@ -1,11 +1,11 @@
 """Eigensolvers and spectral classification for the reduced channels.
 
 1D channel operators are reduced to their exactly equivalent symmetric
-tridiagonal form and diagonalized directly.  Bound states are reported
-only when they clear the continuum threshold by a resolution margin of
-three times the per-eigenvalue discretization error estimate (obtained
-from an internal coarse-grid solve), so a box artifact hovering at the
-threshold is never counted as bound.
+tridiagonal form, and LAPACK finds its eigenvalues alone (only
+`node_counts` asks for eigenvectors).  Bound states are reported only
+when they clear the continuum threshold by a resolution margin of three
+times the per-eigenvalue discretization error estimate (from an internal
+coarse-grid solve), so a box artifact at the threshold is never bound.
 
 Channels classify by the hyperbolic barrier balance: |n-m| < |n+m| keeps
 the attractive ch^-2 term dominant (discrete states possible), the
@@ -28,6 +28,7 @@ refinements, coarsest first, for a Grid1D or a GridND alike.  Both
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from hashlib import blake2b
 
 import numpy as np
 import scipy.linalg
@@ -66,7 +67,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     threshold: float
     bound_count: int
-    node_counts: tuple
     margins: np.ndarray
     x_min: float
     x_max: float
@@ -103,37 +103,37 @@ def _tridiagonal(op):
         raise DomainError("solve_1d expects a 1D channel operator") from None
 
 
-def _lowest_1d(op, count: int, nodes: bool = False, memo: dict | None = None):
-    """Lowest `count` eigenvalues and, if asked, their node counts (else None).
+def _eigh_tridiagonal(d, e, count: int, eigvals_only: bool):
+    """LAPACK's lowest `count` eigenvalues (and vectors unless eigvals_only)."""
+    if not 1 <= count <= len(d):
+        raise DomainError(f"count = {count} is not between 1 and the matrix dimension {len(d)}")
+    try:
+        return scipy.linalg.eigh_tridiagonal(
+            d, e, select="i", select_range=(0, count - 1), eigvals_only=eigvals_only
+        )
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
 
-    memo, keyed by count and a hash of the tridiagonal, holds the results
+
+def _lowest_1d(op, count: int, memo: dict | None = None) -> np.ndarray:
+    """Lowest `count` eigenvalues, read-only; no eigenvectors are computed.
+
+    memo, keyed by count and a hash of the tridiagonal, holds the values
     already computed in one call, so label twins and the previous level's
     grid are solved once; identical inputs give identical LAPACK output.
     """
     d, e = _tridiagonal(op)
-    if count > len(d):
-        raise DomainError(f"count = {count} exceeds the matrix dimension {len(d)}")
-    if memo is not None:
-        from hashlib import blake2b
+    memo = {} if memo is None else memo
+    key = (count, blake2b(d.tobytes() + e.tobytes(), digest_size=16).digest())
+    if key not in memo:
+        memo[key] = readonly(_eigh_tridiagonal(d, e, count, eigvals_only=True))
+    return memo[key]
 
-        key = (count, blake2b(d.tobytes() + e.tobytes(), digest_size=16).digest())
-        hit = memo.get(key)
-        if hit is not None and (hit[1] is not None or not nodes):
-            return hit
-    try:
-        out = scipy.linalg.eigh_tridiagonal(
-            d, e, select="i", select_range=(0, count - 1), eigvals_only=not nodes
-        )
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
-    if nodes:
-        vals, vecs = out
-        result = readonly(vals), tuple(_count_nodes(vecs[:, i]) for i in range(count))
-    else:
-        result = readonly(out), None
-    if memo is not None and (nodes or key not in memo):
-        memo[key] = result  # never replace an entry holding node counts
-    return result
+
+def node_counts(op, count: int) -> tuple:
+    """Sturm counts: `_count_nodes` of each of the lowest `count` eigenvectors."""
+    _, vecs = _eigh_tridiagonal(*_tridiagonal(op), count, eigvals_only=False)
+    return tuple(_count_nodes(vecs[:, i]) for i in range(count))
 
 
 def _coarsened(op, count: int, memo: dict | None = None):
@@ -152,17 +152,15 @@ def _coarsened(op, count: int, memo: dict | None = None):
     if count > coarse.npoints:
         return None
     diag = np.interp(coarse.points, g.points, op.diag_potential)
-    return _lowest_1d(replace(op, grid=coarse, diag_potential=diag), count, memo=memo)[0]
+    return _lowest_1d(replace(op, grid=coarse, diag_potential=diag), count, memo)
 
 
 def solve_1d(op, count: int, memo: dict | None = None) -> SpectrumResult:
-    """Lowest eigenpairs of a 1D channel operator (either form).
+    """Lowest eigenvalues of a 1D channel operator (either form).
 
     memo is a per-call cache of tridiagonal solves (see `_lowest_1d`).
     """
-    if count < 1:
-        raise DomainError("count must be at least 1")
-    vals, nodes = _lowest_1d(op, count, nodes=True, memo=memo)
+    vals = _lowest_1d(op, count, memo)
     coarse = _coarsened(op, count, memo)
     margins = np.full(count, np.nan) if coarse is None else np.abs(vals - coarse)
     return SpectrumResult(
@@ -171,7 +169,6 @@ def solve_1d(op, count: int, memo: dict | None = None) -> SpectrumResult:
         eigenvalues=vals,
         threshold=op.threshold,
         bound_count=int(np.sum(_bound_mask(vals, op.threshold, margins))),
-        node_counts=nodes,
         margins=margins,
         x_min=op.grid.x_min,
         x_max=op.grid.x_max,
@@ -219,7 +216,7 @@ def boundedness_scan(
 
 def _lowest_block(A, count: int, rng, tol: float, maxiter: int) -> np.ndarray:
     """Lowest `count` eigenvalues of one real symmetric sparse block A, ascending."""
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
     size = A.shape[0]
     if count >= size:
@@ -234,8 +231,9 @@ def _lowest_block(A, count: int, rng, tol: float, maxiter: int) -> np.ndarray:
             return eigsh(
                 M, k=k, which="SA", tol=accuracy, maxiter=maxiter, v0=rng.standard_normal(size)
             )
-        except ArpackNoConvergence as exc:
-            raise NumericalError(f"eigsh did not converge: {exc}") from exc
+        except ArpackError as exc:  # ArpackNoConvergence among them
+            outcome = "did not converge" if isinstance(exc, ArpackNoConvergence) else "failed"
+            raise NumericalError(f"eigsh {outcome}: {exc}") from exc
 
     vals, vecs = lowest(A, count, tol)
     while True:
@@ -295,7 +293,6 @@ def solve_nd(op, count: int, seed: int = 7, tol: float = 1e-9, maxiter: int = 60
         eigenvalues=np.sort(np.concatenate(found))[:count],
         threshold=math.nan,
         bound_count=0,
-        node_counts=(),
         margins=np.full(count, np.nan),
         x_min=g.q_min,
         x_max=g.q_max,
@@ -357,7 +354,7 @@ def convergence_study(
     if levels < 3:
         raise DomainError("a convergence study needs at least three levels")
     grids = nested_grids(base_grid, levels)
-    table = np.array([_lowest_1d(make_op(g), count, memo=memo)[0] for g in grids])
+    table = np.array([_lowest_1d(make_op(g), count, memo) for g in grids])
     orders = np.empty(count)
     extrap = np.empty(count)
     for i in range(count):
@@ -392,6 +389,7 @@ __all__ = [
     "classify_channel",
     "convergence_study",
     "nested_grids",
+    "node_counts",
     "richardson",
     "solve_1d",
     "solve_nd",

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import json
 import math
@@ -511,6 +512,65 @@ class TestSolveMemo:
         assert len(calls) == per_pair * len(self.PAIRS)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["tridiagonal_solves"] == len(calls)
+
+
+    def test_run_asks_lapack_for_eigenvalues_only(self, tmp_path, monkeypatch):
+        flags = []
+        original = scipy.linalg.eigh_tridiagonal
+
+        def spy(*args, **kwargs):
+            flags.append(kwargs.get("eigvals_only"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        cfg = write_config(tmp_path, self.DOC)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert flags and all(flag is True for flag in flags)
+        assert len(flags) == manifest["tridiagonal_solves"]
+
+
+class TestTableBytes:
+    """Small planar tables, pinned by sha256 to the bytes the eigenvector-
+    computing solve path wrote (numpy 2.4, scipy 1.17, OpenBLAS); another
+    LAPACK build may round differently."""
+
+    GRID = {"x_max": 30.0, "npoints": 199}
+    CASES = {
+        "run": (
+            base_config(channels={"square": [-2, 2]}, grid=GRID, count=3, refinements=2),
+            "8becbdf10629e2ded2df60420b7f8d329e2e37df6dff2f5bf7395f6793d1bcc7",
+        ),
+        "scan-threshold": (
+            base_config(
+                model="dalembert",
+                channels={"square": [-2, 2]},
+                grid=GRID,
+                count=3,
+                potentials={"shear": {"kind": "harmonic", "k": 1.0}},
+            ),
+            "71879e559c3adcb81ff2157e18afcfd0b1204a45e979e3e0d86962690007cb5c",
+        ),
+        "convergence": (
+            base_config(
+                model="met-aff",
+                params={"I": 2.0, "A": 1.0, "B": 0.5},
+                channels={"square": [-2, 2]},
+                grid=GRID,
+                count=3,
+                levels=3,
+            ),
+            "c860b8220d61f99ef08d27807ca658669e9a536db9fcb60b30f71c7716770623",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_table_sha256(self, tmp_path, command):
+        doc, digest = self.CASES[command]
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+        table = (tmp_path / "o" / "spectrum.txt").read_bytes()
+        assert hashlib.sha256(table).hexdigest() == digest
 
 
 class TestScanThreshold:

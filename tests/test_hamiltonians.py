@@ -508,6 +508,15 @@ class TestSymmetricMatrix:
         with pytest.raises(CapacityError, match="nonzeros"):
             assemble_nd_channel(ModelKind.AFF_AFF, params3(), (10, 10), grid)
 
+    def test_capacity_bounds_the_largest_solved_block(self):
+        # about 190M nonzeros in all and 48M in the largest Klein block:
+        # solve_nd can build every block, the whole matrix is refused
+        op = assemble_nd_channel(ModelKind.AFF_AFF, params3(), (10, 10), GridND(30, -1, 1))
+        with pytest.raises(CapacityError, match="nonzeros") as refused:
+            op.symmetric_matrix()
+        assert 1.8e8 < int(str(refused.value).split()[2]) < 2.0e8
+        assert "_symmetric" not in vars(op)
+
 
 EQUAL_HALFNESS = [v for v in LABELS if (2 * v[0] - 2 * v[1]) % 2 == 0]
 TWIN_MODELS = [ModelKind.AFF_AFF, ModelKind.MET_AFF, ModelKind.AFF_MET]
