@@ -36,6 +36,11 @@ where S_right f = S^(s) f and S_left f = f S^(j) act through the dual
 axis of the pair.  The isotropic model uses weight P_l and both barrier
 terms positive with (Q^a -+ Q^b)^-2 denominators and prefactor 1/8I.
 
+Symmetrized, H = K (x) I_r + sum_t diag(f_t) (x) M_t: K is the spin-free
+stencil on the N^3 cells, and six barrier fields f_t weight spin mats M_t
+inside each cell.  `symmetric_matrix()` and `block_matrix(k)` sum the two
+parts with scipy, anew on each call, from the K and f_t kept per operator.
+
 Grid axes carry small relative offsets (0, h/3, 2h/3) so that nodes and
 staggered flux midpoints never touch the coincidence strata where the
 weights vanish.
@@ -604,7 +609,8 @@ class NDChannelOperator:
         N = self.grid.npoints
         mats = V.T @ self._spin_mats @ V
         big = np.abs(mats) > 1e-14 * np.max(np.abs(mats), initial=0.0)
-        rows, cols = np.nonzero(np.any(big, axis=0) | np.eye(V.shape[1], dtype=bool))
+        pattern = np.any(big, axis=0) | np.eye(V.shape[1], dtype=bool)
+        rows, cols = np.array(np.nonzero(pattern), dtype=np.int32)
         links = 6 * N * N * (N - 1) + (2 * (N - 1) ** 3 if self.q2_coeff else 0)
         nnz = V.shape[1] * links + N**3 * len(rows)  # r per link, the pattern per cell
         if nnz > MAX_FIELD_ELEMENTS:
@@ -664,20 +670,24 @@ class NDChannelOperator:
             copies[1], copies[3] = 2 * copies[1], 0
         return tuple(copies)
 
-    def _cell_terms(self):
-        """Neighbour links, the diagonal centre and the six pair fields per cell."""
+    @cached_property
+    def _lattice(self) -> tuple:
+        """K, R H R^-1 without the barriers as N^3 x N^3 CSR, and the scaled f_t per cell."""
+        import scipy.sparse
+
         N = self.grid.npoints
         h2 = self.grid.step**2
         c, q2 = self.kinetic_coeff / h2, self.q2_coeff / h2
         P = self.weight
         root = np.sqrt(P)
-        cell = np.arange(N**3).reshape(P.shape)
-        # links (lower cells, upper cells, their entries in R S R^-1 for the
-        # spin-independent part S), by column offset: diagonal, axes 0, 1, 2
-        links = []
+        cell = np.arange(N**3, dtype=np.int32).reshape(P.shape)
+        # entries (rows, cols, values) of K: each link both ways, along the
+        # grid diagonal when q2 and along axes 0, 1, 2, then the centre
+        entries = []
         if q2:
             lo, hi = (slice(None, -1),) * 3, (slice(1, None),) * 3
-            links.append((cell[lo], cell[hi], q2 * root[lo] / root[hi], q2 * root[hi] / root[lo]))
+            up, down = q2 * root[lo] / root[hi], q2 * root[hi] / root[lo]
+            entries += [(cell[lo], cell[hi], up), (cell[hi], cell[lo], down)]
         center = np.full(P.shape, self.casimir_shift - 2.0 * q2)
         for a in range(3):
             pre = (slice(None),) * a
@@ -688,7 +698,10 @@ class NDChannelOperator:
             mid = self._flux[a]
             center += c * (mid[lo] + mid[hi]) / P
             face = -c * mid[pre + (slice(1, -1),)] / (root[lo] * root[hi])
-            links.append((cell[lo], cell[hi], face, face))
+            entries += [(cell[lo], cell[hi], face), (cell[hi], cell[lo], face)]
+        entries.append((cell, cell, center))
+        row, col, val = (np.concatenate([e[i].ravel() for e in entries]) for i in range(3))
+        K = scipy.sparse.csr_array((val, (row, col)), shape=(N**3,) * 2)
 
         # per cell, the coefficients of Q_c and X_c in the pair barriers
         fields = []
@@ -703,63 +716,43 @@ class NDChannelOperator:
                 minus, plus = 1.0 / np.sinh(half) ** 2, -1.0 / np.cosh(half) ** 2
             fields += [minus + plus, 2.0 * (plus - minus)]
         fields = np.stack([np.broadcast_to(v, P.shape).ravel() for v in fields], axis=-1)
-        return links, center, fields
+        return K, readonly(self.pair_coeff * fields)
 
     def _assemble(self, V):
-        """(I (x) V)^T (R H R^-1) (I (x) V) as CSR, for V (d x r) with orthonormal columns."""
+        """(I (x) V)^T (R H R^-1) (I (x) V) = K (x) I_r + the projected barriers,
+        as CSR, for V (d x r) with orthonormal columns."""
         import scipy.sparse
 
-        N, r = self.grid.npoints, V.shape[1]
         mats, rows, cols = self._projected_pattern(V)
-        links, center, fields = self._cell_terms()
-        cell = np.arange(N**3)
-        # per cell, the pair barriers on the projected spin pattern plus the centre
-        block = (self.pair_coeff * fields) @ mats[:, rows, cols]
-        block[:, rows == cols] += center.reshape(-1, 1)
-
-        # row (cell, k) holds its lower neighbours, block row k and upper
-        # neighbours, in that order, each written at the row's cursor
-        per_row = np.bincount(rows, minlength=r)
-        ends = np.concatenate([x.ravel() for link in links for x in link[:2]])
-        indptr = np.zeros(N**3 * r + 1, dtype=np.int32)
-        np.cumsum(np.bincount(ends, minlength=N**3)[:, None] + per_row, out=indptr[1:])
-        indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
-        cursor = indptr[:-1].reshape(-1, r).copy()
-
-        def put(at, to, vals):
-            pos = cursor[at.ravel()]
-            indices[pos], data[pos] = to.reshape(-1, 1) * r + np.arange(r), vals.reshape(-1, 1)
-            cursor[at.ravel()] += 1
-
-        for lo, hi, _, down in links:
-            put(hi, lo, down)
-        pos = cursor[:, rows] + np.arange(len(rows)) - (np.cumsum(per_row) - per_row)[rows]
-        indices[pos], data[pos] = cell.reshape(-1, 1) * r + cols, block
-        cursor += per_row
-        for lo, hi, up, _ in reversed(links):
-            put(lo, hi, up)
-        return scipy.sparse.csr_array((data, indices, indptr), shape=(N**3 * r,) * 2)
-
-    @cached_property
-    def _symmetric(self):
-        return self._assemble(np.eye(self.shape[3] * self.shape[4]))
+        K, fields = self._lattice
+        r = V.shape[1]
+        # kron first, to free its temporaries before the barriers exist
+        spin_free = scipy.sparse.kron(K, scipy.sparse.eye_array(r), format="csr")
+        at = r * np.arange(K.shape[0], dtype=np.int32).reshape(-1, 1)
+        return spin_free + scipy.sparse.csr_array(
+            ((fields @ mats[:, rows, cols]).ravel(), ((at + rows).ravel(), (at + cols).ravel())),
+            shape=spin_free.shape,
+        )
 
     def symmetric_matrix(self):
-        """R H R^-1, R = sqrt(P) per cell, as a real symmetric CSR array (built once)."""
-        return self._symmetric
+        """R H R^-1, R = sqrt(P) per cell, as a real symmetric CSR array, built anew."""
+        return self._assemble(np.eye(self.shape[3] * self.shape[4]))
 
     def block_matrix(self, k: int):
         """Klein block k of `symmetric_matrix()`, (I (x) V_k)^T A (I (x) V_k), built anew."""
         return self._assemble(self._klein_bases[k])
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """H f for an amplitude f of shape self.shape (float64 for real f)."""
+        """H f = R^-1 (K F + sum_t f_t F M_t), F = R f, for an amplitude f of
+        shape self.shape (float64 for real f); nothing is assembled."""
         f = np.asarray(f)
         if f.shape != self.shape:
             raise DomainError(f"amplitude shape {f.shape} does not match {self.shape}")
+        K, fields = self._lattice
         root = np.sqrt(self.weight).reshape(-1, 1)
-        rows = (root * f.reshape(len(root), -1)).reshape(-1)
-        return ((self.symmetric_matrix() @ rows).reshape(len(root), -1) / root).reshape(self.shape)
+        F = root * f.reshape(len(root), -1)
+        out = K @ F + sum(fields[:, [t]] * (F @ M) for t, M in enumerate(self._spin_mats))
+        return (out / root).reshape(self.shape)
 
     def weighted_inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         """Sum of tr(f^+ g) P over the grid times the cell volume."""
@@ -846,8 +839,8 @@ def kinetic_from_casimirs(
     """Kinetic energy from invariant values; cross-checks assembled constants."""
     cons = check_gates(kind, params)
     if kind is ModelKind.AFF_AFF:
-        return casimir2 / (2.0 * params.A) - params.B * p2 / (
-            2.0 * params.A * (params.A + params.n * params.B)
+        return casimir2 / (2.0 * params.A) - params.B * p2 / (2.0 * params.A) / (
+            params.A + params.n * params.B
         )
     if kind in (ModelKind.MET_AFF, ModelKind.AFF_MET):
         out = casimir2 / (2.0 * cons.alpha) + spin2 / (2.0 * cons.mu)

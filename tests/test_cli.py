@@ -531,17 +531,22 @@ class TestSolveMemo:
 
 
 class TestTableBytes:
-    """Small planar tables, pinned by sha256 to the bytes the eigenvector-
-    computing solve path wrote (numpy 2.4, scipy 1.17, OpenBLAS); another
-    LAPACK build may round differently."""
+    """Small tables, pinned by sha256 to the bytes written before their solve
+    paths were rewritten (numpy 2.4, scipy 1.17, OpenBLAS): the planar ones by
+    the eigenvector-computing 1D solve, the dimension-3 one by the
+    cursor-scatter n=3 assembly; another LAPACK or ARPACK build may round
+    differently."""
 
     GRID = {"x_max": 30.0, "npoints": 199}
+    # key: (command, config, sha256 of the table)
     CASES = {
         "run": (
+            "run",
             base_config(channels={"square": [-2, 2]}, grid=GRID, count=3, refinements=2),
             "8becbdf10629e2ded2df60420b7f8d329e2e37df6dff2f5bf7395f6793d1bcc7",
         ),
         "scan-threshold": (
+            "scan-threshold",
             base_config(
                 model="dalembert",
                 channels={"square": [-2, 2]},
@@ -552,6 +557,7 @@ class TestTableBytes:
             "71879e559c3adcb81ff2157e18afcfd0b1204a45e979e3e0d86962690007cb5c",
         ),
         "convergence": (
+            "convergence",
             base_config(
                 model="met-aff",
                 params={"I": 2.0, "A": 1.0, "B": 0.5},
@@ -562,11 +568,24 @@ class TestTableBytes:
             ),
             "c860b8220d61f99ef08d27807ca658669e9a536db9fcb60b30f71c7716770623",
         ),
+        "run-dimension-3": (
+            "run",
+            base_config(
+                model="met-aff",
+                dimension=3,
+                params={"I": 2.0, "A": 1.0, "B": 0.5},
+                channels=[[0, 0], [0.5, 0.5], [1, 1]],
+                target_space="double-cover",
+                grid={"q_min": -3.0, "q_max": 3.0, "npoints": 5},
+                count=4,
+            ),
+            "a67b1786b887ffa69a8481f150829c80660f034146122e471bba5aee37af992b",
+        ),
     }
 
-    @pytest.mark.parametrize("command", list(CASES))
-    def test_table_sha256(self, tmp_path, command):
-        doc, digest = self.CASES[command]
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_table_sha256(self, tmp_path, case):
+        command, doc, digest = self.CASES[case]
         cfg = write_config(tmp_path, doc)
         assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 0
         table = (tmp_path / "o" / "spectrum.txt").read_bytes()
@@ -740,6 +759,36 @@ def test_package_modules_have_no_unused_imports():
         referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(path.stem, name) for name in sorted(imported - referenced - exported)]
     assert [u for u in unused if u not in ALLOWED_UNUSED_IMPORTS] == []
+
+
+class TestStoredNDReference:
+    """The benchmark's matrix-a call (met-aff, N=9, seed 1) against the values
+    stored in bench/refs/nd-eigenvalues.json, checked as its n=3 oracle checks
+    them: indices 0..3 and energies within 1e-8 relative.  Only reads the file."""
+
+    KEY = "met-aff|I=2.0,A=1.0,B=0.5|q=[-3.0,3.0]|N=9|"
+
+    def test_matrix_a_channels_match_stored_values(self, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "bench" / "refs" / "nd-eigenvalues.json"
+        stored = json.loads(path.read_text())
+        doc = base_config(
+            model="met-aff",
+            dimension=3,
+            params={"I": 2.0, "A": 1.0, "B": 0.5},
+            channels=[[0, 0], [0.5, 0.5], [1, 0], [1, 1]],
+            target_space="double-cover",
+            grid={"q_min": -3.0, "q_max": 3.0, "npoints": 9},
+            count=4,
+            seed=1,
+        )
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+        rows = [r.split() for r in (tmp_path / "o" / "spectrum.txt").read_text().splitlines()[1:]]
+        for channel in ("0.0,0.0", "0.5,0.5", "1.0,0.0", "1.0,1.0"):
+            got = [r for r in rows if f"{r[1]},{r[2]}" == channel]
+            assert [r[3] for r in got] == ["0", "1", "2", "3"]
+            want = stored[self.KEY + channel]
+            np.testing.assert_allclose([float(r[4]) for r in got], want, rtol=1e-8)
 
 
 class TestBenchTracing:

@@ -481,25 +481,23 @@ class TestSymmetricMatrix:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         assert np.max(np.abs(got - got.T)) <= 1e-14 * np.max(np.abs(got))
 
-    def test_built_once(self):
-        op = assemble_nd_channel(ModelKind.MET_AFF, params3(), (1, 1), GridND(4, -1, 1))
-        assert op.symmetric_matrix() is op.symmetric_matrix()
-
     def test_assembly_memory_is_a_small_multiple_of_the_matrix(self):
         import tracemalloc
 
         par = ModelParams(I=2, A=1, B=0.5, n=3)
         assemble_nd_channel(ModelKind.MET_AFF, par, (1, 1), GridND(3, -3, 3)).symmetric_matrix()
-        op = assemble_nd_channel(ModelKind.MET_AFF, par, (1, 1), GridND(9, -3, 3))
-        op._flux
-        tracemalloc.start()
-        try:
-            A = op.symmetric_matrix()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert A.indices.dtype == A.indptr.dtype == np.int32
-        assert peak <= 3 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+        # the whole matrix, and block 0 as solve_nd builds it, each on a fresh operator
+        for build in (lambda op: op.symmetric_matrix(), lambda op: op.block_matrix(0)):
+            op = assemble_nd_channel(ModelKind.MET_AFF, par, (1, 1), GridND(9, -3, 3))
+            op._flux
+            tracemalloc.start()
+            try:
+                A = build(op)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert A.indices.dtype == A.indptr.dtype == np.int32
+            assert peak <= 3 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
     def test_capacity_counts_nonzeros_before_assembly(self):
         # the amplitude field alone fits; the matrix's nonzeros do not
@@ -508,14 +506,22 @@ class TestSymmetricMatrix:
         with pytest.raises(CapacityError, match="nonzeros"):
             assemble_nd_channel(ModelKind.AFF_AFF, params3(), (10, 10), grid)
 
-    def test_capacity_bounds_the_largest_solved_block(self):
+    def test_capacity_bounds_the_largest_solved_block(self, monkeypatch):
         # about 190M nonzeros in all and 48M in the largest Klein block:
         # solve_nd can build every block, the whole matrix is refused
         op = assemble_nd_channel(ModelKind.AFF_AFF, params3(), (10, 10), GridND(30, -1, 1))
+        calls, built = [], []
+        assemble = type(op)._assemble
+        monkeypatch.setattr(
+            type(op),
+            "_assemble",
+            lambda self, V: calls.append(V.shape[1]) or built.append(assemble(self, V)),
+        )
         with pytest.raises(CapacityError, match="nonzeros") as refused:
             op.symmetric_matrix()
         assert 1.8e8 < int(str(refused.value).split()[2]) < 2.0e8
-        assert "_symmetric" not in vars(op)
+        assert calls == [21 * 21] and built == []
+        assert "_lattice" not in vars(op)  # refused before even K was built
 
 
 EQUAL_HALFNESS = [v for v in LABELS if (2 * v[0] - 2 * v[1]) % 2 == 0]
@@ -583,6 +589,12 @@ class TestKleinBlocks:
     def test_block_copies(self, kind, labels, copies):
         grid = GridND(3, 0.0, 3.0)
         assert assemble_nd_channel(kind, params3(), labels, grid).block_copies == copies
+
+    def test_empty_block_is_an_empty_matrix(self):
+        # (1, 0) has no component in block 0; solve_nd skips it, building it still works
+        op = assemble_nd_channel(ModelKind.MET_AFF, params3(), (1, 0), GridND(3, -1.0, 1.0))
+        assert op.block_copies[0] == 0
+        assert op.block_matrix(0).shape == (0, 0)
 
     def test_unequal_halfness_is_one_full_block(self):
         # the lifts of K4 do not commute here, so its "projectors" are not
@@ -805,6 +817,11 @@ class TestKineticFromCasimirs:
     def test_dalembert_rejected(self):
         with pytest.raises(DomainError):
             kinetic_from_casimirs(ModelKind.DALEMBERT, params2(), 1.0, 0.0)
+
+    def test_tiny_A_does_not_underflow(self):
+        # 2A(A + nB) underflows to 0 for A = 1e-200; the gates accept these params
+        par = ModelParams(I=0.0, A=1e-200, B=0.0, n=3)
+        assert kinetic_from_casimirs(ModelKind.AFF_AFF, par, 1.0, 1.0) == 0.5e200
 
 
 class TestWriteOperator:

@@ -372,14 +372,18 @@ class TestSolveND:
         op = assemble_nd_channel(
             ModelKind.MET_AFF, ModelParams(I=2, A=1, B=0.5, n=3), (1, 1), GridND(5, -3.0, 3.0)
         )
-        built = []
-        block_matrix = type(op).block_matrix
+        built, widths = [], []
+        block_matrix, assemble = type(op).block_matrix, type(op)._assemble
         monkeypatch.setattr(
             type(op), "block_matrix", lambda self, k: built.append(k) or block_matrix(self, k)
         )
+        monkeypatch.setattr(
+            type(op), "_assemble", lambda self, V: widths.append(V.shape[1]) or assemble(self, V)
+        )
         solve_nd(op, 4)
         assert built == [0, 1, 2]  # block 3 is block 1's twin
-        assert "_symmetric" not in vars(op)  # the full matrix is never formed
+        # the full matrix, V with all d = 9 columns, is never formed
+        assert len(widths) == 3 and 0 < max(widths) < 9
 
     def test_degeneracy_inside_one_block_takes_the_tight_rerun(self, monkeypatch):
         # every level of the box doubled inside the one block: one Krylov
