@@ -47,6 +47,7 @@ from .hamiltonians import (
     assemble_2d_channel,
     assemble_nd_channel,
     check_gates,
+    planar_label_terms,
     planar_labels,
     spatial_labels,
 )
@@ -224,11 +225,12 @@ def _parse_channels(doc, dimension: int, target_space: TargetSpace, grid1d) -> t
         lo, hi = _label_pair("channels.square", doc["square"], dimension)
         if hi < lo:
             raise UsageError(f"channels.square: empty range [{lo}, {hi}]")
-        # bounded before it is expanded, since the range holds (hi - lo + 1)**2 channels
-        size = (hi - lo + 1) ** 2
-        if size * grid1d.npoints > MAX_FIELD_ELEMENTS:
+        # bounded before it is expanded, since the range holds (hi - lo + 1)**2
+        # channels, each counted as its grid but as at least sqrt(capacity) elements
+        size, each = (hi - lo + 1) ** 2, max(grid1d.npoints, math.isqrt(MAX_FIELD_ELEMENTS))
+        if size * each > MAX_FIELD_ELEMENTS:
             raise UsageError(
-                f"channels.square: {size} channels of {grid1d.npoints} nodes exceed "
+                f"channels.square: {size} channels of {each} elements each exceed "
                 f"the capacity of {MAX_FIELD_ELEMENTS} elements"
             )
         return tuple((m, n) for m in range(lo, hi + 1) for n in range(lo, hi + 1))
@@ -369,20 +371,30 @@ def _label_key(channel) -> str:
 
 
 def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, write_rows) -> int:
-    """Run worker(channel, memo) per channel in label order; write table and manifest.
+    """Run worker(channel, memo) per twin key in label order; write table and manifest.
 
-    memo is the call's cache of tridiagonal solves.  A channel's exception
-    is recorded in the manifest and on stderr, and the other channels still
+    A planar channel's key is its `planar_label_terms`, an n=3 channel is
+    its own.  The first channel of a key runs the worker; each later one,
+    its label twin, takes that result (still labelled as the first twin)
+    or error, and the manifest's "twin_of" names its first twin.  memo is
+    the call's cache of tridiagonal solves.  A channel's exception is
+    recorded in the manifest and on stderr, and the other channels still
     run.  write_rows(fh, results) writes the table from the results of the
     channels that succeeded, keyed by channel in label order.  Returns the
     exit code: 1 if any channel failed, else 0.
     """
     t0, memo = time.perf_counter(), {}
-    results, errors, timings = {}, {}, {}
+    results, errors, timings, twin_of, first = {}, {}, {}, {}, {}
     for ch in sorted(cfg.channels):
         start = time.perf_counter()
+        twin = first.setdefault(planar_label_terms(cfg.kind, ch) if cfg.dimension == 2 else ch, ch)
+        if twin != ch:
+            twin_of[ch] = twin
+        if twin in errors:
+            errors[ch] = errors[twin]
+            continue
         try:
-            results[ch] = worker(ch, memo)
+            results[ch] = worker(ch, memo) if twin == ch else results[twin]
         except Exception as exc:  # noqa: BLE001 - per-channel isolation
             errors[ch] = f"{type(exc).__name__}: {exc}"
         else:
@@ -408,6 +420,7 @@ def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, writ
         "errors": {_label_key(ch): msg for ch, msg in errors.items()},
         "table": cfg.table_name,
         "tridiagonal_solves": len(memo),
+        "twin_of": {_label_key(ch): _label_key(twin) for ch, twin in twin_of.items()},
     }
     manifest_path = os.path.join(output_dir, cfg.manifest_name)
     with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -444,7 +457,9 @@ def _solve_channel(cfg: RunConfig, channel, memo: dict) -> list:
 
 def cmd_run(cfg: RunConfig, output_dir: str) -> int:
     def write_rows(fh, results):
-        write_spectrum_table(fh, [res for rows in results.values() for res in rows])
+        write_spectrum_table(
+            fh, [replace(res, channel=ch) for ch, rows in results.items() for res in rows]
+        )
 
     return _run_channels(
         cfg, output_dir, "run", lambda ch, memo: _solve_channel(cfg, ch, memo), write_rows

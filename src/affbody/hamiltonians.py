@@ -398,6 +398,15 @@ def planar_labels(channel) -> tuple:
     return int(m), int(n)
 
 
+def planar_label_terms(kind: ModelKind, channel) -> tuple:
+    """((n - m)^2, (n + m)^2, g^2) with g = m for met-aff, n for aff-met, else 0:
+    the exact integers through which a planar operator reads its labels, so
+    channels with equal terms (label twins) assemble bitwise-equal operators."""
+    m, n = planar_labels(channel)
+    gyro = {ModelKind.MET_AFF: m, ModelKind.AFF_MET: n}.get(kind, 0)
+    return (n - m) ** 2, (n + m) ** 2, gyro**2
+
+
 def assemble_2d_channel(
     kind: ModelKind,
     params: ModelParams,
@@ -410,7 +419,7 @@ def assemble_2d_channel(
     if params.n != 2:
         raise DomainError("planar channels require n = 2 parameters")
     cons = check_gates(kind, params)
-    m, n = planar_labels(channel)
+    diff2, sum2, gyro2 = planar_label_terms(kind, channel)
     hb2 = params.hbar**2
     x = grid.points
     shear = potential(shear_potential, x)
@@ -421,8 +430,8 @@ def assemble_2d_channel(
             raise DomainError("isotropic shear sector lives on positive coordinates")
         c = q_coeff = hb2 / params.I
         shift = sh_coeff = ch_coeff = 0.0
-        inv_sq = hb2 * (n - m) ** 2 / (4.0 * params.I)
-        q_inv_sq = hb2 * (n + m) ** 2 / (4.0 * params.I)
+        inv_sq = hb2 * diff2 / (4.0 * params.I)
+        q_inv_sq = hb2 * sum2 / (4.0 * params.I)
         weight = q_weight = WeightKind1D.LINEAR
         diag = inv_sq / x**2 + shear
         threshold = edge
@@ -433,12 +442,11 @@ def assemble_2d_channel(
             q_coeff = hb2 / (4.0 * (params.A + 2.0 * params.B))
         else:
             denom = cons.alpha
-            gyro = m if kind is ModelKind.MET_AFF else n
-            shift = hb2 * gyro**2 / cons.mu
+            shift = hb2 * gyro2 / cons.mu
             q_coeff = hb2 / (2.0 * cons.beta_tilde)
         c = hb2 / denom
-        sh_coeff = hb2 * (n - m) ** 2 / (16.0 * denom)
-        ch_coeff = hb2 * (n + m) ** 2 / (16.0 * denom)
+        sh_coeff = hb2 * diff2 / (16.0 * denom)
+        ch_coeff = hb2 * sum2 / (16.0 * denom)
         inv_sq = q_inv_sq = 0.0
         weight, q_weight = WeightKind1D.SINH, WeightKind1D.FLAT
         half = 0.5 * x
@@ -446,12 +454,12 @@ def assemble_2d_channel(
         threshold = shift + 0.25 * c + edge
 
     qsec = QSector(
-        kind, (m, n), coeff=q_coeff, weight_kind=q_weight,
+        kind, planar_labels(channel), coeff=q_coeff, weight_kind=q_weight,
         inv_sq_coeff=q_inv_sq, potential=dil_potential,
     )
     return ChannelOperator1D(
         kind=kind,
-        channel=(m, n),
+        channel=qsec.channel,
         grid=grid,
         weight_kind=weight,
         kinetic_coeff=c,
@@ -897,6 +905,7 @@ __all__ = [
     "kinetic_from_casimirs",
     "klein_bases",
     "klein_projectors",
+    "planar_label_terms",
     "planar_labels",
     "potential",
     "spatial_labels",

@@ -35,6 +35,7 @@ import scipy.linalg
 
 from .errors import DomainError, NumericalError, readonly, text_file
 from .hamiltonians import Grid1D, ModelKind, ModelParams, assemble_2d_channel
+from .hamiltonians import planar_label_terms, planar_labels
 
 DEFAULT_BOX = 40.0
 DEFAULT_NPOINTS = 999
@@ -193,17 +194,20 @@ def boundedness_scan(
 ) -> list:
     """Ground energy per channel; failures recorded per row, not raised.
 
-    Label twins (channels with the same operator) are solved once.
+    Label twins (equal `planar_label_terms`, so the same operator) are
+    assembled and solved once, unless that fails: then each twin is tried.
     """
     if not channels:
         raise DomainError("channel list must be nonempty")
     if grid is None:
         grid = Grid1D.from_spec(DEFAULT_BOX, DEFAULT_NPOINTS)
-    rows, memo = [], {}
+    rows, memo, first = [], {}, {}  # first: twin key -> result of its first channel
     for ch in sorted(channels):
         try:
-            op = assemble_2d_channel(kind, params, ch, grid)
-            res = solve_1d(op, count, memo)
+            key = planar_label_terms(kind, ch)
+            if key not in first:
+                first[key] = solve_1d(assemble_2d_channel(kind, params, ch, grid), count, memo)
+            res = replace(first[key], channel=planar_labels(ch))
             rows.append(ScanRow(tuple(ch), float(res.eigenvalues[0]), None, res))
         except Exception as exc:  # partial results allowed
             rows.append(ScanRow(tuple(ch), None, str(exc), None))

@@ -14,8 +14,9 @@ import pytest
 import scipy.linalg
 
 import affbody
+import affbody.cli
 from affbody.cli import OUTPUT_DIR_ENV, main, parse_config
-from affbody.errors import UsageError
+from affbody.errors import DomainError, UsageError
 from affbody.hamiltonians import (
     MAX_FIELD_ELEMENTS,
     GridND,
@@ -91,6 +92,20 @@ class TestParseConfig:
             base_config(channels={"square": [-5, 5]}, grid={"x_max": 40.0, "npoints": 999})
         )
         assert len(cfg.channels) == 121
+
+    def test_square_of_small_grids_bounded(self, tmp_path, capsys):
+        # each channel counts as at least isqrt(MAX_FIELD_ELEMENTS) = 8192 elements,
+        # so a 3-node grid admits a side of 90 (8100 channels) but not 91
+        grid = {"x_max": 1.0, "npoints": 3}
+        cfg = parse_config(base_config(channels={"square": [0, 89]}, grid=grid, count=1))
+        assert len(cfg.channels) == 90**2
+        with pytest.raises(UsageError, match="^channels.square"):
+            parse_config(base_config(channels={"square": [0, 90]}, grid=grid, count=1))
+        # 22,363,441 channels of 3 nodes fit the product bound but are refused
+        path = write_config(tmp_path, base_config(channels={"square": [0, 4728]}, grid=grid, count=1))
+        assert main(["run", "--config", path, "--output-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: channels.square")
+        assert not (tmp_path / "o").exists()
 
     def test_huge_square_refused_at_once(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(channels={"square": [0, 10**9]}))
@@ -528,6 +543,104 @@ class TestSolveMemo:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert flags and all(flag is True for flag in flags)
         assert len(flags) == manifest["tridiagonal_solves"]
+
+
+class TestLabelTwins:
+    """Channels with equal `planar_label_terms` run once per call; the rest copy."""
+
+    GRID = {"x_max": 30.0, "npoints": 99}
+    MODELS = {
+        "aff-aff": {"I": 1.0, "A": 1.0, "B": 0.0},
+        "met-aff": {"I": 2.0, "A": 1.0, "B": 0.5},
+    }
+
+    def doc(self, model, **overrides):
+        return base_config(
+            model=model, params=self.MODELS[model], grid=self.GRID, count=2, **overrides
+        )
+
+    def spy_assembly(self, monkeypatch, fail=None) -> list:
+        """Record each channel that cli assembles; raise DomainError for `fail`."""
+        seen, original = [], affbody.cli.assemble_2d_channel
+
+        def spy(kind, params, channel, *args):
+            seen.append(tuple(channel))
+            if tuple(channel) == fail:
+                raise DomainError("planted failure")
+            return original(kind, params, channel, *args)
+
+        monkeypatch.setattr(affbody.cli, "assemble_2d_channel", spy)
+        return seen
+
+    # keys on [-2, 2]^2: |n - m| and |n + m| for aff-aff, with m^2 for met-aff
+    @pytest.mark.parametrize("model,keys", [("aff-aff", 9), ("met-aff", 13)])
+    @pytest.mark.parametrize(
+        "command,levels", [("run", 3), ("scan-threshold", 1), ("convergence", 3)]
+    )
+    def test_assembles_distinct_keys_times_levels(
+        self, tmp_path, monkeypatch, model, keys, command, levels
+    ):
+        seen = self.spy_assembly(monkeypatch)
+        doc = self.doc(model, channels={"square": [-2, 2]}, refinements=2, levels=3)
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+        assert len(seen) == keys * levels
+        assert len(set(seen)) == keys
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert len(manifest["twin_of"]) == 25 - keys
+        assert len(manifest["timings"]["per_channel_seconds"]) == 25
+
+    def test_manifest_names_the_first_twin(self, tmp_path):
+        cfg = write_config(tmp_path, self.doc("aff-aff", channels={"square": [-1, 1]}))
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["twin_of"] == {
+            "0,-1": "-1,0",
+            "0,1": "-1,0",
+            "1,-1": "-1,1",
+            "1,0": "-1,0",
+            "1,1": "-1,-1",
+        }
+        # a twin's rows carry its own labels and the first twin's values
+        rows = {}
+        for line in (tmp_path / "spectrum.txt").read_text().splitlines()[1:]:
+            fields = line.split()
+            rows.setdefault((fields[1], fields[2]), []).append(fields[3:])
+        assert len(rows) == 9
+        for twin, first in manifest["twin_of"].items():
+            assert rows[tuple(twin.split(","))] == rows[tuple(first.split(","))]
+
+    @pytest.mark.parametrize("command", ["run", "scan-threshold", "convergence"])
+    def test_twins_of_a_failing_channel_record_its_error(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        seen = self.spy_assembly(monkeypatch, fail=(-1, -3))
+        doc = self.doc("aff-aff", channels=[[1, 3], [3, 1], [-1, -3], [0, 0]], levels=3)
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--output-dir", str(tmp_path)]) == 1
+        assert set(seen) == {(-1, -3), (0, 0)}
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["errors"] == {
+            ch: "DomainError: planted failure" for ch in ("-1,-3", "1,3", "3,1")
+        }
+        assert manifest["twin_of"] == {"1,3": "-1,-3", "3,1": "-1,-3"}
+        assert list(manifest["timings"]["per_channel_seconds"]) == ["0,0"]
+        assert len(capsys.readouterr().err.splitlines()) == 3
+
+    def test_dimension_3_has_no_twins(self, tmp_path):
+        doc = {
+            "model": "aff-aff",
+            "dimension": 3,
+            "params": {"I": 1.0, "A": 1.0, "B": 1.0},
+            "channels": [[0, 1], [1, 0]],
+            "grid": {"q_min": -1.0, "q_max": 1.0, "npoints": 5},
+            "count": 2,
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["twin_of"] == {}
+        assert len(manifest["timings"]["per_channel_seconds"]) == 2
 
 
 class TestTableBytes:

@@ -1,10 +1,17 @@
-"""Property test of the n=3 channel operator's Klein blocks.
+"""Property tests of the channel operators.
 
 For parameters inside the well-posedness gates, spins of equal halfness up
-to (2, 2) and grids of at most 5 nodes per axis, every block that solve_nd
-builds is symmetric, and the blocks together cover the whole field: the
-block sizes, each counted as often as its eigenvalues count, add up to
-N^3 d.  The examples are derandomized and their number fixed, as in
+to (2, 2) and grids of at most 5 nodes per axis, every block of the n=3
+operator that solve_nd builds is symmetric, and the blocks together cover
+the whole field: the block sizes, each counted as often as its eigenvalues
+count, add up to N^3 d.
+
+Planar label twins, channels in [-6, 6]^2 with equal `planar_label_terms`,
+assemble bitwise-equal operators: the x-sector and q-sector tridiagonals
+and the thresholds agree to the last bit, under zero and harmonic
+potentials, for all four models.
+
+The examples are derandomized and their number fixed, as in
 tests/test_config_properties.py.
 """
 
@@ -16,12 +23,17 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from affbody.errors import DomainError  # noqa: E402
 from affbody.hamiltonians import (  # noqa: E402
+    Grid1D,
     GridND,
     ModelKind,
     ModelParams,
+    PotentialSpec,
+    assemble_2d_channel,
     assemble_nd_channel,
+    assemble_q_sector,
     check_gates,
     klein_bases,
+    planar_label_terms,
 )
 
 inertia = st.floats(-4.0, 4.0, allow_subnormal=False) | st.sampled_from([0.0, 0.5, 1.0, 2.0])
@@ -29,9 +41,9 @@ spins = st.sampled_from([0, 0.5, 1, 1.5, 2])
 
 
 @st.composite
-def gated_params(draw):
+def gated_params(draw, n=3):
     kind = draw(st.sampled_from(list(ModelKind)))
-    params = ModelParams(I=draw(inertia), A=draw(inertia), B=draw(inertia), n=3)
+    params = ModelParams(I=draw(inertia), A=draw(inertia), B=draw(inertia), n=n)
     try:
         check_gates(kind, params)
     except DomainError:
@@ -64,3 +76,32 @@ def test_solved_blocks_are_symmetric_and_cover_the_field(model, labels, N):
         covered += copies * A.shape[0]
     assert covered == N**3 * d
     assert N**3 * sum(widths) == N**3 * d
+
+
+PLANAR_LABELS = [(m, n) for m in range(-6, 7) for n in range(-6, 7)]
+planar_potentials = st.just(PotentialSpec.zero()) | st.builds(
+    PotentialSpec.harmonic, st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.0, 1.5])
+)
+
+
+@st.composite
+def planar_twins(draw):
+    """Gated planar parameters, a channel, and a channel with its label terms."""
+    kind, params = draw(gated_params(n=2))
+    channel = draw(st.sampled_from(PLANAR_LABELS))
+    terms = planar_label_terms(kind, channel)
+    twin = draw(st.sampled_from([c for c in PLANAR_LABELS if planar_label_terms(kind, c) == terms]))
+    return kind, params, channel, twin
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(planar_twins(), planar_potentials, planar_potentials, st.integers(5, 40))
+def test_planar_twins_assemble_bitwise_equal_operators(model, dil, shear, npoints):
+    kind, params, channel, twin = model
+    grid = Grid1D.from_spec(12.0, npoints)
+    a, b = (assemble_2d_channel(kind, params, ch, grid, dil, shear) for ch in (channel, twin))
+    qa, qb = (assemble_q_sector(op.q_sector, grid) for op in (a, b))
+    for x, y in ((a, b), (qa, qb)):
+        for u, v in zip(x.symmetric_tridiagonal(), y.symmetric_tridiagonal()):
+            assert u.tobytes() == v.tobytes()
+        assert np.float64(x.threshold).tobytes() == np.float64(y.threshold).tobytes()

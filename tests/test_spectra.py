@@ -287,6 +287,27 @@ class TestBoundednessScan:
                 assert_same_result(row.result, ref)
 
 
+    def test_label_twins_assembled_once_per_scan(self, monkeypatch):
+        import affbody.spectra
+
+        seen, original = [], affbody.spectra.assemble_2d_channel
+
+        def spy(kind, params, channel, grid):
+            seen.append(tuple(channel))
+            return original(kind, params, channel, grid)
+
+        monkeypatch.setattr(affbody.spectra, "assemble_2d_channel", spy)
+        twins = [(1, 3), (3, 1), (-1, -3), (-3, -1)]
+        rows = boundedness_scan(
+            ModelKind.AFF_AFF, P2(I=1, A=1, B=0), twins + [(0, 1), (1, 0)],
+            grid=Grid1D.from_spec(30.0, 99),
+        )
+        assert seen == [(-3, -1), (0, 1)]  # the first of each twin set, in label order
+        for row in rows:
+            assert row.result.channel == row.channel
+        assert len({row.energy for row in rows if row.channel in twins}) == 1
+
+
 class FlatBoxND:
     """Minimal 3D Dirichlet Laplacian used as an eigensolver oracle."""
 
