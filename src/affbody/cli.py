@@ -47,8 +47,8 @@ from .hamiltonians import (
     assemble_2d_channel,
     assemble_nd_channel,
     check_gates,
-    planar_label_terms,
     planar_labels,
+    shear_label_terms,
     spatial_labels,
 )
 from .peter_weyl import TargetSpace, superselection_violation
@@ -371,30 +371,29 @@ def _label_key(channel) -> str:
 
 
 def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, write_rows) -> int:
-    """Run worker(channel, memo) per twin key in label order; write table and manifest.
+    """Run worker(channel) per twin key in label order; write table and manifest.
 
-    A planar channel's key is its `planar_label_terms`, an n=3 channel is
+    A planar channel's key is its `shear_label_terms`, an n=3 channel is
     its own.  The first channel of a key runs the worker; each later one,
     its label twin, takes that result (still labelled as the first twin)
-    or error, and the manifest's "twin_of" names its first twin.  memo is
-    the call's cache of tridiagonal solves.  A channel's exception is
-    recorded in the manifest and on stderr, and the other channels still
-    run.  write_rows(fh, results) writes the table from the results of the
-    channels that succeeded, keyed by channel in label order.  Returns the
-    exit code: 1 if any channel failed, else 0.
+    or error, and the manifest's "twin_of" names its first twin.  A
+    channel's exception is recorded in the manifest and on stderr, and the
+    other channels still run.  write_rows(fh, results) writes the table
+    from the results of the channels that succeeded, keyed by channel in
+    label order.  Returns the exit code: 1 if any channel failed, else 0.
     """
-    t0, memo = time.perf_counter(), {}
+    t0 = time.perf_counter()
     results, errors, timings, twin_of, first = {}, {}, {}, {}, {}
     for ch in sorted(cfg.channels):
         start = time.perf_counter()
-        twin = first.setdefault(planar_label_terms(cfg.kind, ch) if cfg.dimension == 2 else ch, ch)
+        twin = first.setdefault(shear_label_terms(cfg.kind, ch) if cfg.dimension == 2 else ch, ch)
         if twin != ch:
             twin_of[ch] = twin
         if twin in errors:
             errors[ch] = errors[twin]
             continue
         try:
-            results[ch] = worker(ch, memo) if twin == ch else results[twin]
+            results[ch] = worker(ch) if twin == ch else results[twin]
         except Exception as exc:  # noqa: BLE001 - per-channel isolation
             errors[ch] = f"{type(exc).__name__}: {exc}"
         else:
@@ -419,7 +418,6 @@ def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, writ
         },
         "errors": {_label_key(ch): msg for ch, msg in errors.items()},
         "table": cfg.table_name,
-        "tridiagonal_solves": len(memo),
         "twin_of": {_label_key(ch): _label_key(twin) for ch, twin in twin_of.items()},
     }
     manifest_path = os.path.join(output_dir, cfg.manifest_name)
@@ -433,7 +431,7 @@ def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, writ
     return 1 if errors else 0
 
 
-def _solve_channel(cfg: RunConfig, channel, memo: dict) -> list:
+def _solve_channel(cfg: RunConfig, channel) -> list:
     """All refinement levels for one channel, coarsest first.
 
     Every level is assembled before any is solved, so a level past the
@@ -445,7 +443,9 @@ def _solve_channel(cfg: RunConfig, channel, memo: dict) -> list:
             assemble_2d_channel(cfg.kind, cfg.params, channel, g, cfg.dil, cfg.shear)
             for g in nested_grids(cfg.grid1d, levels)
         ]
-        results = [solve_1d(op, cfg.count, memo) for op in ops]
+        results = [solve_1d(ops[0], cfg.count)]
+        for op in ops[1:]:
+            results.append(solve_1d(op, cfg.count, results[-1].eigenvalues))
     else:
         ops = [
             assemble_nd_channel(cfg.kind, cfg.params, channel, g)
@@ -461,18 +461,16 @@ def cmd_run(cfg: RunConfig, output_dir: str) -> int:
             fh, [replace(res, channel=ch) for ch, rows in results.items() for res in rows]
         )
 
-    return _run_channels(
-        cfg, output_dir, "run", lambda ch, memo: _solve_channel(cfg, ch, memo), write_rows
-    )
+    return _run_channels(cfg, output_dir, "run", lambda ch: _solve_channel(cfg, ch), write_rows)
 
 
 def cmd_scan_threshold(cfg: RunConfig, output_dir: str) -> int:
     if cfg.dimension != 2:
         raise UsageError("dimension: scan-threshold supports dimension 2 only")
 
-    def worker(ch, memo):
+    def worker(ch):
         op = assemble_2d_channel(cfg.kind, cfg.params, ch, cfg.grid1d, cfg.dil, cfg.shear)
-        return solve_1d(op, cfg.count, memo)
+        return solve_1d(op, cfg.count)
 
     def write_rows(fh, results):
         fh.write("# model l1 l2 class bound lowest threshold X h\n")
@@ -492,14 +490,11 @@ def cmd_convergence(cfg: RunConfig, output_dir: str) -> int:
     if cfg.dimension != 2:
         raise UsageError("dimension: convergence supports dimension 2 only")
 
-    def worker(ch, memo):
-        return convergence_study(
-            lambda g: assemble_2d_channel(cfg.kind, cfg.params, ch, g, cfg.dil, cfg.shear),
-            cfg.grid1d,
-            levels=cfg.levels,
-            count=cfg.count,
-            memo=memo,
-        )
+    def worker(ch):
+        def make_op(g):
+            return assemble_2d_channel(cfg.kind, cfg.params, ch, g, cfg.dil, cfg.shear)
+
+        return convergence_study(make_op, cfg.grid1d, levels=cfg.levels, count=cfg.count)
 
     def write_rows(fh, results):
         fh.write("# model l1 l2 record h values...\n")
@@ -567,19 +562,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            return cmd_verify(args.suite, args.seed)
+            return cmd_verify(args.suite, _integer("seed", args.seed, 0))
         if args.jobs < 1:
             raise UsageError(f"jobs: must be >= 1, got {args.jobs}")
         doc = load_config(args.config)
         if args.seed is not None:  # read like the config's own seed
             doc = {**_object("config", doc, _CONFIG_KEYS), "seed": args.seed}
         cfg = parse_config(doc)
-        # the finest planar grid: run refines it `refinements` times, convergence `levels - 1`
+        # refinements (n -> 2n + 1 nodes): `refinements` for run, `levels - 1` for convergence
         growth = {"run": cfg.refinements, "convergence": cfg.levels - 1}.get(args.command, 0)
-        if cfg.dimension == 2 and cfg.grid1d.npoints << growth > MAX_FIELD_ELEMENTS:
+        finest = ((cfg.grid1d.npoints + 1) << growth) - 1 if cfg.dimension == 2 else 0
+        if finest > MAX_FIELD_ELEMENTS:
             raise UsageError(
-                f"grid.npoints: {cfg.grid1d.npoints} nodes refined to "
-                f"{cfg.grid1d.npoints << growth} exceed the capacity of {MAX_FIELD_ELEMENTS}"
+                f"grid.npoints: {cfg.grid1d.npoints} nodes refined to {finest} "
+                f"exceed the capacity of {MAX_FIELD_ELEMENTS}"
             )
         output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or os.getcwd()
         if args.command == "run":

@@ -399,12 +399,19 @@ def planar_labels(channel) -> tuple:
 
 
 def planar_label_terms(kind: ModelKind, channel) -> tuple:
-    """((n - m)^2, (n + m)^2, g^2) with g = m for met-aff, n for aff-met, else 0:
-    the exact integers through which a planar operator reads its labels, so
-    channels with equal terms (label twins) assemble bitwise-equal operators."""
+    """`shear_label_terms` with dalembert's (n + m)^2, which its q-sector reads: the exact
+    integers through which a planar operator reads its labels, both sectors included."""
+    diff2, _, gyro2 = shear_label_terms(kind, channel)
+    return diff2, sum(planar_labels(channel)) ** 2, gyro2
+
+
+def shear_label_terms(kind: ModelKind, channel) -> tuple:
+    """((n - m)^2, (n + m)^2, g^2), g = m for met-aff, n for aff-met, else 0, and
+    (n + m)^2 = 0 in dalembert: the exact integers through which a planar x-sector
+    reads its labels, so label twins (equal terms) have bitwise-equal x-sectors."""
     m, n = planar_labels(channel)
     gyro = {ModelKind.MET_AFF: m, ModelKind.AFF_MET: n}.get(kind, 0)
-    return (n - m) ** 2, (n + m) ** 2, gyro**2
+    return (n - m) ** 2, 0 if kind is ModelKind.DALEMBERT else (n + m) ** 2, gyro**2
 
 
 def assemble_2d_channel(
@@ -908,6 +915,7 @@ __all__ = [
     "planar_label_terms",
     "planar_labels",
     "potential",
+    "shear_label_terms",
     "spatial_labels",
     "spin_action",
     "symmetrize",

@@ -4,8 +4,9 @@
 tridiagonal form, and LAPACK finds its eigenvalues alone (only
 `node_counts` asks for eigenvectors).  Bound states are reported only
 when they clear the continuum threshold by a resolution margin of three
-times the per-eigenvalue discretization error estimate (from an internal
-coarse-grid solve), so a box artifact at the threshold is never bound.
+times the per-eigenvalue discretization error estimate: the distance to
+the same operator's eigenvalues on the 2h grid, so a box artifact at the
+threshold is never bound.
 
 Channels classify by the hyperbolic barrier balance: |n-m| < |n+m| keeps
 the attractive ch^-2 term dominant (discrete states possible), the
@@ -23,19 +24,20 @@ below them, so degenerate eigenvalues keep their multiplicity.
 Refined solves walk one chain, `nested_grids`: a grid and its halved-step
 refinements, coarsest first, for a Grid1D or a GridND alike.  Both
 `convergence_study` and the refinement levels of `affbody run` take it.
+A level's 2h grid is the level before it, whose eigenvalues `affbody run`
+passes to `solve_1d` for the margins; only level 0 solves its own 2h grid.
 """
 
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from hashlib import blake2b
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DomainError, NumericalError, readonly, text_file
 from .hamiltonians import Grid1D, ModelKind, ModelParams, assemble_2d_channel
-from .hamiltonians import planar_label_terms, planar_labels
+from .hamiltonians import planar_labels, shear_label_terms
 
 DEFAULT_BOX = 40.0
 DEFAULT_NPOINTS = 999
@@ -112,23 +114,13 @@ def _eigh_tridiagonal(d, e, count: int, eigvals_only: bool):
         return scipy.linalg.eigh_tridiagonal(
             d, e, select="i", select_range=(0, count - 1), eigvals_only=eigvals_only
         )
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except ValueError as exc:  # LinAlgError, or a non-finite entry
         raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
-def _lowest_1d(op, count: int, memo: dict | None = None) -> np.ndarray:
-    """Lowest `count` eigenvalues, read-only; no eigenvectors are computed.
-
-    memo, keyed by count and a hash of the tridiagonal, holds the values
-    already computed in one call, so label twins and the previous level's
-    grid are solved once; identical inputs give identical LAPACK output.
-    """
-    d, e = _tridiagonal(op)
-    memo = {} if memo is None else memo
-    key = (count, blake2b(d.tobytes() + e.tobytes(), digest_size=16).digest())
-    if key not in memo:
-        memo[key] = readonly(_eigh_tridiagonal(d, e, count, eigvals_only=True))
-    return memo[key]
+def _lowest_1d(op, count: int) -> np.ndarray:
+    """Lowest `count` eigenvalues; no eigenvectors are computed."""
+    return _eigh_tridiagonal(*_tridiagonal(op), count, eigvals_only=True)
 
 
 def node_counts(op, count: int) -> tuple:
@@ -137,7 +129,7 @@ def node_counts(op, count: int) -> tuple:
     return tuple(_count_nodes(vecs[:, i]) for i in range(count))
 
 
-def _coarsened(op, count: int, memo: dict | None = None):
+def _coarsened(op, count: int):
     """Eigenvalues of the same operator restricted to a 2h grid, or None.
 
     The stored diagonal is linearly interpolated onto the coarse nodes.
@@ -153,16 +145,19 @@ def _coarsened(op, count: int, memo: dict | None = None):
     if count > coarse.npoints:
         return None
     diag = np.interp(coarse.points, g.points, op.diag_potential)
-    return _lowest_1d(replace(op, grid=coarse, diag_potential=diag), count, memo)
+    return _lowest_1d(replace(op, grid=coarse, diag_potential=diag), count)
 
 
-def solve_1d(op, count: int, memo: dict | None = None) -> SpectrumResult:
+def solve_1d(op, count: int, coarse=None) -> SpectrumResult:
     """Lowest eigenvalues of a 1D channel operator (either form).
 
-    memo is a per-call cache of tridiagonal solves (see `_lowest_1d`).
+    coarse: the lowest `count` eigenvalues of op on its 2h grid (such as the
+    previous `nested_grids` level), else `_coarsened`'s; margins = |vals - coarse|.
     """
-    vals = _lowest_1d(op, count, memo)
-    coarse = _coarsened(op, count, memo)
+    if coarse is not None and len(coarse) != count:
+        raise DomainError(f"coarse holds {len(coarse)} eigenvalues, expected count = {count}")
+    vals = _lowest_1d(op, count)
+    coarse = _coarsened(op, count) if coarse is None else coarse
     margins = np.full(count, np.nan) if coarse is None else np.abs(vals - coarse)
     return SpectrumResult(
         kind=op.kind,
@@ -194,19 +189,19 @@ def boundedness_scan(
 ) -> list:
     """Ground energy per channel; failures recorded per row, not raised.
 
-    Label twins (equal `planar_label_terms`, so the same operator) are
+    Label twins (equal `shear_label_terms`, so the same solved operator) are
     assembled and solved once, unless that fails: then each twin is tried.
     """
     if not channels:
         raise DomainError("channel list must be nonempty")
     if grid is None:
         grid = Grid1D.from_spec(DEFAULT_BOX, DEFAULT_NPOINTS)
-    rows, memo, first = [], {}, {}  # first: twin key -> result of its first channel
+    rows, first = [], {}  # first: twin key -> result of its first channel
     for ch in sorted(channels):
         try:
-            key = planar_label_terms(kind, ch)
+            key = shear_label_terms(kind, ch)
             if key not in first:
-                first[key] = solve_1d(assemble_2d_channel(kind, params, ch, grid), count, memo)
+                first[key] = solve_1d(assemble_2d_channel(kind, params, ch, grid), count)
             res = replace(first[key], channel=planar_labels(ch))
             rows.append(ScanRow(tuple(ch), float(res.eigenvalues[0]), None, res))
         except Exception as exc:  # partial results allowed
@@ -348,17 +343,17 @@ def nested_grids(grid, levels: int) -> list:
 
 
 def convergence_study(
-    make_op, base_grid: Grid1D, levels: int = 3, count: int = 5, memo: dict | None = None
+    make_op, base_grid: Grid1D, levels: int = 3, count: int = 5
 ) -> ConvergenceStudy:
     """Solve on `levels` nested grids and fit the observed order.
 
-    make_op maps a Grid1D to an assembled 1D operator (either form); memo
-    is a per-call cache of tridiagonal solves (see `_lowest_1d`).
+    make_op maps a Grid1D to an assembled 1D operator (either form).  Each
+    level is one eigenvalue-only solve; no margin is taken.
     """
     if levels < 3:
         raise DomainError("a convergence study needs at least three levels")
     grids = nested_grids(base_grid, levels)
-    table = np.array([_lowest_1d(make_op(g), count, memo) for g in grids])
+    table = np.array([_lowest_1d(make_op(g), count) for g in grids])
     orders = np.empty(count)
     extrap = np.empty(count)
     for i in range(count):

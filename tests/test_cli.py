@@ -357,6 +357,21 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: grid.npoints")
         assert not (tmp_path / "o").exists()
 
+    # 2**24 nodes refined twice are (2**24 + 1) * 4 - 1 = 2**26 + 3 nodes, not 2**26
+    @pytest.mark.parametrize("command,growth", [("run", {"refinements": 2}), ("convergence", {})])
+    def test_refined_grid_capacity_counts_the_finest_nodes(
+        self, tmp_path, capsys, monkeypatch, command, growth
+    ):
+        calls = []
+        for name in ("cmd_run", "cmd_convergence"):
+            monkeypatch.setattr(affbody.cli, name, lambda *a: calls.append(a) or 0)
+        doc = base_config(grid={"x_max": 20.0, "npoints": 2**24}, **growth)
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid.npoints") and str(2**26 + 3) in err
+        assert calls == []
+
     @pytest.mark.parametrize("command", ["scan-threshold", "convergence"])
     def test_planar_only_command_leaves_no_directory(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, self.ND)
@@ -496,7 +511,7 @@ def count_tridiagonal_solves(monkeypatch) -> list:
     return calls
 
 
-class TestSolveMemo:
+class TestTridiagonalSolveCounts:
     DOC = base_config(
         channels={"square": [-2, 2]},
         grid={"x_max": 30.0, "npoints": 199},
@@ -507,7 +522,8 @@ class TestSolveMemo:
     PAIRS = {(abs(n - m), abs(n + m)) for m in range(-2, 3) for n in range(-2, 3)}
 
     def test_each_distinct_tridiagonal_solved_once_per_call(self, tmp_path, monkeypatch):
-        # per pair: three levels plus the margin grid of level 0
+        # per pair: three levels plus the margin grid of level 0; levels 1
+        # and 2 take theirs from the level before
         expected = 4 * len(self.PAIRS)
         calls = count_tridiagonal_solves(monkeypatch)
         cfg = write_config(tmp_path, self.DOC)
@@ -515,18 +531,16 @@ class TestSolveMemo:
             calls.clear()
             assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / out)]) == 0
             assert len(calls) == expected
-            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
-            assert manifest["tridiagonal_solves"] == expected
 
-    # scan-threshold: one grid plus its margin grid; convergence: three levels
+    # scan-threshold: one grid plus its margin grid; convergence: three levels.
+    # The dalembert x-sector reads only |n - m|, which takes 5 values on [-2, 2]^2
+    @pytest.mark.parametrize("model,keys", [("aff-aff", len(PAIRS)), ("dalembert", 5)])
     @pytest.mark.parametrize("command,per_pair", [("scan-threshold", 2), ("convergence", 3)])
-    def test_manifest_counts_solves(self, tmp_path, monkeypatch, command, per_pair):
+    def test_solves_per_twin_key(self, tmp_path, monkeypatch, command, per_pair, model, keys):
         calls = count_tridiagonal_solves(monkeypatch)
-        cfg = write_config(tmp_path, self.DOC)
+        cfg = write_config(tmp_path, {**self.DOC, "model": model})
         assert main([command, "--config", cfg, "--output-dir", str(tmp_path)]) == 0
-        assert len(calls) == per_pair * len(self.PAIRS)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["tridiagonal_solves"] == len(calls)
+        assert len(calls) == per_pair * keys
 
 
     def test_run_asks_lapack_for_eigenvalues_only(self, tmp_path, monkeypatch):
@@ -540,18 +554,18 @@ class TestSolveMemo:
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
         cfg = write_config(tmp_path, self.DOC)
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert flags and all(flag is True for flag in flags)
-        assert len(flags) == manifest["tridiagonal_solves"]
+        assert len(flags) == 4 * len(self.PAIRS)
+        assert all(flag is True for flag in flags)
 
 
 class TestLabelTwins:
-    """Channels with equal `planar_label_terms` run once per call; the rest copy."""
+    """Channels with equal `shear_label_terms` run once per call; the rest copy."""
 
     GRID = {"x_max": 30.0, "npoints": 99}
     MODELS = {
         "aff-aff": {"I": 1.0, "A": 1.0, "B": 0.0},
         "met-aff": {"I": 2.0, "A": 1.0, "B": 0.5},
+        "dalembert": {"I": 1.0, "A": 1.0, "B": 0.0},
     }
 
     def doc(self, model, **overrides):
@@ -572,8 +586,9 @@ class TestLabelTwins:
         monkeypatch.setattr(affbody.cli, "assemble_2d_channel", spy)
         return seen
 
-    # keys on [-2, 2]^2: |n - m| and |n + m| for aff-aff, with m^2 for met-aff
-    @pytest.mark.parametrize("model,keys", [("aff-aff", 9), ("met-aff", 13)])
+    # keys on [-2, 2]^2: |n - m| and |n + m| for aff-aff, with m^2 for met-aff,
+    # |n - m| alone for dalembert
+    @pytest.mark.parametrize("model,keys", [("aff-aff", 9), ("met-aff", 13), ("dalembert", 5)])
     @pytest.mark.parametrize(
         "command,levels", [("run", 3), ("scan-threshold", 1), ("convergence", 3)]
     )
@@ -838,6 +853,11 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "bogus"])
+
+    @pytest.mark.parametrize("suite,seed", [("measures", "-1"), ("algebra", "-5")])
+    def test_negative_seed_exit_2(self, capsys, suite, seed):
+        assert main(["verify", "--suite", suite, "--seed", seed]) == 2
+        assert capsys.readouterr().err.startswith("error: seed")
 
 
 def test_import_leaves_scipy_interpolate_unloaded():
