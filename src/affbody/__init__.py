@@ -61,7 +61,6 @@ from .representations import (
 from .spectra import (
     SpectralClass,
     SpectrumResult,
-    boundedness_scan,
     classify_channel,
     convergence_study,
     solve_1d,
@@ -93,7 +92,6 @@ __all__ = [
     "UsageError",
     "assemble_2d_channel",
     "assemble_nd_channel",
-    "boundedness_scan",
     "casimir",
     "check_gates",
     "classify_channel",

@@ -47,6 +47,7 @@ from .hamiltonians import (
     assemble_2d_channel,
     assemble_nd_channel,
     check_gates,
+    check_grid_start,
     planar_labels,
     shear_label_terms,
     spatial_labels,
@@ -307,6 +308,10 @@ def parse_config(doc: dict) -> RunConfig:
         raise UsageError("target_space: only meaningful for dimension 3")
 
     grid1d, gridnd = _parse_grid(doc.get("grid"), dimension)
+    try:
+        check_grid_start(kind, grid1d.x_min if dimension == 2 else gridnd.q_min)
+    except DomainError as exc:
+        raise UsageError(f"grid.{'x_min' if dimension == 2 else 'q_min'}: {exc}") from exc
     channels = _parse_channels(doc.get("channels"), dimension, target_space, grid1d)
     refinements = _integer("refinements", doc.get("refinements", 0), 0, 6)
     levels = _integer("levels", doc.get("levels", 3), 3, 8)
@@ -332,6 +337,8 @@ def parse_config(doc: dict) -> RunConfig:
     for key, name in (("table", table_name), ("manifest", manifest_name)):
         if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\"):
             raise UsageError(f"outputs.{key}: expected a bare file name, got {name!r}")
+    if manifest_name == table_name:
+        raise UsageError(f"outputs.manifest: must differ from outputs.table, got {table_name!r}")
 
     return RunConfig(
         kind=kind,
@@ -373,15 +380,20 @@ def _label_key(channel) -> str:
 def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, write_rows) -> int:
     """Run worker(channel) per twin key in label order; write table and manifest.
 
-    A planar channel's key is its `shear_label_terms`, an n=3 channel is
-    its own.  The first channel of a key runs the worker; each later one,
-    its label twin, takes that result (still labelled as the first twin)
-    or error, and the manifest's "twin_of" names its first twin.  A
-    channel's exception is recorded in the manifest and on stderr, and the
-    other channels still run.  write_rows(fh, results) writes the table
-    from the results of the channels that succeeded, keyed by channel in
-    label order.  Returns the exit code: 1 if any channel failed, else 0.
+    The output directory is made first (UsageError if it cannot be).  A
+    planar channel's key is its `shear_label_terms`, an n=3 channel is its
+    own.  The first channel of a key runs the worker; each later one, its
+    label twin, takes that result (still labelled as the first twin) or
+    error, and the manifest's "twin_of" names its first twin.  A channel's
+    exception is recorded in the manifest and on stderr, and the other
+    channels still run.  write_rows(fh, results) writes the table from the
+    results of the channels that succeeded, keyed by channel in label
+    order.  Returns the exit code: 1 if any channel failed, else 0.
     """
+    try:
+        os.makedirs(output_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--output-dir: cannot create {output_dir!r}: {exc}") from exc
     t0 = time.perf_counter()
     results, errors, timings, twin_of, first = {}, {}, {}, {}, {}
     for ch in sorted(cfg.channels):
@@ -398,7 +410,6 @@ def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, writ
             errors[ch] = f"{type(exc).__name__}: {exc}"
         else:
             timings[ch] = time.perf_counter() - start
-    os.makedirs(output_dir, exist_ok=True)
     table_path = os.path.join(output_dir, cfg.table_name)
     with open(table_path, "w", encoding="utf-8") as fh:
         write_rows(fh, results)
@@ -446,13 +457,12 @@ def _solve_channel(cfg: RunConfig, channel) -> list:
         results = [solve_1d(ops[0], cfg.count)]
         for op in ops[1:]:
             results.append(solve_1d(op, cfg.count, results[-1].eigenvalues))
-    else:
-        ops = [
-            assemble_nd_channel(cfg.kind, cfg.params, channel, g)
-            for g in nested_grids(cfg.gridnd, levels)
-        ]
-        results = [solve_nd(op, cfg.count, seed=cfg.seed) for op in ops]
-    return [replace(res, refinement=level) for level, res in enumerate(results)]
+        return results
+    ops = [
+        assemble_nd_channel(cfg.kind, cfg.params, channel, g)
+        for g in nested_grids(cfg.gridnd, levels)
+    ]
+    return [solve_nd(op, cfg.count, seed=cfg.seed) for op in ops]
 
 
 def cmd_run(cfg: RunConfig, output_dir: str) -> int:

@@ -17,10 +17,13 @@ mean dilatation q = (q^1 + q^2)/2:
               hbar^2 m^2/mu (resp. hbar^2 n^2/mu),
               q-sector coefficient hbar^2/(2 beta~).
 
+The x-sector reads its labels only through `shear_label_terms`, so label
+twins (equal terms) share it bitwise.
+
 The isotropic model separates in Sigma = Q^1 + Q^2, Delta = Q^1 - Q^2 with
 linear weights and inverse-square barriers hbar^2 (n-m)^2/(4 I Delta^2),
 hbar^2 (n+m)^2/(4 I Sigma^2), both sectors sharing the coefficient
-hbar^2/I.
+hbar^2/I.  Its grids start at or above 0 (`check_grid_start`).
 
 Three-dimensional channels (s, j) act on (2s+1) x (2j+1) matrix
 amplitudes over a tensor grid of deformation invariants: the weighted
@@ -292,9 +295,6 @@ class ChannelOperator1D:
     diag_potential: np.ndarray
     constant_shift: float
     threshold: float
-    sh_coeff: float = 0.0
-    ch_coeff: float = 0.0
-    inv_sq_coeff: float = 0.0
     q_sector: QSector | None = None
 
     def __post_init__(self):
@@ -343,7 +343,6 @@ class SymmetrizedOperator1D:
     diag_potential: np.ndarray
     constant_shift: float
     threshold: float
-    source_weight: WeightKind1D
 
     def __post_init__(self):
         object.__setattr__(
@@ -381,7 +380,6 @@ def symmetrize(op: ChannelOperator1D) -> SymmetrizedOperator1D:
         diag_potential=op.diag_potential + u_eff,
         constant_shift=op.constant_shift,
         threshold=op.threshold,
-        source_weight=op.weight_kind,
     )
 
 
@@ -398,13 +396,6 @@ def planar_labels(channel) -> tuple:
     return int(m), int(n)
 
 
-def planar_label_terms(kind: ModelKind, channel) -> tuple:
-    """`shear_label_terms` with dalembert's (n + m)^2, which its q-sector reads: the exact
-    integers through which a planar operator reads its labels, both sectors included."""
-    diff2, _, gyro2 = shear_label_terms(kind, channel)
-    return diff2, sum(planar_labels(channel)) ** 2, gyro2
-
-
 def shear_label_terms(kind: ModelKind, channel) -> tuple:
     """((n - m)^2, (n + m)^2, g^2), g = m for met-aff, n for aff-met, else 0, and
     (n + m)^2 = 0 in dalembert: the exact integers through which a planar x-sector
@@ -412,6 +403,12 @@ def shear_label_terms(kind: ModelKind, channel) -> tuple:
     m, n = planar_labels(channel)
     gyro = {ModelKind.MET_AFF: m, ModelKind.AFF_MET: n}.get(kind, 0)
     return (n - m) ** 2, 0 if kind is ModelKind.DALEMBERT else (n + m) ** 2, gyro**2
+
+
+def check_grid_start(kind: ModelKind, start: float) -> None:
+    """DomainError if a dalembert grid starts below 0, where its linear weights are negative."""
+    if kind is ModelKind.DALEMBERT and start < 0.0:
+        raise DomainError(f"the isotropic model lives on positive coordinates, got start {start}")
 
 
 def assemble_2d_channel(
@@ -426,21 +423,20 @@ def assemble_2d_channel(
     if params.n != 2:
         raise DomainError("planar channels require n = 2 parameters")
     cons = check_gates(kind, params)
-    diff2, sum2, gyro2 = planar_label_terms(kind, channel)
+    check_grid_start(kind, grid.x_min)
+    labels = planar_labels(channel)
+    diff2, sum2, gyro2 = shear_label_terms(kind, labels)
     hb2 = params.hbar**2
     x = grid.points
     shear = potential(shear_potential, x)
     edge = float(potential(shear_potential, grid.x_max))
 
     if kind is ModelKind.DALEMBERT:
-        if grid.x_min < 0.0:
-            raise DomainError("isotropic shear sector lives on positive coordinates")
         c = q_coeff = hb2 / params.I
-        shift = sh_coeff = ch_coeff = 0.0
-        inv_sq = hb2 * diff2 / (4.0 * params.I)
-        q_inv_sq = hb2 * sum2 / (4.0 * params.I)
+        shift = 0.0
+        q_inv_sq = hb2 * sum(labels) ** 2 / (4.0 * params.I)
         weight = q_weight = WeightKind1D.LINEAR
-        diag = inv_sq / x**2 + shear
+        diag = hb2 * diff2 / (4.0 * params.I) / x**2 + shear
         threshold = edge
     else:
         if kind is ModelKind.AFF_AFF:
@@ -454,14 +450,14 @@ def assemble_2d_channel(
         c = hb2 / denom
         sh_coeff = hb2 * diff2 / (16.0 * denom)
         ch_coeff = hb2 * sum2 / (16.0 * denom)
-        inv_sq = q_inv_sq = 0.0
+        q_inv_sq = 0.0
         weight, q_weight = WeightKind1D.SINH, WeightKind1D.FLAT
         half = 0.5 * x
         diag = sh_coeff / np.sinh(half) ** 2 - ch_coeff / np.cosh(half) ** 2 + shift + shear
         threshold = shift + 0.25 * c + edge
 
     qsec = QSector(
-        kind, planar_labels(channel), coeff=q_coeff, weight_kind=q_weight,
+        kind, labels, coeff=q_coeff, weight_kind=q_weight,
         inv_sq_coeff=q_inv_sq, potential=dil_potential,
     )
     return ChannelOperator1D(
@@ -473,18 +469,14 @@ def assemble_2d_channel(
         diag_potential=diag,
         constant_shift=shift,
         threshold=threshold,
-        sh_coeff=sh_coeff,
-        ch_coeff=ch_coeff,
-        inv_sq_coeff=inv_sq,
         q_sector=qsec,
     )
 
 
 def assemble_q_sector(qsec: QSector, grid: Grid1D) -> ChannelOperator1D:
     """Materialize a dilatational descriptor on its own grid."""
+    check_grid_start(qsec.kind, grid.x_min)
     x = grid.points
-    if qsec.weight_kind is WeightKind1D.LINEAR and grid.x_min < 0.0:
-        raise DomainError("linear-weight sector lives on positive coordinates")
     diag = potential(qsec.potential, x)
     if qsec.inv_sq_coeff:
         diag = diag + qsec.inv_sq_coeff / x**2
@@ -498,7 +490,6 @@ def assemble_q_sector(qsec: QSector, grid: Grid1D) -> ChannelOperator1D:
         constant_shift=0.0,
         threshold=(0.25 * qsec.coeff if qsec.weight_kind is WeightKind1D.SINH else 0.0)
         + float(potential(qsec.potential, grid.x_max)),
-        inv_sq_coeff=qsec.inv_sq_coeff,
     )
 
 
@@ -820,12 +811,11 @@ def assemble_nd_channel(
     if params.n != 3:
         raise DomainError("matrix channels require n = 3 parameters")
     cons = check_gates(kind, params)
+    check_grid_start(kind, grid.q_min)
     s, j = spatial_labels(labels)
     hb2 = params.hbar**2
 
     if kind is ModelKind.DALEMBERT:
-        if grid.q_min < 0.0:
-            raise DomainError("isotropic invariants live on positive coordinates")
         denom, barrier, q2, shift = params.I, 8.0, 0.0, 0.0
     elif kind is ModelKind.AFF_AFF:
         denom, barrier, shift = params.A, 32.0, 0.0
@@ -907,12 +897,12 @@ __all__ = [
     "assemble_nd_channel",
     "assemble_q_sector",
     "check_gates",
+    "check_grid_start",
     "derived_constants",
     "effective_weight_potential",
     "kinetic_from_casimirs",
     "klein_bases",
     "klein_projectors",
-    "planar_label_terms",
     "planar_labels",
     "potential",
     "shear_label_terms",

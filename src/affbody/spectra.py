@@ -6,7 +6,7 @@ tridiagonal form, and LAPACK finds its eigenvalues alone (only
 when they clear the continuum threshold by a resolution margin of three
 times the per-eigenvalue discretization error estimate: the distance to
 the same operator's eigenvalues on the 2h grid, so a box artifact at the
-threshold is never bound.
+threshold is never bound.  `SpectrumResult.bound_flags` is that rule.
 
 Channels classify by the hyperbolic barrier balance: |n-m| < |n+m| keeps
 the attractive ch^-2 term dominant (discrete states possible), the
@@ -17,9 +17,10 @@ The n=3 matrix-valued operators are self-adjoint only in the weighted
 inner product, so each is assembled as sparse matrices in the same
 sqrt-weight similarity as the 1D operators, one per exact symmetry block,
 and each block is handed to scipy's `eigsh` (ARPACK's implicitly
-restarted Lanczos).  Found eigenvectors are lifted out of the block's
-spectrum and a loose check, else a tight rerun, looks for a level left
-below them, so degenerate eigenvalues keep their multiplicity.
+restarted Lanczos) at relative accuracy ND_TOL.  Found eigenvectors are
+lifted out of the block's spectrum and a loose check, else a tight rerun,
+looks for a level left below them, so degenerate eigenvalues keep their
+multiplicity.
 
 Refined solves walk one chain, `nested_grids`: a grid and its halved-step
 refinements, coarsest first, for a Grid1D or a GridND alike.  Both
@@ -36,13 +37,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError, NumericalError, readonly, text_file
-from .hamiltonians import Grid1D, ModelKind, ModelParams, assemble_2d_channel
-from .hamiltonians import planar_labels, shear_label_terms
+from .hamiltonians import Grid1D, ModelKind
 
 DEFAULT_BOX = 40.0
 DEFAULT_NPOINTS = 999
 NODE_CLIP = 1e-8
 MARGIN_FACTOR = 3.0
+ND_TOL = 1e-9  # ARPACK's relative accuracy in solve_nd
+ND_MAXITER = 600  # ARPACK's limit on restarts per solve_nd run
 LOOSE_CHECK_TOL = 1e-4  # ARPACK accuracy of solve_nd's first check for a missed level
 MAX_ND_COUNT = 10  # most eigenvalues solve_nd is asked for
 
@@ -69,12 +71,9 @@ class SpectrumResult:
     channel: tuple
     eigenvalues: np.ndarray
     threshold: float
-    bound_count: int
     margins: np.ndarray
-    x_min: float
     x_max: float
     h: float
-    refinement: int = 0
 
     def __post_init__(self):
         for name in ("eigenvalues", "margins"):
@@ -82,14 +81,13 @@ class SpectrumResult:
 
     @property
     def bound_flags(self) -> np.ndarray:
-        return _bound_mask(self.eigenvalues, self.threshold, self.margins)
+        """Eigenvalues below the threshold by MARGIN_FACTOR times their margin (none if nan)."""
+        margins = np.where(np.isnan(self.margins), 0.0, self.margins)
+        return self.eigenvalues < self.threshold - MARGIN_FACTOR * margins
 
-
-def _bound_mask(vals, threshold: float, margins) -> np.ndarray:
-    """Eigenvalues below the threshold by MARGIN_FACTOR times their margin."""
-    if math.isnan(threshold):
-        return np.zeros(len(vals), dtype=bool)
-    return vals < threshold - MARGIN_FACTOR * np.where(np.isnan(margins), 0.0, margins)
+    @property
+    def bound_count(self) -> int:
+        return int(np.sum(self.bound_flags))
 
 
 def _count_nodes(u: np.ndarray) -> int:
@@ -164,56 +162,17 @@ def solve_1d(op, count: int, coarse=None) -> SpectrumResult:
         channel=tuple(op.channel),
         eigenvalues=vals,
         threshold=op.threshold,
-        bound_count=int(np.sum(_bound_mask(vals, op.threshold, margins))),
         margins=margins,
-        x_min=op.grid.x_min,
         x_max=op.grid.x_max,
         h=op.grid.step,
     )
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    channel: tuple
-    energy: float | None
-    error: str | None
-    result: SpectrumResult | None
-
-
-def boundedness_scan(
-    kind: ModelKind,
-    params: ModelParams,
-    channels,
-    count: int = 1,
-    grid: Grid1D | None = None,
-) -> list:
-    """Ground energy per channel; failures recorded per row, not raised.
-
-    Label twins (equal `shear_label_terms`, so the same solved operator) are
-    assembled and solved once, unless that fails: then each twin is tried.
-    """
-    if not channels:
-        raise DomainError("channel list must be nonempty")
-    if grid is None:
-        grid = Grid1D.from_spec(DEFAULT_BOX, DEFAULT_NPOINTS)
-    rows, first = [], {}  # first: twin key -> result of its first channel
-    for ch in sorted(channels):
-        try:
-            key = shear_label_terms(kind, ch)
-            if key not in first:
-                first[key] = solve_1d(assemble_2d_channel(kind, params, ch, grid), count)
-            res = replace(first[key], channel=planar_labels(ch))
-            rows.append(ScanRow(tuple(ch), float(res.eigenvalues[0]), None, res))
-        except Exception as exc:  # partial results allowed
-            rows.append(ScanRow(tuple(ch), None, str(exc), None))
-    return rows
 
 
 # ---------------------------------------------------------------------------
 # matrix-valued channels
 
 
-def _lowest_block(A, count: int, rng, tol: float, maxiter: int) -> np.ndarray:
+def _lowest_block(A, count: int, rng) -> np.ndarray:
     """Lowest `count` eigenvalues of one real symmetric sparse block A, ascending."""
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
@@ -228,19 +187,19 @@ def _lowest_block(A, count: int, rng, tol: float, maxiter: int) -> np.ndarray:
     def lowest(M, k, accuracy):
         try:
             return eigsh(
-                M, k=k, which="SA", tol=accuracy, maxiter=maxiter, v0=rng.standard_normal(size)
+                M, k=k, which="SA", tol=accuracy, maxiter=ND_MAXITER, v0=rng.standard_normal(size)
             )
         except ArpackError as exc:  # ArpackNoConvergence among them
             outcome = "did not converge" if isinstance(exc, ArpackNoConvergence) else "failed"
             raise NumericalError(f"eigsh {outcome}: {exc}") from exc
 
-    vals, vecs = lowest(A, count, tol)
+    vals, vecs = lowest(A, count, ND_TOL)
     while True:
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         kth = vals[count - 1]
         scale = max(abs(vals[0]), abs(kth))
-        floor = kth - 10.0 * tol * scale
+        floor = kth - 10.0 * ND_TOL * scale
         sigma = 2.0 * (kth - vals[0]) + scale
         lifted = LinearOperator(
             A.shape, lambda x: A @ x + sigma * (vecs @ (vecs.T @ x)), dtype=float
@@ -248,13 +207,13 @@ def _lowest_block(A, count: int, rng, tol: float, maxiter: int) -> np.ndarray:
         theta, y = lowest(lifted, 1, LOOSE_CHECK_TOL)
         if theta[0] - np.linalg.norm(lifted @ y - theta * y) >= floor:
             return vals[:count]
-        val, vec = lowest(lifted, 1, tol)
+        val, vec = lowest(lifted, 1, ND_TOL)
         if not val[0] < floor:
             return vals[:count]
         vals, vecs = np.append(vals, val), np.hstack((vecs, vec))
 
 
-def solve_nd(op, count: int, seed: int = 7, tol: float = 1e-9, maxiter: int = 600) -> SpectrumResult:
+def solve_nd(op, count: int, seed: int = 7) -> SpectrumResult:
     """Lowest eigenvalues of an n=3 channel operator.
 
     The operator splits into blocks: `op.block_matrix(k)` is block k and
@@ -265,14 +224,14 @@ def solve_nd(op, count: int, seed: int = 7, tol: float = 1e-9, maxiter: int = 60
 
     Per block, scipy's `eigsh` (ARPACK's implicitly restarted Lanczos) runs
     on the block A, which must be real and pass a random symmetry probe at
-    1e-12 relative (else DomainError).  `tol` is ARPACK's relative
-    accuracy, `maxiter` its limit on restarts per run, and `seed` draws the
+    1e-12 relative (else DomainError).  ARPACK runs at relative accuracy
+    ND_TOL with at most ND_MAXITER restarts per run, and `seed` draws the
     probes and the start vectors.  A degenerate level shows once per Krylov
     space, so the vectors V found are lifted (M = A + sigma V V^T, above the
     block's k-th value) and M's lowest value is checked: first at
     LOOSE_CHECK_TOL, where a Ritz pair (theta, y) ends the block if
-    theta - |M y - theta y| clears the k-th value less 10 tol scale, then
-    at `tol`, where a value below that bound joins the block's values and
+    theta - |M y - theta y| clears the k-th value less 10 ND_TOL scale, then
+    at ND_TOL, where a value below that bound joins the block's values and
     the check repeats.
     """
     if count < 1:
@@ -283,19 +242,16 @@ def solve_nd(op, count: int, seed: int = 7, tol: float = 1e-9, maxiter: int = 60
     found = []
     for k, copies in enumerate(op.block_copies):
         if copies:
-            vals = _lowest_block(op.block_matrix(k), math.ceil(count / copies), rng, tol, maxiter)
+            vals = _lowest_block(op.block_matrix(k), math.ceil(count / copies), rng)
             found.append(np.repeat(vals, copies))
-    g = op.grid
     return SpectrumResult(
         kind=op.kind,
         channel=tuple(op.labels),
         eigenvalues=np.sort(np.concatenate(found))[:count],
         threshold=math.nan,
-        bound_count=0,
         margins=np.full(count, np.nan),
-        x_min=g.q_min,
-        x_max=g.q_max,
-        h=g.step,
+        x_max=op.grid.q_max,
+        h=op.grid.step,
     )
 
 
@@ -381,10 +337,8 @@ __all__ = [
     "MARGIN_FACTOR",
     "MAX_ND_COUNT",
     "ConvergenceStudy",
-    "ScanRow",
     "SpectralClass",
     "SpectrumResult",
-    "boundedness_scan",
     "classify_channel",
     "convergence_study",
     "nested_grids",

@@ -22,6 +22,7 @@ from affbody.hamiltonians import (
     GridND,
     ModelKind,
     ModelParams,
+    assemble_2d_channel,
     assemble_nd_channel,
 )
 from affbody.peter_weyl import (
@@ -32,7 +33,7 @@ from affbody.peter_weyl import (
     validate_superselection,
 )
 from affbody.representations import Group, RepLabel
-from affbody.spectra import SpectralClass, classify_channel, solve_nd
+from affbody.spectra import SpectralClass, classify_channel, solve_1d, solve_nd
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -332,6 +333,23 @@ class TestRun:
             ),
             # 2**21 nodes refined 6 times reach 2**27 nodes
             (base_config(grid={"x_max": 20.0, "npoints": 2**21}, refinements=6), [], "grid.npoints"),
+            # the isotropic model's linear weights turn negative below 0
+            (
+                base_config(
+                    model="dalembert",
+                    params={"I": 2.0, "A": 0.0, "B": 0.0},
+                    grid={"x_min": -1.0, "x_max": 10.0, "npoints": 99},
+                ),
+                [],
+                "grid.x_min",
+            ),
+            (
+                {**ND, "model": "dalembert", "grid": {"q_min": -1.0, "q_max": 1.0, "npoints": 7}},
+                [],
+                "grid.q_min",
+            ),
+            # the manifest would overwrite the table
+            (base_config(outputs={"table": "t.txt", "manifest": "t.txt"}), [], "outputs.manifest"),
         ],
         ids=[
             "seed",
@@ -341,6 +359,9 @@ class TestRun:
             "count-above-grid",
             "well-width",
             "refined-grid-capacity",
+            "dalembert-x-min",
+            "dalembert-q-min",
+            "table-is-manifest",
         ],
     )
     def test_unrunnable_config_exit_2(self, tmp_path, capsys, doc, args, field):
@@ -348,6 +369,19 @@ class TestRun:
         assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o"), *args]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "scan-threshold", "convergence"])
+    @pytest.mark.parametrize("target", ["afile", "afile/sub"])
+    def test_unusable_output_dir_exit_2(self, tmp_path, capsys, monkeypatch, command, target):
+        calls = []
+        for name in ("solve_1d", "convergence_study"):
+            monkeypatch.setattr(affbody.cli, name, lambda *a, **k: calls.append(a))
+        (tmp_path / "afile").write_text("")
+        cfg = write_config(tmp_path, base_config())
+        assert main([command, "--config", cfg, "--output-dir", str(tmp_path / target)]) == 2
+        assert capsys.readouterr().err.startswith("error: --output-dir: ")
+        assert calls == []  # no channel ran
+        assert (tmp_path / "afile").read_text() == ""
 
     def test_convergence_grid_capacity_exit_2(self, tmp_path, capsys):
         # levels 8 refine 2**19 + 1 nodes 7 times, past 2**26
@@ -409,37 +443,33 @@ class TestRun:
         assert main(["run", "--config", cfg, "--jobs", "0"]) == 2
         assert "jobs" in capsys.readouterr().err
 
-    # the isotropic model needs positive invariants: every channel raises DomainError
+    # every channel fails: the n=3 ones pass the capacity at refinement 6, and the
+    # planar ones overflow with a gated but tiny A; (0, 2) and (2, 0) are twins
     @pytest.mark.parametrize(
-        "command,doc",
+        "command,doc,error",
         [
             (
                 "run",
-                {
-                    "model": "dalembert",
-                    "dimension": 3,
-                    "params": {"I": 2.0, "A": 0.0, "B": 0.0},
-                    "channels": [[0.0, 0.0], [1.0, 1.0]],
-                    "grid": {"q_min": -1.0, "q_max": 1.0, "npoints": 7},
-                    "count": 2,
-                },
+                {**ND, "channels": [[0.0, 0.0], [1.0, 1.0]], "refinements": 6},
+                "CapacityError",
             ),
             *(
                 (
                     command,
                     base_config(
-                        model="dalembert",
-                        params={"I": 2.0, "A": 0.0, "B": 0.0},
+                        params={"I": 0.0, "A": 1e-305, "B": 0.0},
                         channels=[[0, 2], [1, 1], [2, 0]],
-                        grid={"x_min": -1.0, "x_max": 10.0, "npoints": 99},
+                        grid={"x_max": 10.0, "npoints": 99},
                     ),
+                    "NumericalError",
                 )
                 for command in ("scan-threshold", "convergence")
             ),
         ],
         ids=["run", "scan-threshold", "convergence"],
     )
-    def test_partial_failure_exit_1(self, tmp_path, capsys, command, doc):
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_partial_failure_exit_1(self, tmp_path, capsys, command, doc, error):
         cfg = write_config(tmp_path, doc)
         code = main([command, "--config", cfg, "--output-dir", str(tmp_path / "o")])
         assert code == 1
@@ -447,7 +477,7 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == len(channels)
         for line, ch in zip(err, channels):
-            assert line.startswith(f"channel {ch}: DomainError: ")
+            assert line.startswith(f"channel {ch}: {error}: ")
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert sorted(manifest["errors"]) == [f"{a},{b}" for a, b in channels]
         assert manifest["timings"]["per_channel_seconds"] == {}
@@ -924,23 +954,63 @@ class TestStoredNDReference:
             np.testing.assert_allclose([float(r[4]) for r in got], want, rtol=1e-8)
 
 
+def load_bench_module(name):
+    """bench/<name>.py, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchOracles:
+    """The benchmark's dense oracles run on the library names they use and agree
+    with the solvers: planar at 1e-9 relative, n=3 at 1e-8."""
+
+    def test_dense_planar_oracle_matches_solve_1d(self):
+        oracles = load_bench_module("oracles")
+        cfg = parse_config(
+            base_config(
+                model="met-aff",
+                params={"I": 2.0, "A": 1.0, "B": 0.5},
+                grid={"x_max": 20.0, "npoints": 199},
+                potentials={
+                    "dilatation": {"kind": "harmonic", "k": 2.0},
+                    "shear": {"kind": "harmonic", "k": 0.3, "q0": 1.0},
+                },
+            )
+        )
+        for channel in ((0, 0), (2, 1), (-1, 3)):
+            op = assemble_2d_channel(cfg.kind, cfg.params, channel, cfg.grid1d, cfg.dil, cfg.shear)
+            want = solve_1d(op, 4).eigenvalues
+            got = oracles.dense_lowest(cfg, channel, 4)
+            np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    def test_dense_nd_oracle_matches_solve_nd(self):
+        oracles = load_bench_module("oracles")
+        doc = {
+            "model": "met-aff",
+            "dimension": 3,
+            "params": {"I": 2.0, "A": 1.0, "B": 0.5},
+            "channels": [[1, 1]],
+            "grid": {"q_min": -3.0, "q_max": 3.0, "npoints": 5},
+        }
+        cfg = parse_config(doc)
+        op = assemble_nd_channel(cfg.kind, cfg.params, (1.0, 1.0), cfg.gridnd)
+        assert math.prod(op.shape) <= oracles.DENSE_ND_LIMIT  # the dense branch
+        want = solve_nd(op, 4, seed=1).eigenvalues
+        np.testing.assert_allclose(oracles.nd_reference(doc, "1.0,1.0", 4), want, rtol=1e-8)
+
+
 class TestBenchTracing:
     """The benchmark's tracer finds every name it wraps, and close() restores them."""
-
-    @staticmethod
-    def load_tracing():
-        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("bench_tracing", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
 
     @staticmethod
     def current(owner, attr):
         return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
 
     def test_install_then_close_restores_every_name(self, tmp_path):
-        tracing = self.load_tracing()
+        tracing = load_bench_module("tracing")
         tracer = tracing.Tracer()
         eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
         cfg = write_config(tmp_path, base_config(grid={"x_max": 20.0, "npoints": 99}, count=1))

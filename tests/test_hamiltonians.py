@@ -22,6 +22,7 @@ from affbody.hamiltonians import (
     assemble_nd_channel,
     assemble_q_sector,
     check_gates,
+    check_grid_start,
     derived_constants,
     effective_weight_potential,
     kinetic_from_casimirs,
@@ -159,14 +160,18 @@ class TestGrid1D:
             Grid1D(1.0, 1.0, 5)
 
 
+def hyperbolic_diag(op, sh, ch, shift=0.0):
+    """sh/sh^2(x/2) - ch/ch^2(x/2) + shift on the operator's nodes."""
+    half = 0.5 * op.grid.points
+    return sh / np.sinh(half) ** 2 - ch / np.cosh(half) ** 2 + shift
+
+
 class TestAssemble2D:
     def test_trivial_channel_is_pure_laplacian(self):
         op = assemble_2d_channel(
             ModelKind.AFF_AFF, params2(A=1.0, B=0.0), (0, 0), Grid1D.from_spec(10.0, 20)
         )
         assert op.kinetic_coeff == pytest.approx(1.0)
-        assert op.sh_coeff == 0.0
-        assert op.ch_coeff == 0.0
         assert np.all(op.diag_potential == 0.0)
         assert op.weight_kind is WeightKind1D.SINH
         assert op.q_sector.coeff == pytest.approx(0.25)
@@ -176,8 +181,7 @@ class TestAssemble2D:
         op = assemble_2d_channel(
             ModelKind.AFF_AFF, params2(A=1.0), (1, 1), Grid1D.from_spec(10.0, 20)
         )
-        assert op.sh_coeff == 0.0
-        assert op.ch_coeff == pytest.approx(0.25)
+        np.testing.assert_allclose(op.diag_potential, hyperbolic_diag(op, 0.0, 0.25), rtol=1e-14)
         # purely attractive ch^-2 well on top of the weight
         assert np.all(op.diag_potential < 0.0)
 
@@ -186,8 +190,9 @@ class TestAssemble2D:
             ModelKind.MET_AFF, params2(I=2, A=1, B=0), (2, 1), Grid1D.from_spec(10.0, 20)
         )
         assert op.constant_shift == pytest.approx(8.0 / 3.0)
-        assert op.sh_coeff == pytest.approx(1.0 / 48.0)
-        assert op.ch_coeff == pytest.approx(9.0 / 48.0)
+        np.testing.assert_allclose(
+            op.diag_potential, hyperbolic_diag(op, 1.0 / 48.0, 9.0 / 48.0, 8.0 / 3.0), rtol=1e-14
+        )
         assert op.kinetic_coeff == pytest.approx(1.0 / 3.0)
         assert op.q_sector.coeff == pytest.approx(1.0 / 12.0)
         assert op.threshold == pytest.approx(8.0 / 3.0 + 1.0 / 12.0)
@@ -202,9 +207,9 @@ class TestAssemble2D:
         g = Grid1D.from_spec(12.0, 25)
         a = assemble_2d_channel(ModelKind.AFF_AFF, params2(A=1.5, B=0.5), (3, 1), g)
         b = assemble_2d_channel(ModelKind.AFF_AFF, params2(A=1.5, B=0.5), (1, 3), g)
-        assert a.sh_coeff == b.sh_coeff
-        assert a.ch_coeff == b.ch_coeff
-        np.testing.assert_allclose(a.diag_potential, b.diag_potential)
+        # (n - m)^2 / 16A = 1/6 and (n + m)^2 / 16A = 2/3 for both
+        np.testing.assert_allclose(a.diag_potential, hyperbolic_diag(a, 1 / 6, 2 / 3), rtol=1e-14)
+        assert a.diag_potential.tobytes() == b.diag_potential.tobytes()
 
     def test_dilatational_coefficient_reconciliation(self):
         # -1/(4A) + B/(2A(A+2B)) collapses to -1/(4(A+2B)) identically
@@ -221,7 +226,8 @@ class TestAssemble2D:
         )
         assert op.weight_kind is WeightKind1D.LINEAR
         assert op.kinetic_coeff == pytest.approx(0.5)
-        assert op.inv_sq_coeff == pytest.approx(1.0 / 8.0)
+        x = op.grid.points
+        np.testing.assert_allclose(op.diag_potential, (1.0 / 8.0) / x**2, rtol=1e-14)
         assert op.q_sector.inv_sq_coeff == pytest.approx(9.0 / 8.0)
         assert op.q_sector.weight_kind is WeightKind1D.LINEAR
         assert op.threshold == 0.0
@@ -304,6 +310,20 @@ class TestQSector:
         with pytest.raises(DomainError):
             assemble_q_sector(op.q_sector, Grid1D(-1.0, 1.0, 5))
 
+    def test_every_dalembert_assembler_checks_the_grid_start(self):
+        # one rule for the x-sector, the q-sector and the n=3 operator
+        op = assemble_2d_channel(ModelKind.DALEMBERT, params2(), (2, 1), Grid1D(0.0, 1.0, 5))
+        below = Grid1D(-1.0, 1.0, 5)
+        for call in (
+            lambda: assemble_2d_channel(ModelKind.DALEMBERT, params2(), (2, 1), below),
+            lambda: assemble_q_sector(op.q_sector, below),
+            lambda: assemble_nd_channel(ModelKind.DALEMBERT, params3(), (0, 0), GridND(3, -1, 1)),
+        ):
+            with pytest.raises(DomainError, match="isotropic model lives on positive coordinates"):
+                call()
+        check_grid_start(ModelKind.DALEMBERT, 0.0)
+        check_grid_start(ModelKind.AFF_AFF, -1.0)
+
 
 class TestWeightedForm:
     def test_weighted_symmetry(self):
@@ -363,7 +383,6 @@ class TestSymmetrize:
         u = effective_weight_potential(WeightKind1D.SINH, op.kinetic_coeff, op.grid.points)
         np.testing.assert_allclose(flat.diag_potential, op.diag_potential + u)
         assert flat.threshold == op.threshold
-        assert flat.source_weight is WeightKind1D.SINH
 
     def test_spectra_agree_between_forms(self):
         # same operator in weighted and flat guise; the discretizations

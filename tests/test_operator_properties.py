@@ -6,10 +6,11 @@ operator that solve_nd builds is symmetric, and the blocks together cover
 the whole field: the block sizes, each counted as often as its eigenvalues
 count, add up to N^3 d.
 
-Planar label twins, channels in [-6, 6]^2 with equal `planar_label_terms`,
-assemble bitwise-equal operators: the x-sector and q-sector tridiagonals
-and the thresholds agree to the last bit, under zero and harmonic
-potentials, for all four models.  Channels with equal `shear_label_terms`
+Planar label twins, channels in [-6, 6]^2 with equal `shear_label_terms`
+and equal (n + m)^2 (which dalembert's q-sector reads), assemble
+bitwise-equal operators: the x-sector and q-sector tridiagonals and the
+thresholds agree to the last bit, under zero and harmonic potentials,
+for all four models.  Channels with equal `shear_label_terms`
 (in dalembert, equal |n - m|) agree so in the x-sector.
 
 Along a refinement chain, a level's 2h grid is the level before it:
@@ -41,7 +42,6 @@ from affbody.hamiltonians import (  # noqa: E402
     assemble_q_sector,
     check_gates,
     klein_bases,
-    planar_label_terms,
     shear_label_terms,
     symmetrize,
 )
@@ -95,8 +95,13 @@ planar_potentials = st.just(PotentialSpec.zero()) | st.builds(
 )
 
 
+def planar_terms(kind, channel):
+    """The label terms of both planar sectors."""
+    return (*shear_label_terms(kind, channel), sum(channel) ** 2)
+
+
 @st.composite
-def planar_twins(draw, terms_of=planar_label_terms):
+def planar_twins(draw, terms_of=planar_terms):
     """Gated planar parameters, a channel, and a channel with its terms_of."""
     kind, params = draw(gated_params(n=2))
     channel = draw(st.sampled_from(PLANAR_LABELS))

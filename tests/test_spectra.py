@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+import affbody.spectra
 from affbody.errors import DomainError, NumericalError
 from affbody.hamiltonians import (
     ChannelOperator1D,
@@ -23,8 +24,6 @@ from affbody.hamiltonians import (
 )
 from affbody.spectra import (
     SpectralClass,
-    SpectrumResult,
-    boundedness_scan,
     classify_channel,
     convergence_study,
     nested_grids,
@@ -195,102 +194,31 @@ class TestSolve1D:
         assert np.all(res.margins > 0.0)
 
 
-def assert_same_result(a, b):
-    """Every SpectrumResult field equal, floats and arrays bit for bit."""
-    for field in dataclasses.fields(SpectrumResult):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, (float, np.ndarray)):
-            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field.name
-        else:
-            assert x == y, field.name
+def ground_energies(kind, params, channels, grid):
+    ops = (assemble_2d_channel(kind, params, ch, grid) for ch in channels)
+    return [solve_1d(op, 1).eigenvalues[0] for op in ops]
 
 
-def count_tridiagonal_solves(monkeypatch) -> list:
-    calls = []
-    original = scipy.linalg.eigh_tridiagonal
-    monkeypatch.setattr(
-        scipy.linalg,
-        "eigh_tridiagonal",
-        lambda *a, **k: calls.append(1) or original(*a, **k),
-    )
-    return calls
-
-
-class TestBoundednessScan:
+class TestPlanarGroundEnergies:
     def test_aff_aff_unbounded_trend(self):
-        rows = boundedness_scan(
+        energies = ground_energies(
             ModelKind.AFF_AFF, P2(I=1, A=1, B=0),
-            [(k, k) for k in range(1, 7)], grid=Grid1D.from_spec(40.0, 799),
+            [(k, k) for k in range(1, 7)], Grid1D.from_spec(40.0, 799),
         )
-        energies = [r.energy for r in rows]
-        assert all(e is not None for e in energies)
         assert all(b < a for a, b in zip(energies, energies[1:]))
 
     def test_met_aff_bounded(self):
-        rows = boundedness_scan(
+        energies = ground_energies(
             ModelKind.MET_AFF, P2(I=2, A=1, B=0),
-            [(k, k) for k in range(1, 7)], grid=Grid1D.from_spec(40.0, 799),
+            [(k, k) for k in range(1, 7)], Grid1D.from_spec(40.0, 799),
         )
-        assert all(r.energy is not None and r.energy > 0.0 for r in rows)
+        assert all(e > 0.0 for e in energies)
 
     def test_trivial_channel_nonnegative(self):
-        rows = boundedness_scan(
-            ModelKind.AFF_AFF, P2(I=1, A=1, B=0), [(0, 0)],
-            grid=Grid1D.from_spec(40.0, 499),
+        (energy,) = ground_energies(
+            ModelKind.AFF_AFF, P2(I=1, A=1, B=0), [(0, 0)], Grid1D.from_spec(40.0, 499)
         )
-        assert rows[0].energy >= -1e-8
-
-    def test_partial_results_and_ordering(self):
-        rows = boundedness_scan(
-            ModelKind.AFF_AFF, P2(I=1, A=1, B=0), [(2, 0), (0.5, 0), (0, 1)],
-            grid=Grid1D.from_spec(20.0, 199),
-        )
-        assert [r.channel for r in rows] == [(0, 1), (0.5, 0), (2, 0)]
-        bad = [r for r in rows if r.error is not None]
-        assert len(bad) == 1 and bad[0].channel == (0.5, 0)
-        assert bad[0].energy is None
-
-    def test_empty_channels_rejected(self):
-        with pytest.raises(DomainError):
-            boundedness_scan(ModelKind.AFF_AFF, P2(I=1, A=1, B=0), [])
-
-    def test_label_twins_solved_once_per_scan(self, monkeypatch):
-        # aff-aff (m, n), (n, m), (-m, -n), (-n, -m) share one operator
-        twins = [(1, 3), (3, 1), (-1, -3), (-3, -1)]
-        grid = Grid1D.from_spec(30.0, 199)
-        params = P2(I=1, A=1, B=0)
-        cold = [
-            solve_1d(assemble_2d_channel(ModelKind.AFF_AFF, params, ch, grid), 2)
-            for ch in sorted(twins)
-        ]
-        calls = count_tridiagonal_solves(monkeypatch)
-        for _ in range(2):  # nothing is kept from one scan to the next
-            calls.clear()
-            rows = boundedness_scan(ModelKind.AFF_AFF, params, twins, count=2, grid=grid)
-            assert len(calls) == 2  # the grid and its margin grid
-            for row, ref in zip(rows, cold):
-                assert_same_result(row.result, ref)
-
-
-    def test_label_twins_assembled_once_per_scan(self, monkeypatch):
-        import affbody.spectra
-
-        seen, original = [], affbody.spectra.assemble_2d_channel
-
-        def spy(kind, params, channel, grid):
-            seen.append(tuple(channel))
-            return original(kind, params, channel, grid)
-
-        monkeypatch.setattr(affbody.spectra, "assemble_2d_channel", spy)
-        twins = [(1, 3), (3, 1), (-1, -3), (-3, -1)]
-        rows = boundedness_scan(
-            ModelKind.AFF_AFF, P2(I=1, A=1, B=0), twins + [(0, 1), (1, 0)],
-            grid=Grid1D.from_spec(30.0, 99),
-        )
-        assert seen == [(-3, -1), (0, 1)]  # the first of each twin set, in label order
-        for row in rows:
-            assert row.result.channel == row.channel
-        assert len({row.energy for row in rows if row.channel in twins}) == 1
+        assert energy >= -1e-8
 
 
 class FlatBoxND:
@@ -470,9 +398,10 @@ class TestSolveNDMatrixChannel:
         other = solve_nd(spin1_channel_n13, 4, seed=2).eigenvalues
         np.testing.assert_allclose(other, spin1_values_n13, rtol=1e-9)
 
-    def test_restart_limit_raises_numerical_error(self, spin1_channel_n13):
+    def test_restart_limit_raises_numerical_error(self, spin1_channel_n13, monkeypatch):
+        monkeypatch.setattr(affbody.spectra, "ND_MAXITER", 1)
         with pytest.raises(NumericalError, match="did not converge"):
-            solve_nd(spin1_channel_n13, 4, maxiter=1)
+            solve_nd(spin1_channel_n13, 4)
 
     def test_any_arpack_error_raises_numerical_error(self, monkeypatch):
         import scipy.sparse.linalg
