@@ -380,11 +380,12 @@ def _label_key(channel) -> str:
 def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, write_rows) -> int:
     """Run worker(channel) per twin key in label order; write table and manifest.
 
-    The output directory is made first (UsageError if it cannot be).  A
-    planar channel's key is its `shear_label_terms`, an n=3 channel is its
-    own.  The first channel of a key runs the worker; each later one, its
-    label twin, takes that result (still labelled as the first twin) or
-    error, and the manifest's "twin_of" names its first twin.  A channel's
+    The output directory is made first (UsageError if it cannot be, or if
+    the table or manifest name is a directory in it).  A planar channel's
+    key is its `shear_label_terms`, an n=3 channel is its own.  The first
+    channel of a key runs the worker; each later one, its label twin,
+    takes that result (still labelled as the first twin) or error, and
+    the manifest's "twin_of" names its first twin.  A channel's
     exception is recorded in the manifest and on stderr, and the other
     channels still run.  write_rows(fh, results) writes the table from the
     results of the channels that succeeded, keyed by channel in label
@@ -394,6 +395,9 @@ def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, writ
         os.makedirs(output_dir, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"--output-dir: cannot create {output_dir!r}: {exc}") from exc
+    for key, name in (("table", cfg.table_name), ("manifest", cfg.manifest_name)):
+        if os.path.isdir(os.path.join(output_dir, name)):
+            raise UsageError(f"outputs.{key}: {name!r} is a directory in {output_dir!r}")
     t0 = time.perf_counter()
     results, errors, timings, twin_of, first = {}, {}, {}, {}, {}
     for ch in sorted(cfg.channels):

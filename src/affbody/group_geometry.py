@@ -75,10 +75,6 @@ class TwoPolarConfig:
     R: np.ndarray
     degenerate: bool
 
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
 
 def _configuration(phi):
     """(phi as a float array, det(phi)); DomainError unless square with finite det > 0."""

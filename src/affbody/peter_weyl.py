@@ -151,10 +151,6 @@ class Expansion:
             seen.add(key)
         object.__setattr__(self, "channels", channels)
 
-    @property
-    def planar(self) -> bool:
-        return self.channels[0].planar
-
 
 def _interpolate(amplitude: ChannelAmplitude, q: np.ndarray) -> np.ndarray:
     from scipy.interpolate import RegularGridInterpolator

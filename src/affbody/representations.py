@@ -181,113 +181,37 @@ def casimir(gen: GeneratorSet) -> np.ndarray:
     return sum(a @ a for a in gen.S)
 
 
-@dataclass(frozen=True)
-class RotationVector:
-    """Rotation vector k = angle * axis with a declared parent group.
-
-    The modulus must lie in [0, pi] for SO(3) and [0, 2 pi] for SU(2).
-    """
-
-    vec: tuple
-    group: Group
-
-    def __post_init__(self):
-        v = np.asarray(self.vec, dtype=float)
-        if v.shape != (3,):
-            raise DomainError(f"rotation vector must have three components, got shape {v.shape}")
-        k = float(np.linalg.norm(v))
-        limit = np.pi if self.group is Group.SO3 else 2.0 * np.pi
-        if self.group is Group.SO2:
-            raise DomainError("rotation vectors parametrize the three-dimensional groups")
-        if k > limit + _ANGLE_TOL:
-            raise DomainError(f"modulus {k} outside [0, {limit}] for {self.group.value}")
-        object.__setattr__(self, "vec", tuple(float(x) for x in v))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.vec, dtype=float)
-
-    @property
-    def angle(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
-
-def _as_kvec(k) -> np.ndarray:
-    if isinstance(k, RotationVector):
-        return k.array
-    v = np.asarray(k, dtype=float)
-    if v.shape != (3,):
-        raise DomainError(f"rotation vector must have three components, got shape {v.shape}")
-    return v
-
-
-def rotation_matrix(k) -> np.ndarray:
-    """Rodrigues rotation matrix for the rotation vector k.
-
-    Satisfies rotation_matrix(pi * n) == rotation_matrix(-pi * n) for any
-    unit axis n.
-    """
-    v = _as_kvec(k)
-    angle = float(np.linalg.norm(v))
-    if angle < 1e-12:
-        # second-order series keeps the result accurate through angle -> 0
-        kx = _cross_matrix(v)
-        return np.eye(3) + kx + 0.5 * (kx @ kx)
-    n = v / angle
-    nx = _cross_matrix(n)
-    return (
-        np.cos(angle) * np.eye(3)
-        + (1.0 - np.cos(angle)) * np.outer(n, n)
-        + np.sin(angle) * nx
-    )
-
-
-def _cross_matrix(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
-
-
 def rotation_vector_from_matrix(W) -> np.ndarray:
-    """Inverse of rotation_matrix, returning the vector with angle in [0, pi]."""
+    """Inverse of W(k), returning the vector with angle in [0, pi]."""
     W = np.asarray(W, dtype=float)
     if W.shape != (3, 3):
         raise DomainError(f"need a 3 x 3 rotation matrix, got shape {W.shape}")
     if np.max(np.abs(W @ W.T - np.eye(3))) > 1e-8 or np.linalg.det(W) < 0.0:
         raise DomainError("matrix is not a rotation")
-    cos_angle = np.clip((np.trace(W) - 1.0) / 2.0, -1.0, 1.0)
-    angle = float(np.arccos(cos_angle))
-    if angle < 1e-9:
-        return np.zeros(3)
-    if angle < np.pi - 1e-6:
-        axis = np.array([W[2, 1] - W[1, 2], W[0, 2] - W[2, 0], W[1, 0] - W[0, 1]])
-        return angle * axis / (2.0 * np.sin(angle))
-    # angle pi: W + Id = 2 n n^T, any non-null column is parallel to the axis
-    M = W + np.eye(3)
-    col = M[:, int(np.argmax(np.sum(M * M, axis=0)))]
-    return np.pi * col / np.linalg.norm(col)
+    # v = 2 sin(angle) n and tr W - 1 = 2 cos(angle)
+    v = np.array([W[2, 1] - W[1, 2], W[0, 2] - W[2, 0], W[1, 0] - W[0, 1]])
+    two_cos, two_sin = np.trace(W) - 1.0, float(np.linalg.norm(v))
+    angle = math.atan2(two_sin, two_cos)
+    if two_cos >= 0.0:
+        return angle * v / two_sin if two_sin > 0.0 else np.zeros(3)
+    # past pi/2 v loses digits to cancellation, while the symmetric part
+    # W + W^T - 2 cos(angle) Id = 2 (1 - cos(angle)) n n^T keeps them; its
+    # largest column is parallel to n, signed by v unless the angle is pi
+    M = W + W.T - two_cos * np.eye(3)
+    axis = M[:, int(np.argmax(np.sum(M * M, axis=0)))]
+    if axis @ v < 0.0:
+        axis = -axis
+    return angle * axis / np.linalg.norm(axis)
 
 
 def _su2_batch(ks: np.ndarray) -> np.ndarray:
-    """su2_element over an (N, 3) array of rotation vectors, shape (N, 2, 2)."""
+    """u(k) over an (N, 3) array of rotation vectors, shape (N, 2, 2)."""
     angle = np.linalg.norm(ks, axis=-1, keepdims=True)
     small = angle < _ANGLE_TOL
     # sin(|k|/2) n, which tends to k/2 as |k| -> 0
     h = np.where(small, 0.5 * ks, np.sin(angle / 2.0) * ks / np.where(small, 1.0, angle))
     c, (h1, h2, h3) = np.cos(angle[:, 0] / 2.0), h.T
     return np.stack([c - 1j * h3, -h2 - 1j * h1, h2 - 1j * h1, c + 1j * h3], -1).reshape(-1, 2, 2)
-
-
-def su2_element(k) -> np.ndarray:
-    """SU(2) element cos(|k|/2) Id - i sin(|k|/2) (n . sigma).
-
-    Satisfies su2_element(2 pi n) = -Id for any unit axis n.
-    """
-    return _su2_batch(_as_kvec(k)[None, :])[0]
 
 
 def wigner_D(label: RepLabel, k) -> np.ndarray:
@@ -298,7 +222,9 @@ def wigner_D(label: RepLabel, k) -> np.ndarray:
     an SO(2) label the rotation must be about the third axis and the
     result is the 1 x 1 phase exp(i m k_3).
     """
-    v = _as_kvec(k)
+    v = np.asarray(k, dtype=float)
+    if v.shape != (3,):
+        raise DomainError(f"rotation vector must have three components, got shape {v.shape}")
     if label.group is Group.SO2:
         if abs(v[0]) > _ANGLE_TOL or abs(v[1]) > _ANGLE_TOL:
             raise DomainError("SO(2) labels only represent rotations about the third axis")
@@ -356,16 +282,6 @@ def group_volume(group: Group) -> float:
     raise DomainError(f"no rotation-vector Haar volume for {group!r}")
 
 
-def haar_weight_rotgroup(k: float, group: Group = Group.SO3) -> float:
-    """Radial density 4 sin^2(k/2) of the Haar measure in polar coordinates."""
-    limit = np.pi if group is Group.SO3 else 2.0 * np.pi
-    if group is Group.SO2:
-        raise DomainError("radial Haar weight applies to the three-dimensional groups")
-    if k < -_ANGLE_TOL or k > limit + _ANGLE_TOL:
-        raise DomainError(f"angle {k} outside [0, {limit}] for {group.value}")
-    return float(4.0 * np.sin(k / 2.0) ** 2)
-
-
 @dataclass(frozen=True)
 class HaarQuadrature:
     """Product quadrature for integrals over the rotation group.
@@ -373,20 +289,13 @@ class HaarQuadrature:
     vectors has shape (N, 3) and weights shape (N,); summing
     f(vectors) * weights approximates integral f d(mu).  The rows are
     grouped by radial shell: `order` shells of one |k| each, with
-    2 * order**2 consecutive rows per shell.  Iterating the object yields (RotationVector, weight) pairs.
+    2 * order**2 consecutive rows per shell.
     """
 
     group: Group
     order: int
     vectors: np.ndarray
     weights: np.ndarray
-
-    def __iter__(self):
-        for vec, w in zip(self.vectors, self.weights):
-            yield RotationVector(tuple(vec), self.group), float(w)
-
-    def __len__(self) -> int:
-        return self.weights.shape[0]
 
 
 def haar_quadrature(group: Group, order: int) -> HaarQuadrature:

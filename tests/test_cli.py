@@ -34,6 +34,7 @@ from affbody.peter_weyl import (
 )
 from affbody.representations import Group, RepLabel
 from affbody.spectra import SpectralClass, classify_channel, solve_1d, solve_nd
+from affbody.verify import CheckResult
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -131,6 +132,24 @@ class TestParseConfig:
             (base_config(refinements=-1), "refinements"),
             (base_config(boxsize=3), "boxsize"),
             (base_config(target_space="glplus"), "target_space"),
+            (base_config(count=2.5), "count: expected an integer"),
+            (base_config(seed=10**400), "seed: expected a finite number"),
+            (base_config(potentials={"shear": {"k": 1.0}}), "potentials.shear"),
+            (
+                {
+                    "model": "met-aff",
+                    "dimension": 3,
+                    "params": {"I": 2.0, "A": 1.0, "B": 0.5},
+                    "channels": {"square": [0, 1]},
+                    "grid": {"q_min": -3.0, "q_max": 3.0, "npoints": 3},
+                },
+                "channels: square range specs need dimension 2",
+            ),
+            (base_config(grid={"x_max": 10.0, "h": -0.1}), "grid.h"),
+            (
+                base_config(grid={"x_min": 5.0, "x_max": 1.0, "npoints": 9}),
+                "grid: grid needs x_max > x_min",
+            ),
         ],
     )
     def test_usage_errors_name_field(self, doc, field):
@@ -382,6 +401,17 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: --output-dir: ")
         assert calls == []  # no channel ran
         assert (tmp_path / "afile").read_text() == ""
+
+    @pytest.mark.parametrize("key", ["table", "manifest"])
+    def test_output_name_that_is_a_directory_exit_2(self, tmp_path, capsys, monkeypatch, key):
+        calls = []
+        monkeypatch.setattr(affbody.cli, "solve_1d", lambda *a, **k: calls.append(a))
+        (tmp_path / "o" / "t.txt").mkdir(parents=True)
+        cfg = write_config(tmp_path, base_config(outputs={key: "t.txt"}))
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: outputs.{key}: ")
+        assert calls == []  # no channel ran
+        assert os.listdir(tmp_path / "o") == ["t.txt"]
 
     def test_convergence_grid_capacity_exit_2(self, tmp_path, capsys):
         # levels 8 refine 2**19 + 1 nodes 7 times, past 2**26
@@ -879,6 +909,17 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
         assert "checks passed" in out
+
+    def test_all_suites_pass(self, capsys):
+        assert main(["verify", "--suite", "all"]) == 0
+        assert capsys.readouterr().out.endswith("all 23 checks passed\n")
+
+    def test_failing_suite_exit_1(self, capsys, monkeypatch):
+        failed = CheckResult("broken", 1.0, 0.0)
+        monkeypatch.setattr(affbody.cli, "run_suite", lambda suite, seed: [failed])
+        assert main(["verify", "--suite", "algebra"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "1 of 1 checks failed" in out
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

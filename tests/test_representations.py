@@ -3,19 +3,16 @@ import pytest
 import scipy.linalg
 
 from affbody.errors import DomainError
+from affbody.hamiltonians import KLEIN_ROTATIONS, TWIN_ROTATION
 from affbody.representations import (
     Group,
     HaarQuadrature,
     RepLabel,
-    RotationVector,
     casimir,
     generators,
     group_volume,
     haar_quadrature,
-    haar_weight_rotgroup,
-    rotation_matrix,
     rotation_vector_from_matrix,
-    su2_element,
     wigner_D,
     wigner_D_batch,
 )
@@ -37,14 +34,9 @@ def so3_generator(a):
     return -EPS[a]
 
 
-def series_rotation(k, terms=20):
-    X = k[0] * so3_generator(0) + k[1] * so3_generator(1) + k[2] * so3_generator(2)
-    out = np.eye(3)
-    acc = np.eye(3)
-    for j in range(1, terms):
-        acc = acc @ X / j
-        out = out + acc
-    return out
+def rotation(k):
+    # W(k) = exp(k^a E_a)
+    return scipy.linalg.expm(sum(k[a] * so3_generator(a) for a in range(3)))
 
 
 class TestLabels:
@@ -109,53 +101,42 @@ class TestGenerators:
             generators(RepLabel(Group.SO3, 3))
 
 
-class TestRotationMatrix:
-    def test_matches_series_oracle(self):
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            # 20 series terms leave < 1e-13 truncation error for |k| <= sqrt(3)
-            k = rng.uniform(-1.0, 1.0, size=3)
-            assert np.max(np.abs(rotation_matrix(k) - series_rotation(k))) < 1e-12
-
-    def test_z_half_turn(self):
-        W = rotation_matrix([0.0, 0.0, np.pi])
-        assert np.allclose(W, np.diag([-1.0, -1.0, 1.0]), atol=1e-15)
-
-    def test_half_turn_axis_sign(self):
-        rng = np.random.default_rng(29)
-        n = rng.standard_normal(3)
-        n /= np.linalg.norm(n)
-        assert np.allclose(
-            rotation_matrix(np.pi * n), rotation_matrix(-np.pi * n), atol=1e-14
-        )
-
-    def test_special_orthogonal(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            W = rotation_matrix(rng.uniform(-3, 3, size=3))
-            assert np.allclose(W @ W.T, np.eye(3), atol=1e-14)
-            assert np.linalg.det(W) == pytest.approx(1.0, abs=1e-13)
-
-    def test_small_angle(self):
-        k = np.array([1e-14, -2e-14, 1e-14])
-        assert np.allclose(rotation_matrix(k), np.eye(3), atol=1e-13)
-
-    def test_log_roundtrip(self):
+class TestRotationLog:
+    def test_inverts_exponential_at_every_angle(self):
         rng = np.random.default_rng(37)
-        for _ in range(50):
-            k = rng.uniform(-1, 1, size=3) * rng.uniform(0.1, 0.95) * np.pi
-            k = k / np.linalg.norm(k) * min(np.linalg.norm(k), 0.99 * np.pi)
-            W = rotation_matrix(k)
-            assert np.allclose(rotation_matrix(rotation_vector_from_matrix(W)), W, atol=1e-9)
+        angles = np.concatenate([np.geomspace(1e-12, 1.0, 13), np.linspace(1.0, np.pi - 1e-6, 8)])
+        angles = np.concatenate([angles, np.pi - np.geomspace(1e-2, 1e-6, 5)])
+        for angle in angles:
+            axes = rng.standard_normal((20, 3))
+            for n in axes / np.linalg.norm(axes, axis=1)[:, None]:
+                k = angle * n
+                got = rotation_vector_from_matrix(rotation(k))
+                assert np.linalg.norm(got - k) <= 1e-12 * angle
 
-    def test_log_half_turn(self):
+    def test_identity_is_zero(self):
+        assert np.array_equal(rotation_vector_from_matrix(np.eye(3)), np.zeros(3))
+
+    def test_half_turn(self):
         W = np.diag([-1.0, -1.0, 1.0])
         k = rotation_vector_from_matrix(W)
         assert np.linalg.norm(k) == pytest.approx(np.pi)
-        assert np.allclose(rotation_matrix(k), W, atol=1e-12)
+        assert np.allclose(rotation(k), W, atol=1e-12)
+
+    def test_klein_and_twin_rotations_exact(self):
+        # these vectors feed klein_bases and symmetry_defect
+        for a, W in enumerate(KLEIN_ROTATIONS):
+            assert np.array_equal(rotation_vector_from_matrix(W), np.pi * np.eye(3)[a])
+        assert np.array_equal(rotation_vector_from_matrix(TWIN_ROTATION), [0.0, -np.pi / 2, 0.0])
+
+    def test_rejects_non_rotations(self):
+        with pytest.raises(DomainError):
+            rotation_vector_from_matrix(np.eye(2))
+        with pytest.raises(DomainError):
+            rotation_vector_from_matrix(np.diag([1.0, 1.0, -1.0]))
 
 
-class TestSU2Element:
+class TestSpinHalf:
+    # D^(1/2)(k) is the SU(2) element u(k)
     def test_closed_form(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
@@ -165,16 +146,16 @@ class TestSU2Element:
             want = np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * sum(
                 n[a] * PAULI[a] for a in range(3)
             )
-            assert np.max(np.abs(su2_element(k) - want)) < 1e-14
+            assert np.max(np.abs(wigner_D(RepLabel.su2(0.5), k) - want)) < 1e-14
 
     def test_full_turn_is_minus_identity(self):
         rng = np.random.default_rng(43)
         n = rng.standard_normal(3)
         n /= np.linalg.norm(n)
-        assert np.allclose(su2_element(2.0 * np.pi * n), -np.eye(2), atol=1e-14)
+        assert np.allclose(wigner_D(RepLabel.su2(0.5), 2.0 * np.pi * n), -np.eye(2), atol=1e-14)
 
     def test_unitary_unimodular(self):
-        u = su2_element([0.3, -1.2, 0.4])
+        u = wigner_D(RepLabel.su2(0.5), [0.3, -1.2, 0.4])
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
         assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-14)
 
@@ -190,12 +171,6 @@ class TestWignerD:
         D = wigner_D(RepLabel.su2(0.5), [0.0, 0.0, theta])
         want = np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
         assert np.max(np.abs(D - want)) < 1e-14
-
-    def test_spin_half_equals_su2_element(self):
-        rng = np.random.default_rng(47)
-        for _ in range(25):
-            k = rng.uniform(-2, 2, size=3)
-            assert np.max(np.abs(wigner_D(RepLabel.su2(0.5), k) - su2_element(k))) < 1e-13
 
     def test_unitary(self):
         rng = np.random.default_rng(53)
@@ -227,7 +202,7 @@ class TestWignerD:
         for _ in range(10):
             k1 = rng.uniform(-1, 1, size=3)
             k2 = rng.uniform(-1, 1, size=3)
-            k12 = rotation_vector_from_matrix(rotation_matrix(k1) @ rotation_matrix(k2))
+            k12 = rotation_vector_from_matrix(rotation(k1) @ rotation(k2))
             got = wigner_D(label, k1) @ wigner_D(label, k2)
             assert np.max(np.abs(got - wigner_D(label, k12))) < 1e-9
 
@@ -261,24 +236,6 @@ class TestWignerD:
 
 
 class TestHaar:
-    def test_weight_values(self):
-        assert haar_weight_rotgroup(0.0) == 0.0
-        assert haar_weight_rotgroup(np.pi) == pytest.approx(4.0)
-        assert haar_weight_rotgroup(np.pi / 2, Group.SU2) == pytest.approx(2.0)
-
-    def test_weight_range_checks(self):
-        with pytest.raises(DomainError):
-            haar_weight_rotgroup(3.5, Group.SO3)
-        with pytest.raises(DomainError):
-            haar_weight_rotgroup(-0.1, Group.SU2)
-        haar_weight_rotgroup(3.5, Group.SU2)
-
-    def test_rotation_vector_range(self):
-        RotationVector((0.0, 0.0, 3.0), Group.SO3)
-        with pytest.raises(DomainError):
-            RotationVector((0.0, 0.0, 3.3), Group.SO3)
-        RotationVector((0.0, 0.0, 6.0), Group.SU2)
-
     @pytest.mark.parametrize(
         "group,volume",
         [(Group.SO3, 8.0 * np.pi**2), (Group.SU2, 16.0 * np.pi**2)],
@@ -299,14 +256,6 @@ class TestHaar:
 
     def test_mixed_spin_orthogonality(self):
         quad = haar_quadrature(Group.SO3, 16)
-        D0 = np.ones(len(quad))
+        D0 = np.ones(len(quad.weights))
         D1 = wigner_D_batch(RepLabel.so3(1), quad.vectors)
         assert abs(np.sum(quad.weights * D1[:, 0, 0] * D0)) < 1e-9
-
-    def test_iteration_protocol(self):
-        quad = haar_quadrature(Group.SO3, 2)
-        pairs = list(quad)
-        assert len(pairs) == len(quad)
-        vec, w = pairs[0]
-        assert isinstance(vec, RotationVector)
-        assert w > 0.0

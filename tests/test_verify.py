@@ -119,6 +119,11 @@ class TestSuites:
             "spectral-equivalence",
         }
 
+    def test_all_runs_every_suite(self):
+        results = run_suite("all")
+        assert len(results) == 23
+        assert [r.name for r in results if not r.passed] == []
+
 
 class TestEquivalence:
     # The full roster runs in the acceptance suite; spot-check two cases
