@@ -29,6 +29,7 @@ import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy
@@ -275,6 +276,8 @@ def _parse_grid(doc, dimension: int):
             return Grid1D(x_min=x_min, x_max=x_max, npoints=npoints), None
         except DomainError as exc:
             raise UsageError(f"grid: {exc}") from exc
+        except CapacityError as exc:
+            raise UsageError(f"grid.npoints: {exc}") from exc
     _object("grid", doc, {"q_min", "q_max", "npoints"}, ("q_min", "q_max", "npoints"))
     npoints = _integer("grid.npoints", doc["npoints"])
     q_min, q_max = _number("grid.q_min", doc["q_min"]), _number("grid.q_max", doc["q_max"])
@@ -335,7 +338,11 @@ def parse_config(doc: dict) -> RunConfig:
     table_name = outdoc.get("table", "spectrum.txt")
     manifest_name = outdoc.get("manifest", "manifest.json")
     for key, name in (("table", table_name), ("manifest", manifest_name)):
-        if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\"):
+        try:  # a str of at most 255 UTF-8 bytes; a lone surrogate has no UTF-8 form
+            fits = isinstance(name, str) and len(name.encode("utf-8")) <= 255
+        except UnicodeError:
+            fits = False
+        if not fits or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
             raise UsageError(f"outputs.{key}: expected a bare file name, got {name!r}")
     if manifest_name == table_name:
         raise UsageError(f"outputs.manifest: must differ from outputs.table, got {table_name!r}")
@@ -446,49 +453,44 @@ def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, writ
     return 1 if errors else 0
 
 
-def _solve_channel(cfg: RunConfig, channel) -> list:
-    """All refinement levels for one channel, coarsest first.
-
-    Every level is assembled before any is solved, so a level past the
-    capacity raises before the first solve (n=3 matrices are built lazily).
-    """
-    levels = cfg.refinements + 1
+def _assemble(cfg: RunConfig, channel, grid):
+    """The channel's operator on grid, planar or n=3 as cfg.dimension says."""
     if cfg.dimension == 2:
-        ops = [
-            assemble_2d_channel(cfg.kind, cfg.params, channel, g, cfg.dil, cfg.shear)
-            for g in nested_grids(cfg.grid1d, levels)
-        ]
-        results = [solve_1d(ops[0], cfg.count)]
-        for op in ops[1:]:
-            results.append(solve_1d(op, cfg.count, results[-1].eigenvalues))
-        return results
-    ops = [
-        assemble_nd_channel(cfg.kind, cfg.params, channel, g)
-        for g in nested_grids(cfg.gridnd, levels)
-    ]
-    return [solve_nd(op, cfg.count, seed=cfg.seed) for op in ops]
+        return assemble_2d_channel(cfg.kind, cfg.params, channel, grid, cfg.dil, cfg.shear)
+    return assemble_nd_channel(cfg.kind, cfg.params, channel, grid)
 
 
-def cmd_run(cfg: RunConfig, output_dir: str) -> int:
+def _solve_channel(cfg: RunConfig, channel, grids) -> list:
+    """One result per grid of a `nested_grids` chain, coarsest first.
+
+    Each level is assembled and solved before the next.  A planar level's
+    eigenvalues give the margins of the level after it, whose 2h grid it
+    is.  `main` has checked that the finest level fits the capacity.
+    """
+    results = []
+    for grid in grids:
+        op = _assemble(cfg, channel, grid)
+        if cfg.dimension == 3:
+            results.append(solve_nd(op, cfg.count, seed=cfg.seed))
+        else:
+            results.append(solve_1d(op, cfg.count, results[-1].eigenvalues if results else None))
+    return results
+
+
+def cmd_run(cfg: RunConfig, output_dir: str, grids) -> int:
     def write_rows(fh, results):
         write_spectrum_table(
             fh, [replace(res, channel=ch) for ch, rows in results.items() for res in rows]
         )
 
-    return _run_channels(cfg, output_dir, "run", lambda ch: _solve_channel(cfg, ch), write_rows)
+    worker = partial(_solve_channel, cfg, grids=grids)
+    return _run_channels(cfg, output_dir, "run", worker, write_rows)
 
 
-def cmd_scan_threshold(cfg: RunConfig, output_dir: str) -> int:
-    if cfg.dimension != 2:
-        raise UsageError("dimension: scan-threshold supports dimension 2 only")
-
-    def worker(ch):
-        op = assemble_2d_channel(cfg.kind, cfg.params, ch, cfg.grid1d, cfg.dil, cfg.shear)
-        return solve_1d(op, cfg.count)
-
+def cmd_scan_threshold(cfg: RunConfig, output_dir: str, grids) -> int:
     def write_rows(fh, results):
         fh.write("# model l1 l2 class bound lowest threshold X h\n")
-        for ch, res in results.items():
+        for ch, (res,) in results.items():
             cls = classify_channel(ch)
             bound = "-" if cls is SpectralClass.MARGINAL else str(res.bound_count)
             fh.write(
@@ -497,18 +499,13 @@ def cmd_scan_threshold(cfg: RunConfig, output_dir: str) -> int:
                 f"{res.x_max:.14e} {res.h:.14e}\n"
             )
 
+    worker = partial(_solve_channel, cfg, grids=grids)
     return _run_channels(cfg, output_dir, "scan-threshold", worker, write_rows)
 
 
-def cmd_convergence(cfg: RunConfig, output_dir: str) -> int:
-    if cfg.dimension != 2:
-        raise UsageError("dimension: convergence supports dimension 2 only")
-
+def cmd_convergence(cfg: RunConfig, output_dir: str, grids) -> int:
     def worker(ch):
-        def make_op(g):
-            return assemble_2d_channel(cfg.kind, cfg.params, ch, g, cfg.dil, cfg.shear)
-
-        return convergence_study(make_op, cfg.grid1d, levels=cfg.levels, count=cfg.count)
+        return convergence_study(lambda g: _assemble(cfg, ch, g), grids[0], len(grids), cfg.count)
 
     def write_rows(fh, results):
         fh.write("# model l1 l2 record h values...\n")
@@ -545,29 +542,20 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="JSON config or manifest file")
     common.add_argument(
         "--output-dir",
-        default=None,
         help=f"output directory (default: ${OUTPUT_DIR_ENV} or the working directory)",
     )
     common.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
+        "--jobs", type=int, default=1,
         help="accepted for compatibility and ignored: channels run one at a time",
     )
-    common.add_argument(
-        "--seed", type=int, default=None, help="override the config seed"
-    )
+    common.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_parser("run", parents=[common], help="solve channels, write table+manifest")
     sub.add_parser(
         "scan-threshold", parents=[common], help="classify channels and count bound states"
     )
-    sub.add_parser(
-        "convergence", parents=[common], help="grid-refinement study per channel"
-    )
+    sub.add_parser("convergence", parents=[common], help="grid-refinement study per channel")
     ver = sub.add_parser("verify", help="run the built-in self-check suites")
-    ver.add_argument(
-        "--suite", choices=SUITES + ("all",), default="all", help="suite to run"
-    )
+    ver.add_argument("--suite", choices=SUITES + ("all",), default="all", help="suite to run")
     ver.add_argument("--seed", type=int, default=7)
     return parser
 
@@ -583,20 +571,21 @@ def main(argv=None) -> int:
         if args.seed is not None:  # read like the config's own seed
             doc = {**_object("config", doc, _CONFIG_KEYS), "seed": args.seed}
         cfg = parse_config(doc)
-        # refinements (n -> 2n + 1 nodes): `refinements` for run, `levels - 1` for convergence
-        growth = {"run": cfg.refinements, "convergence": cfg.levels - 1}.get(args.command, 0)
-        finest = ((cfg.grid1d.npoints + 1) << growth) - 1 if cfg.dimension == 2 else 0
-        if finest > MAX_FIELD_ELEMENTS:
-            raise UsageError(
-                f"grid.npoints: {cfg.grid1d.npoints} nodes refined to {finest} "
-                f"exceed the capacity of {MAX_FIELD_ELEMENTS}"
-            )
+        if cfg.dimension == 3 and args.command != "run":
+            raise UsageError(f"dimension: {args.command} supports dimension 2 only")
+        levels = {"run": cfg.refinements + 1, "convergence": cfg.levels}.get(args.command, 1)
+        # capacity pre-flight on the finest level: a Grid1D counts its nodes, and an
+        # n=3 operator its nonzeros without allocating (its lattice is built lazily)
+        try:
+            grids = nested_grids(cfg.grid1d if cfg.dimension == 2 else cfg.gridnd, levels)
+            if cfg.dimension == 3:
+                for ch in cfg.channels:
+                    _assemble(cfg, ch, grids[-1])
+        except CapacityError as exc:
+            raise UsageError(f"grid.npoints: {exc}") from exc
         output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or os.getcwd()
-        if args.command == "run":
-            return cmd_run(cfg, output_dir)
-        if args.command == "scan-threshold":
-            return cmd_scan_threshold(cfg, output_dir)
-        return cmd_convergence(cfg, output_dir)
+        commands = {"run": cmd_run, "scan-threshold": cmd_scan_threshold}
+        return commands.get(args.command, cmd_convergence)(cfg, output_dir, grids)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

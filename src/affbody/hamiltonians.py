@@ -93,8 +93,9 @@ class ModelParams:
                 raise DomainError(f"{name} must be finite")
         if self.n not in (2, 3):
             raise DomainError(f"spatial dimension must be 2 or 3, got {self.n}")
-        if self.hbar <= 0.0:
-            raise DomainError("hbar must be positive")
+        # float * float rounds an overflow to inf, where hbar**2 would raise
+        if not (self.hbar > 0.0 and 0.0 < self.hbar * self.hbar < math.inf):
+            raise DomainError(f"hbar must be positive with a finite nonzero square: {self.hbar!r}")
 
 
 class DerivedConstants(NamedTuple):
@@ -223,7 +224,8 @@ class Grid1D:
     """Interior nodes x_min + i h, i = 1..npoints, of a Dirichlet box.
 
     Both walls x_min and x_max are hard zeros of the eigenfunctions; the
-    step is h = (x_max - x_min)/(npoints + 1).
+    step is h = (x_max - x_min)/(npoints + 1).  More than MAX_FIELD_ELEMENTS
+    nodes raise CapacityError, before any array of the grid exists.
     """
 
     x_min: float
@@ -235,6 +237,8 @@ class Grid1D:
             raise DomainError("grid needs x_max > x_min")
         if self.npoints < 3:
             raise DomainError("grid needs at least three interior nodes")
+        if self.npoints > MAX_FIELD_ELEMENTS:
+            raise CapacityError(f"{self.npoints} nodes exceed the capacity of {MAX_FIELD_ELEMENTS}")
 
     @classmethod
     def from_spec(cls, x_max: float, npoints: int, x_min: float = 0.0) -> "Grid1D":

@@ -109,6 +109,12 @@ class TestParseConfig:
         assert capsys.readouterr().err.startswith("error: channels.square")
         assert not (tmp_path / "o").exists()
 
+    def test_output_name_bounded_in_utf8_bytes(self):
+        # 255 bytes is the longest file name; each "é" takes two bytes
+        assert parse_config(base_config(outputs={"table": "é" * 127 + "x"})).table_name
+        with pytest.raises(UsageError, match="^outputs.table"):
+            parse_config(base_config(outputs={"table": "é" * 128}))
+
     def test_huge_square_refused_at_once(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(channels={"square": [0, 10**9]}))
         start = time.perf_counter()
@@ -369,6 +375,21 @@ class TestRun:
             ),
             # the manifest would overwrite the table
             (base_config(outputs={"table": "t.txt", "manifest": "t.txt"}), [], "outputs.manifest"),
+            # names that no file can have
+            (base_config(outputs={"table": "t\u0000x.txt"}), [], "outputs.table"),
+            (base_config(outputs={"manifest": "m" * 300}), [], "outputs.manifest"),
+            (base_config(outputs={"table": "t\ud800.txt"}), [], "outputs.table"),
+            # hbar**2 overflows to inf or underflows to 0
+            (base_config(params={"I": 1.0, "A": 1.0, "B": 0.0, "hbar": 1e200}), [], "params"),
+            ({**ND, "params": {"I": 2.0, "A": 1.0, "B": 0.5, "hbar": 1e-200}}, [], "params"),
+            # the finest n=3 level holds too many nonzeros: N = 3 refined to 255,
+            # and N = 200 for either channel
+            ({**ND, "refinements": 6}, [], "grid.npoints"),
+            (
+                {**ND, "channels": [[1, 1], [0, 0]], "grid": {**ND["grid"], "npoints": 200}},
+                [],
+                "grid.npoints",
+            ),
         ],
         ids=[
             "seed",
@@ -381,6 +402,13 @@ class TestRun:
             "dalembert-x-min",
             "dalembert-q-min",
             "table-is-manifest",
+            "table-nul-byte",
+            "manifest-too-long",
+            "table-lone-surrogate",
+            "hbar-square-overflows",
+            "hbar-square-underflows",
+            "nd-refined-capacity",
+            "nd-base-capacity",
         ],
     )
     def test_unrunnable_config_exit_2(self, tmp_path, capsys, doc, args, field):
@@ -444,19 +472,18 @@ class TestRun:
         assert not (tmp_path / "o").exists()
 
     def test_nd_capacity_fails_before_the_first_solve(self, tmp_path, capsys, monkeypatch):
-        # refinements 6 from N = 3 reach N = 255, past the nonzero capacity;
-        # every level is assembled, which allocates nothing, before any solve
+        # refinements 6 from N = 3 reach N = 255, past the nonzero capacity; the
+        # pre-flight sizes the finest level, which allocates nothing, before any output
         import scipy.sparse.linalg
 
         calls = []
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **k: calls.append(k))
         cfg = write_config(tmp_path, {**self.ND, "refinements": 6})
         out = tmp_path / "o"
-        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 1
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 2
         assert calls == []
-        (error,) = json.loads((out / "manifest.json").read_text())["errors"].values()
-        assert error.startswith("CapacityError")
-        assert "CapacityError" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: grid.npoints")
+        assert not out.exists()
 
     def test_unparsable_number_exit_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -473,33 +500,16 @@ class TestRun:
         assert main(["run", "--config", cfg, "--jobs", "0"]) == 2
         assert "jobs" in capsys.readouterr().err
 
-    # every channel fails: the n=3 ones pass the capacity at refinement 6, and the
-    # planar ones overflow with a gated but tiny A; (0, 2) and (2, 0) are twins
-    @pytest.mark.parametrize(
-        "command,doc,error",
-        [
-            (
-                "run",
-                {**ND, "channels": [[0.0, 0.0], [1.0, 1.0]], "refinements": 6},
-                "CapacityError",
-            ),
-            *(
-                (
-                    command,
-                    base_config(
-                        params={"I": 0.0, "A": 1e-305, "B": 0.0},
-                        channels=[[0, 2], [1, 1], [2, 0]],
-                        grid={"x_max": 10.0, "npoints": 99},
-                    ),
-                    "NumericalError",
-                )
-                for command in ("scan-threshold", "convergence")
-            ),
-        ],
-        ids=["run", "scan-threshold", "convergence"],
-    )
+    # every channel fails: the planar ones overflow with a gated but tiny A;
+    # (0, 2) and (2, 0) are twins
+    @pytest.mark.parametrize("command", ["run", "scan-threshold", "convergence"])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_partial_failure_exit_1(self, tmp_path, capsys, command, doc, error):
+    def test_partial_failure_exit_1(self, tmp_path, capsys, command):
+        doc = base_config(
+            params={"I": 0.0, "A": 1e-305, "B": 0.0},
+            channels=[[0, 2], [1, 1], [2, 0]],
+            grid={"x_max": 10.0, "npoints": 99},
+        )
         cfg = write_config(tmp_path, doc)
         code = main([command, "--config", cfg, "--output-dir", str(tmp_path / "o")])
         assert code == 1
@@ -507,7 +517,7 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == len(channels)
         for line, ch in zip(err, channels):
-            assert line.startswith(f"channel {ch}: {error}: ")
+            assert line.startswith(f"channel {ch}: NumericalError: ")
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert sorted(manifest["errors"]) == [f"{a},{b}" for a, b in channels]
         assert manifest["timings"]["per_channel_seconds"] == {}

@@ -107,6 +107,12 @@ class TestWeights:
     def test_l_vanishes_on_coincidence(self):
         assert weight_l([2.0, 2.0, 1.0]).value == 0.0
 
+    @pytest.mark.parametrize("weight", [weight_lambda, weight_l])
+    @pytest.mark.parametrize("shape", [(1,), (2, 2), ()])
+    def test_rejects_bad_shapes(self, weight, shape):
+        with pytest.raises(DomainError, match="at least two invariants"):
+            weight(np.ones(shape))
+
     def test_l_requires_positive(self):
         with pytest.raises(DomainError):
             weight_l([1.0, -2.0])

@@ -10,6 +10,7 @@ from affbody.hamiltonians import (
     KLEIN_ROTATIONS,
     MAX_FIELD_ELEMENTS,
     TWIN_ROTATION,
+    ChannelOperator1D,
     Grid1D,
     GridND,
     ModelKind,
@@ -158,6 +159,60 @@ class TestGrid1D:
             Grid1D(0.0, 1.0, 2)
         with pytest.raises(DomainError):
             Grid1D(1.0, 1.0, 5)
+
+    def test_capacity_refused_before_any_array(self):
+        assert Grid1D(0.0, 1.0, MAX_FIELD_ELEMENTS).npoints == MAX_FIELD_ELEMENTS
+        with pytest.raises(CapacityError, match=str(MAX_FIELD_ELEMENTS + 1)):
+            Grid1D(0.0, 1.0, MAX_FIELD_ELEMENTS + 1)
+        with pytest.raises(CapacityError):
+            Grid1D(0.0, 1.0, MAX_FIELD_ELEMENTS // 2).refine()
+
+
+def sinh_operator(grid=Grid1D(-1.0, 1.0, 3), diag=(0.0, 0.0, 0.0), c=1.0):
+    """A sinh-weighted operator; on [-1, 1] with 3 nodes its weight vanishes at 0."""
+    return ChannelOperator1D(ModelKind.AFF_AFF, (0, 0), grid, WeightKind1D.SINH, c, diag, 0.0, 0.0)
+
+
+class TestValidation:
+    """The constructors and forms of this module refuse what they cannot represent."""
+
+    @pytest.mark.parametrize(
+        "build,match",
+        [
+            (lambda: ModelParams(I=1.0, A=math.nan, B=0.0), "A must be finite"),
+            (lambda: ModelParams(I=1.0, A=1.0, B=0.0, n=4), "spatial dimension"),
+            (lambda: ModelParams(I=1.0, A=1.0, B=0.0, hbar=0.0), "hbar"),
+            (lambda: ModelParams(I=1.0, A=1.0, B=0.0, hbar=-1.0), "hbar"),
+            # hbar**2 would overflow to inf, or underflow to 0
+            (lambda: ModelParams(I=1.0, A=1.0, B=0.0, hbar=1e200), "hbar"),
+            (lambda: ModelParams(I=1.0, A=1.0, B=0.0, hbar=1e-200), "hbar"),
+            (lambda: GridND(5, 1.0, 1.0), "q_max > q_min"),
+            (lambda: sinh_operator(diag=np.zeros(4)), "does not match the grid"),
+            (lambda: sinh_operator(c=0.0), "kinetic coefficient"),
+            (lambda: sinh_operator().tridiagonal_weighted(), "weight must be positive"),
+            (lambda: symmetrize(sinh_operator()), "weight vanishes"),
+        ],
+        ids=[
+            "params-non-finite",
+            "params-n",
+            "hbar-zero",
+            "hbar-negative",
+            "hbar-square-overflows",
+            "hbar-square-underflows",
+            "gridnd-empty-box",
+            "diag-length",
+            "kinetic-coeff",
+            "weighted-form-weight",
+            "symmetrize-weight",
+        ],
+    )
+    def test_domain_error(self, build, match):
+        with pytest.raises(DomainError, match=match):
+            build()
+
+    def test_hbar_with_a_normal_square_accepted(self):
+        for hbar in (1e150, 1e-150):
+            assert ModelParams(I=1.0, A=1.0, B=0.0, hbar=hbar).hbar == hbar
 
 
 def hyperbolic_diag(op, sh, ch, shift=0.0):

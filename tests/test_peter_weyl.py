@@ -258,6 +258,13 @@ class TestEvaluate:
         ).sum()
         assert evaluate(exp, L, q, R) == pytest.approx(want, abs=1e-12)
 
+    def test_point_of_the_wrong_dimension_rejected(self):
+        g = grid2()
+        vals = np.ones(g.shape + (1, 1), dtype=complex)
+        exp = Expansion((ChannelAmplitude(RepLabel.so2(0), RepLabel.so2(0), g, vals),))
+        with pytest.raises(DomainError, match="does not match grid dimension 2"):
+            evaluate(exp, 0.0, (0.0, 0.0, 0.0), 0.0)
+
     def test_out_of_range_point_rejected(self):
         g = grid2()
         vals = np.ones(g.shape + (1, 1), dtype=complex)
@@ -474,6 +481,10 @@ class TestSignedPermutations:
         assert len(signed_permutation_group(2)) == 4
         assert len(signed_permutation_group(3)) == 24
 
+    def test_needs_two_dimensions(self):
+        with pytest.raises(DomainError, match="n >= 2"):
+            signed_permutation_group(1)
+
     def test_elements_are_rotations(self):
         for W in signed_permutation_group(3):
             assert np.linalg.det(W) == pytest.approx(1.0, abs=1e-12)
@@ -663,6 +674,12 @@ class TestAmplitudeIO:
     def test_malformed_line_names_its_number(self, line):
         text = "# affbody-amplitudes 1\nso2 0 so2 0 0.1 0.2 1 0\n\n" + line + "\n"
         with pytest.raises(DomainError, match="line 4"):
+            loads_amplitudes(text)
+
+    def test_records_that_do_not_fill_a_tensor_grid_rejected(self):
+        # two diagonal points span a 2 x 2 grid
+        text = "so2 0 so2 0 0.1 0.2 1 0\nso2 0 so2 0 0.3 0.4 1 0\n"
+        with pytest.raises(DomainError, match="tensor grid"):
             loads_amplitudes(text)
 
     def test_header_present(self):

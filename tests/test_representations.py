@@ -58,6 +58,42 @@ class TestLabels:
         assert not RepLabel.su2(2).half_integer
         assert not RepLabel.so2(5).half_integer
 
+    def test_str(self):
+        assert [str(RepLabel.so2(-3)), str(RepLabel.so3(2)), str(RepLabel.su2(1.5))] == [
+            "so2[m=-3]",
+            "so3[s=2]",
+            "su2[s=3/2]",
+        ]
+
+
+class TestValidation:
+    """Labels, matrices and quadratures refuse what they cannot represent."""
+
+    @pytest.mark.parametrize(
+        "build,match",
+        [
+            (lambda: RepLabel(Group.SO2, 3), "SO\\(2\\) labels are integers"),
+            (lambda: RepLabel.su2(1).m, "winding number"),
+            (lambda: wigner_D(RepLabel.su2(1), np.zeros(2)), "three components"),
+            (lambda: wigner_D_batch(RepLabel.so2(1), np.zeros((1, 3))), "three-dimensional"),
+            (lambda: group_volume(Group.SO2), "Haar volume"),
+            (lambda: haar_quadrature(Group.SO2, 4), "three-dimensional"),
+            (lambda: haar_quadrature(Group.SU2, 1), "order must be at least 2"),
+        ],
+        ids=[
+            "so2-odd-twice-spin",
+            "su2-winding",
+            "wigner-shape",
+            "batch-so2",
+            "volume-so2",
+            "quadrature-so2",
+            "quadrature-order",
+        ],
+    )
+    def test_domain_error(self, build, match):
+        with pytest.raises(DomainError, match=match):
+            build()
+
 
 class TestGenerators:
     @pytest.mark.parametrize("twice_spin", range(0, 7))

@@ -413,6 +413,14 @@ class TestSolveNDMatrixChannel:
         with pytest.raises(NumericalError, match="eigsh failed"):
             solve_nd(FlatBoxND(1.0, 4, 1.0), 2)
 
+    def test_count_at_least_the_block_size_rejected(self):
+        class ThreeRows(FlatBoxND):
+            def block_matrix(self, k):
+                return scipy.sparse.diags_array([1.0, 2.0, 3.0], format="csr")
+
+        with pytest.raises(DomainError, match="exceeds the problem dimension 3"):
+            solve_nd(ThreeRows(1.0, 4, 1.0), 3)
+
     def test_complex_action_rejected(self):
         class Twisted(FlatBoxND):
             def symmetric_matrix(self):
