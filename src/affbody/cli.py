@@ -277,7 +277,7 @@ def _parse_grid(doc, dimension: int):
         except DomainError as exc:
             raise UsageError(f"grid: {exc}") from exc
         except CapacityError as exc:
-            raise UsageError(f"grid.npoints: {exc}") from exc
+            raise UsageError(f"grid.{'npoints' if 'npoints' in doc else 'h'}: {exc}") from exc
     _object("grid", doc, {"q_min", "q_max", "npoints"}, ("q_min", "q_max", "npoints"))
     npoints = _integer("grid.npoints", doc["npoints"])
     q_min, q_max = _number("grid.q_min", doc["q_min"]), _number("grid.q_max", doc["q_max"])
@@ -582,7 +582,8 @@ def main(argv=None) -> int:
                 for ch in cfg.channels:
                     _assemble(cfg, ch, grids[-1])
         except CapacityError as exc:
-            raise UsageError(f"grid.npoints: {exc}") from exc
+            field = "h" if "h" in (doc.get("grid") or {}) else "npoints"
+            raise UsageError(f"grid.{field}: {exc}") from exc
         output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or os.getcwd()
         commands = {"run": cmd_run, "scan-threshold": cmd_scan_threshold}
         return commands.get(args.command, cmd_convergence)(cfg, output_dir, grids)

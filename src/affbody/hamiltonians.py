@@ -56,7 +56,7 @@ U_eff = c(1/4 - 1/(4 sh^2 x)) for P = |sh x| and -c/(4x^2) for P = x.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -578,8 +578,13 @@ def klein_bases(labels) -> tuple:
     permutations that pair (m_s, m_j) with (-m_s, -m_j), so each P_k is real
     and column a of P_k, normalized, is a basis vector of block k when a is
     the first index of its pair.  Labels of unequal halfness give the one
-    block V = I.
+    block V = I.  Cached per label pair, so a run builds each pair's bases once.
     """
+    return _klein_bases(tuple(labels))
+
+
+@lru_cache(maxsize=None)
+def _klein_bases(labels: tuple) -> tuple:
     s, j = labels
     d = int(2 * s + 1) * int(2 * j + 1)
     if (2 * s - 2 * j) % 2:
@@ -608,7 +613,7 @@ class NDChannelOperator:
     def __post_init__(self):
         # solve_nd builds one Klein block at a time: only the blocks it solves must fit
         for k in np.flatnonzero(self.block_copies):
-            self._projected_pattern(self._klein_bases[k])
+            self._projected_pattern(klein_bases(self.labels)[k])
 
     def _projected_pattern(self, V) -> tuple:
         """mats = V^T M V for the spin mats M, and rows, cols of their pattern.
@@ -662,10 +667,6 @@ class NDChannelOperator:
             mats += [np.kron(S @ S, ones_j) + np.kron(ones_s, (J @ J).T), np.kron(S, J.T)]
         return readonly(np.stack([m.real for m in mats]))
 
-    @cached_property
-    def _klein_bases(self) -> tuple:
-        return klein_bases(self.labels)
-
     @property
     def block_copies(self) -> tuple:
         """How often each block's eigenvalues count in the spectrum.
@@ -675,7 +676,7 @@ class NDChannelOperator:
         `symmetry_defect` carries block 1 onto block 3, so block 1 counts
         twice and block 3 is not solved.
         """
-        copies = [1 if V.shape[1] else 0 for V in self._klein_bases]
+        copies = [1 if V.shape[1] else 0 for V in klein_bases(self.labels)]
         if len(copies) == 4 and self.kind is not ModelKind.DALEMBERT:
             copies[1], copies[3] = 2 * copies[1], 0
         return tuple(copies)
@@ -750,7 +751,7 @@ class NDChannelOperator:
 
     def block_matrix(self, k: int):
         """Klein block k of `symmetric_matrix()`, (I (x) V_k)^T A (I (x) V_k), built anew."""
-        return self._assemble(self._klein_bases[k])
+        return self._assemble(klein_bases(self.labels)[k])
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """H f = R^-1 (K F + sum_t f_t F M_t), F = R f, for an amplitude f of

@@ -33,7 +33,11 @@ exponential.  The spin-s space is spanned by the monomials
 on which S_+ acts as xi d/d(eta), which reproduces the ladder basis
 above.  u maps xi to a xi + c eta and eta to b xi + d eta, so column m of
 D^s holds the coefficients of (a xi + c eta)^(s+m) (b xi + d eta)^(s-m)
-in these monomials: a polynomial of degree 2s in a, b, c and d.
+in these monomials: a polynomial of degree 2s in a, b, c and d.  Over a
+batch of nodes, `wigner_D_batch` tabulates the powers 0..2s of a, b, c
+and d at every node, forms each of the (2s+1)(2s+2)(2s+3)/6 weighted
+monomials as a product of four rows of that table, and sums them into the
+(2s+1)^2 entries with one sparse 0/1 matrix, each monomial in one entry.
 
 The biinvariant measure on the rotation group reads, in the rotation
 vector's polar coordinates (k, theta, phi),
@@ -238,9 +242,12 @@ def _symmetric_power(twice_spin: int):
 
     With n = 2s, p = s + m' and j = s + m, entry (m', m) is a sum over i
     of the monomials a^i b^(p-i) c^(j-i) d^(n-j-p+i).  Returns their
-    exponents (4, T), their weights (T,) and the index of each entry's
-    first monomial, entries in row-major order of the descending-m basis.
+    exponents (4, T), their weights (T,) and the ((n+1)^2, T) CSR array
+    of ones that sums each entry's monomials, entries in row-major order
+    of the descending-m basis.
     """
+    import scipy.sparse
+
     n = twice_spin
     fact = [math.factorial(i) for i in range(n + 1)]
     exponents, weights, starts = [], [], []
@@ -251,7 +258,10 @@ def _symmetric_power(twice_spin: int):
             for i in range(max(0, p + j - n), min(p, j) + 1):
                 exponents.append((i, p - i, j - i, n - j - p + i))
                 weights.append(math.comb(j, i) * math.comb(n - j, p - i) * scale)
-    return np.array(exponents).T, np.array(weights), np.array(starts)
+    T = len(weights)
+    # complex ones, so the product casts nothing and adds each monomial as it is
+    to_entries = scipy.sparse.csr_array((np.ones(T, dtype=complex), np.arange(T), starts + [T]))
+    return np.array(exponents).T, np.array(weights), to_entries
 
 
 def wigner_D_batch(label: RepLabel, ks: np.ndarray) -> np.ndarray:
@@ -264,13 +274,15 @@ def wigner_D_batch(label: RepLabel, ks: np.ndarray) -> np.ndarray:
     # evaluated and D^(1/2) is u itself
     abcd = _su2_batch(np.asarray(ks, dtype=float)).reshape(-1, 4).T
     n = label.twice_spin
-    powers = np.ones((n + 1,) + abcd.shape, dtype=complex)
+    # powers[x, e] = abcd[x]**e, so each factor of a monomial is a row gather
+    powers = np.ones((4, n + 1, abcd.shape[1]), dtype=complex)
     for e in range(1, n + 1):
-        powers[e] = powers[e - 1] * abcd
-    exponents, weights, starts = _symmetric_power(n)
-    a, b, c, d = (powers[e, x] for x, e in enumerate(exponents))
-    entries = np.add.reduceat(weights[:, None] * a * b * c * d, starts, axis=0)
-    return entries.T.reshape(-1, n + 1, n + 1)
+        powers[:, e] = powers[:, e - 1] * abcd
+    exponents, weights, to_entries = _symmetric_power(n)
+    terms = weights[:, None] * powers[0].take(exponents[0], axis=0)
+    for x in (1, 2, 3):
+        terms *= powers[x].take(exponents[x], axis=0)
+    return (to_entries @ terms).T.reshape(-1, n + 1, n + 1)
 
 
 def group_volume(group: Group) -> float:

@@ -234,7 +234,7 @@ def _gram_defect(group: Group, labels, order: int = 24) -> float:
         F = np.concatenate(
             [wigner_D_batch(label, ks).reshape(len(ks), -1) for label in labels], axis=1
         )
-        gram = gram + (ws[:, None] * F).T @ F.conj()
+        gram = gram + (F.T * ws) @ F.conj()
     expect = np.diag(np.repeat([vol / d for d in dims], [d * d for d in dims]))
     return float(np.max(np.abs(gram - expect))) / vol
 

@@ -358,6 +358,10 @@ class TestRun:
             ),
             # 2**21 nodes refined 6 times reach 2**27 nodes
             (base_config(grid={"x_max": 20.0, "npoints": 2**21}, refinements=6), [], "grid.npoints"),
+            # a grid given by h is named by h: 10 / 1e-8 nodes at once, and
+            # h = 20 / (2**21 + 1) gives 2**21 nodes, refined past the capacity
+            (base_config(grid={"x_max": 10.0, "h": 1e-8}), [], "grid.h"),
+            (base_config(grid={"x_max": 20.0, "h": 20.0 / (2**21 + 1)}, refinements=6), [], "grid.h"),
             # the isotropic model's linear weights turn negative below 0
             (
                 base_config(
@@ -399,6 +403,8 @@ class TestRun:
             "count-above-grid",
             "well-width",
             "refined-grid-capacity",
+            "h-grid-capacity",
+            "refined-h-grid-capacity",
             "dalembert-x-min",
             "dalembert-q-min",
             "table-is-manifest",
@@ -941,10 +947,13 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("error: seed")
 
 
-def test_import_leaves_scipy_interpolate_unloaded():
+# the benchmark's setup_s times `import affbody.cli`, and these modules cost
+# up to 0.3 s to import cold, so the package imports them inside the functions
+@pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.sparse"])
+def test_import_leaves_scipy_module_unloaded(module):
     src = os.path.dirname(os.path.dirname(affbody.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, affbody.cli; print('scipy.interpolate' in sys.modules)"
+    code = f"import sys, affbody.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -686,6 +687,30 @@ class TestKleinBlocks:
         op = assemble_nd_channel(ModelKind.MET_AFF, params3(), (1, 1), GridND(3, -1.0, 1.0))
         with pytest.raises(DomainError):
             symmetry_defect(op, np.eye(3))
+
+    # sha256 over each basis's shape and bytes, recorded with numpy 2.4; they
+    # catch a change in the rounding of the Klein rotations' D matrices before
+    # it reaches a dimension-3 table
+    @pytest.mark.parametrize(
+        "labels,digest",
+        [
+            ((0.5, 0.5), "e2b4b08f2c72581438d4926ae8e6dcad71f0113f17369becf1333660daef8a40"),
+            ((1, 1), "72dc29a185333d283c00d13d160b604834ddf28e08e321f15c0cdd80fcec2cfb"),
+            ((2, 2), "290e302cda3ac748314c5798b8666eb34d0af1f77a4e1219f5ace3adebd0022b"),
+        ],
+    )
+    def test_klein_bases_bytes(self, labels, digest):
+        h = hashlib.sha256()
+        for V in klein_bases(labels):
+            h.update(repr(V.shape).encode() + V.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_klein_bases_are_cached_per_label_pair(self):
+        bases = klein_bases((1, 1))
+        again = klein_bases([1.0, 1.0])  # a list and floats name the same pair
+        assert len(again) == len(bases)
+        assert all(V is W for V, W in zip(bases, again))
+        assert not any(V.flags.writeable for V in bases)
 
 
 def loop_weight_nd(kind, axes):

@@ -6,9 +6,9 @@ from affbody.hamiltonians import Grid1D, ModelKind, ModelParams
 from affbody.representations import (
     Group,
     RepLabel,
+    generators,
     group_volume,
     haar_quadrature,
-    wigner_D_batch,
 )
 from affbody.verify import (
     EQUIVALENCE_CASES,
@@ -25,11 +25,21 @@ from affbody.verify import (
 )
 
 
+def exp_of_generators(label, ks):
+    """exp(-i k . S) at each row of ks, from a batched eigh of the Hermitian k . S."""
+    vals, vecs = np.linalg.eigh(np.einsum("na,aij->nij", ks, np.array(generators(label).S)))
+    return (vecs * np.exp(-1j * vals)[:, None, :]) @ np.conj(vecs).transpose(0, 2, 1)
+
+
 def per_pair_gram_defect(group, labels, order):
-    """The per-pair einsum form of verify._gram_defect, kept as its reference."""
+    """The per-pair einsum form of verify._gram_defect, kept as its reference.
+
+    D is taken from the generators by eigh, so the reference shares no code
+    with wigner_D_batch, whose matrices _gram_defect sums.
+    """
     quad = haar_quadrature(group, order)
     vol = group_volume(group)
-    mats = {label: wigner_D_batch(label, quad.vectors) for label in labels}
+    mats = {label: exp_of_generators(label, quad.vectors) for label in labels}
     worst = 0.0
     for la in labels:
         for lb in labels:
