@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import CapacityError, DomainError, UsageError
@@ -49,6 +48,7 @@ from .hamiltonians import (
     assemble_nd_channel,
     check_gates,
     check_grid_start,
+    derived_constants,
     planar_labels,
     shear_label_terms,
     spatial_labels,
@@ -69,6 +69,10 @@ from .spectra import (
 from .verify import SUITES, format_report, run_suite
 
 OUTPUT_DIR_ENV = "AFFBODY_OUTPUT_DIR"
+# LAPACK's tridiagonal driver dstev rescales a matrix whose largest entry passes
+# sqrt(eps/safmin), about 1e146.  eigh_tridiagonal's stebz never rescales and
+# squares the off-diagonal, so near sqrt(float max) it fails or returns wrong values.
+_TRIDIAGONAL_LIMIT = math.sqrt(sys.float_info.epsilon / sys.float_info.min)
 
 _CONFIG_KEYS = {
     "model",
@@ -424,6 +428,8 @@ def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, writ
     table_path = os.path.join(output_dir, cfg.table_name)
     with open(table_path, "w", encoding="utf-8") as fh:
         write_rows(fh, results)
+    import scipy
+
     manifest = {
         "format": "affbody-manifest 1",
         "subcommand": subcommand,
@@ -458,6 +464,34 @@ def _assemble(cfg: RunConfig, channel, grid):
     if cfg.dimension == 2:
         return assemble_2d_channel(cfg.kind, cfg.params, channel, grid, cfg.dil, cfg.shear)
     return assemble_nd_channel(cfg.kind, cfg.params, channel, grid)
+
+
+def _check_planar_scale(cfg: RunConfig, h: float) -> None:
+    """UsageError naming the parameter if a planar level of step h could pass _TRIDIAGONAL_LIMIT.
+
+    From `assemble_2d_channel`'s coefficient formulas, without assembling:
+    the kinetic term puts about 2c/h^2 on the diagonal, c = hbar^2/D, and
+    the sh^-2 (or x^-2) barrier at most hbar^2 (n-m)^2/(4 D h^2) on a node
+    h from the origin, with D = A (aff-aff), I + A (met-aff, aff-met) or I.
+    """
+    p = cfg.params
+    terms = [shear_label_terms(cfg.kind, ch) for ch in cfg.channels]
+    diff2, sum2, gyro2 = (max(column) for column in zip(*terms))
+    hb2 = p.hbar * p.hbar
+    name, denom, shift = "A", p.A, 0.0
+    if cfg.kind is ModelKind.DALEMBERT:
+        name, denom = "I", p.I
+    elif cfg.kind is not ModelKind.AFF_AFF:
+        cons = derived_constants(p)
+        denom, shift = cons.alpha, hb2 * gyro2 / abs(cons.mu)
+    coeff = hb2 * (2.0 + diff2 / 4.0) / denom
+    scale = (coeff / (h * h) if h * h else math.inf) + hb2 * sum2 / (16.0 * denom) + shift
+    if not scale <= _TRIDIAGONAL_LIMIT:
+        raise UsageError(
+            f"params.{name}: {name} = {getattr(p, name)!r} puts the finest planar level's "
+            f"tridiagonal entries near {scale:.3g} (h = {h:.3g}), past the "
+            f"{_TRIDIAGONAL_LIMIT:.3g} that LAPACK's tridiagonal solvers take unscaled"
+        )
 
 
 def _solve_channel(cfg: RunConfig, channel, grids) -> list:
@@ -575,12 +609,15 @@ def main(argv=None) -> int:
             raise UsageError(f"dimension: {args.command} supports dimension 2 only")
         levels = {"run": cfg.refinements + 1, "convergence": cfg.levels}.get(args.command, 1)
         # capacity pre-flight on the finest level: a Grid1D counts its nodes, and an
-        # n=3 operator its nonzeros without allocating (its lattice is built lazily)
+        # n=3 operator its nonzeros without allocating (its lattice is built lazily);
+        # a planar level's entries are bounded from the coefficients alone
         try:
             grids = nested_grids(cfg.grid1d if cfg.dimension == 2 else cfg.gridnd, levels)
             if cfg.dimension == 3:
                 for ch in cfg.channels:
                     _assemble(cfg, ch, grids[-1])
+            else:
+                _check_planar_scale(cfg, grids[-1].step)
         except CapacityError as exc:
             field = "h" if "h" in (doc.get("grid") or {}) else "npoints"
             raise UsageError(f"grid.{field}: {exc}") from exc

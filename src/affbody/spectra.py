@@ -27,6 +27,9 @@ refinements, coarsest first, for a Grid1D or a GridND alike.  Both
 `convergence_study` and the refinement levels of `affbody run` take it.
 A level's 2h grid is the level before it, whose eigenvalues `affbody run`
 passes to `solve_1d` for the margins; only level 0 solves its own 2h grid.
+
+scipy is imported inside the solvers that call it, so importing this module
+loads no scipy module before the first solve.
 """
 
 import math
@@ -34,7 +37,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, NumericalError, readonly, text_file
 from .hamiltonians import Grid1D, ModelKind
@@ -108,6 +110,8 @@ def _eigh_tridiagonal(d, e, count: int, eigvals_only: bool):
     """LAPACK's lowest `count` eigenvalues (and vectors unless eigvals_only)."""
     if not 1 <= count <= len(d):
         raise DomainError(f"count = {count} is not between 1 and the matrix dimension {len(d)}")
+    import scipy.linalg
+
     try:
         return scipy.linalg.eigh_tridiagonal(
             d, e, select="i", select_range=(0, count - 1), eigvals_only=eigvals_only

@@ -237,7 +237,7 @@ class TestRun:
         assert all(line.split()[0] == "aff-aff" for line in lines[1:])
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["errors"] == {}
-        assert "numpy" in manifest["versions"]
+        assert "numpy" in manifest["versions"] and "scipy" in manifest["versions"]
 
     def test_rerun_byte_identical_across_jobs(self, tmp_path):
         doc = base_config(
@@ -506,16 +506,15 @@ class TestRun:
         assert main(["run", "--config", cfg, "--jobs", "0"]) == 2
         assert "jobs" in capsys.readouterr().err
 
-    # every channel fails: the planar ones overflow with a gated but tiny A;
-    # (0, 2) and (2, 0) are twins
+    # every channel fails: LAPACK's tridiagonal solver raises on each one (a tiny
+    # A that overflows the operator now exits 2 first); (0, 2) and (2, 0) are twins
     @pytest.mark.parametrize("command", ["run", "scan-threshold", "convergence"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_partial_failure_exit_1(self, tmp_path, capsys, command):
-        doc = base_config(
-            params={"I": 0.0, "A": 1e-305, "B": 0.0},
-            channels=[[0, 2], [1, 1], [2, 0]],
-            grid={"x_max": 10.0, "npoints": 99},
-        )
+    def test_partial_failure_exit_1(self, tmp_path, capsys, monkeypatch, command):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        doc = base_config(channels=[[0, 2], [1, 1], [2, 0]], grid={"x_max": 10.0, "npoints": 99})
         cfg = write_config(tmp_path, doc)
         code = main([command, "--config", cfg, "--output-dir", str(tmp_path / "o")])
         assert code == 1
@@ -529,6 +528,39 @@ class TestRun:
         assert manifest["timings"]["per_channel_seconds"] == {}
         table = (tmp_path / "o" / "spectrum.txt").read_text().splitlines()
         assert len(table) == 1 and table[0].startswith("# model l1 l2 ")
+
+    # the finest level's entries are bounded from the coefficient formulas: a
+    # coefficient that would pass LAPACK's unscaled range exits 2 naming its
+    # parameter before any output, where each channel used to fail in LAPACK
+    @pytest.mark.parametrize(
+        "model,params,field",
+        [
+            ("aff-aff", {"I": 0.0, "A": 5.28e-303, "B": 0.0}, "params.A"),
+            ("met-aff", {"I": 2e-160, "A": -1e-160, "B": 0.0}, "params.A"),
+            ("dalembert", {"I": 1e-160, "A": 1.0, "B": 0.0}, "params.I"),
+        ],
+    )
+    def test_unsolvable_scale_exit_2(self, tmp_path, capsys, model, params, field):
+        doc = base_config(model=model, params=params, channels=[[0, 2], [1, 1]])
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_config(tmp_path, doc), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert not out.exists()
+
+    # the bound (about 1e146) sits well below where LAPACK's bisection breaks down
+    # (about 1e154): entries near 3e140 still solve, and aff-aff levels scale as 1/A
+    def test_small_coefficient_inside_the_bound_runs(self, tmp_path):
+        grid = {"x_max": 10.0, "npoints": 99}
+        rows = []
+        for A in (1.0, 1e-138):
+            doc = base_config(
+                params={"I": 0.0, "A": A, "B": 0.0}, channels=[[0, 2]], grid=grid, count=3
+            )
+            cfg, out = write_config(tmp_path, doc), tmp_path / str(A)
+            assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+            table = (out / "spectrum.txt").read_text().splitlines()[1:]
+            rows.append(np.array([float(line.split()[4]) for line in table]) * A)
+        np.testing.assert_allclose(rows[1], rows[0], rtol=1e-10)
 
     def test_output_dir_env(self, tmp_path, monkeypatch):
         out = tmp_path / "envout"
@@ -947,17 +979,62 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("error: seed")
 
 
-# the benchmark's setup_s times `import affbody.cli`, and these modules cost
-# up to 0.3 s to import cold, so the package imports them inside the functions
-@pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.sparse"])
-def test_import_leaves_scipy_module_unloaded(module):
+# Any scipy submodule pulls in scipy's array-API shim, which probes numpy and so
+# loads numpy.f2py, numpy.testing, numpy.ma and numpy.random: about 0.3 s cold.
+# The benchmark's setup_s times `import affbody.cli` plus parse_config, so that
+# window, like every exit-2 path, loads no scipy module; a solve imports its own.
+SCIPY_LOADED = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+
+
+def run_fresh(code: str, *args) -> subprocess.CompletedProcess:
+    """code run in a new interpreter that imports affbody from this checkout."""
     src = os.path.dirname(os.path.dirname(affbody.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys, affbody.cli; print({module!r} in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
     )
-    assert out.stdout.strip() == "False"
+
+
+def test_import_and_parse_load_no_scipy(tmp_path):
+    paths = [
+        write_config(tmp_path, base_config(), "planar.json"),
+        write_config(tmp_path, TestRun.ND, "nd.json"),
+    ]
+    code = "import sys, affbody.cli as c\nfor p in sys.argv[1:]: c.parse_config(c.load_config(p))\n"
+    out = run_fresh(code + SCIPY_LOADED, *paths)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+# --help, and a bad field or a Grid1D past the capacity exit before scipy loads
+@pytest.mark.parametrize(
+    "overrides,code,err",
+    [
+        ({"count": 0}, 2, "error: count"),
+        (
+            {"grid": {"x_max": 40.0, "npoints": 99999999}, "refinements": 2},
+            2,
+            "error: grid.npoints",
+        ),
+        (None, 0, ""),
+    ],
+)
+def test_fail_fast_paths_load_no_scipy(tmp_path, overrides, code, err):
+    out_dir = tmp_path / "o"
+    argv = ["--help"]
+    if overrides is not None:
+        cfg = write_config(tmp_path, base_config(**overrides))
+        argv = ["run", "--config", cfg, "--output-dir", str(out_dir)]
+    script = (
+        "import sys, affbody.cli as c\n"
+        "try:\n    code = c.main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
+        f"{SCIPY_LOADED}\nsys.exit(code)"
+    )
+    out = run_fresh(script, *argv)
+    assert out.returncode == code
+    assert out.stderr.startswith(err)
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert not out_dir.exists()
 
 
 # verify imports solve_1d without using it: the benchmark's tracer wraps
