@@ -7,7 +7,7 @@ The package splits along the pipeline:
 - ``representations``: su(2)/so(3) generator sets, Wigner matrices,
   Haar quadrature on the rotation groups;
 - ``peter_weyl``: channel amplitudes, superselection and discrete-symmetry
-  validation, scalar products of expansions;
+  validation;
 - ``hamiltonians``: the four kinetic-energy models reduced to weighted
   divergence-form operators per channel (planar and spatial);
 - ``spectra``: eigensolvers, bound-state classification, refinement

@@ -58,6 +58,7 @@ from .spectra import (
     DEFAULT_BOX,
     DEFAULT_NPOINTS,
     MAX_ND_COUNT,
+    _TRIDIAGONAL_LIMIT,
     SpectralClass,
     classify_channel,
     convergence_study,
@@ -69,10 +70,6 @@ from .spectra import (
 from .verify import SUITES, format_report, run_suite
 
 OUTPUT_DIR_ENV = "AFFBODY_OUTPUT_DIR"
-# LAPACK's tridiagonal driver dstev rescales a matrix whose largest entry passes
-# sqrt(eps/safmin), about 1e146.  eigh_tridiagonal's stebz never rescales and
-# squares the off-diagonal, so near sqrt(float max) it fails or returns wrong values.
-_TRIDIAGONAL_LIMIT = math.sqrt(sys.float_info.epsilon / sys.float_info.min)
 
 _CONFIG_KEYS = {
     "model",

@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, readonly, text_file
+from .errors import CapacityError, DomainError, readonly
 from .group_geometry import WeightKind, pair_weight
 from .peter_weyl import channel_d_factors
 from .representations import RepLabel, generators
@@ -839,47 +839,6 @@ def assemble_nd_channel(
     )
 
 
-# ---------------------------------------------------------------------------
-# Casimir cross-check and export
-
-
-def kinetic_from_casimirs(
-    kind: ModelKind, params: ModelParams, casimir2: float, p2: float, spin2: float = 0.0
-) -> float:
-    """Kinetic energy from invariant values; cross-checks assembled constants."""
-    cons = check_gates(kind, params)
-    if kind is ModelKind.AFF_AFF:
-        return casimir2 / (2.0 * params.A) - params.B * p2 / (2.0 * params.A) / (
-            params.A + params.n * params.B
-        )
-    if kind in (ModelKind.MET_AFF, ModelKind.AFF_MET):
-        out = casimir2 / (2.0 * cons.alpha) + spin2 / (2.0 * cons.mu)
-        if not math.isinf(cons.beta):
-            out += p2 / (2.0 * cons.beta)
-        return out
-    raise DomainError("the isotropic model has no Casimir decomposition of this form")
-
-
-def write_operator(target, op) -> None:
-    """Dump a 1D operator as structured text (grid, weight, diagonal)."""
-    with text_file(target, "w") as fh:
-        flat = isinstance(op, SymmetrizedOperator1D)
-        fh.write("# affbody-operator 1\n")
-        fh.write(f"# kind {op.kind.value}\n")
-        fh.write(f"# channel {op.channel[0]} {op.channel[1]}\n")
-        fh.write(f"# form {'flat' if flat else 'weighted'}\n")
-        fh.write(
-            f"# grid {op.grid.x_min:.17g} {op.grid.x_max:.17g} {op.grid.npoints}\n"
-        )
-        fh.write(f"# kinetic_coeff {op.kinetic_coeff:.17g}\n")
-        fh.write(f"# constant_shift {op.constant_shift:.17g}\n")
-        fh.write(f"# threshold {op.threshold:.17g}\n")
-        x = op.grid.points
-        w = np.ones_like(x) if flat else op.weight
-        for xi, wi, vi in zip(x, w, op.diag_potential):
-            fh.write(f"{xi:.17g} {wi:.17g} {vi:.17g}\n")
-
-
 __all__ = [
     "MAX_FIELD_ELEMENTS",
     "MAX_TWICE_SPIN",
@@ -905,7 +864,6 @@ __all__ = [
     "check_grid_start",
     "derived_constants",
     "effective_weight_potential",
-    "kinetic_from_casimirs",
     "klein_bases",
     "klein_projectors",
     "planar_labels",
@@ -915,5 +873,4 @@ __all__ = [
     "spin_action",
     "symmetrize",
     "symmetry_defect",
-    "write_operator",
 ]

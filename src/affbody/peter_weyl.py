@@ -16,9 +16,7 @@ Scalar products diagonalize over channels.  With the rotation-group
 volumes divided out,
 
     <Psi1|Psi2> = sum_channels 1/(N(alpha) N(beta))
-                  integral Tr(f1(q)^H f2(q)) P_lambda(q) dq,
-
-evaluated here by the trapezoid rule on the amplitude grid.
+                  integral Tr(f1(q)^H f2(q)) P_lambda(q) dq.
 
 Two membership filters apply to channel sets.  States living on the
 identity component of the linear group use integer labels only, states
@@ -34,14 +32,12 @@ W, right factor at W^{-1} for the three-dimensional groups, both phases
 at +W's angle for SO(2)).
 """
 
-import io
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, readonly, text_file
-from .group_geometry import WeightKind, pair_weight
+from .errors import DomainError, readonly
 from .representations import Group, RepLabel, rotation_vector_from_matrix, wigner_D
 
 
@@ -74,15 +70,6 @@ class QGrid:
     @property
     def shape(self) -> tuple:
         return tuple(ax.shape[0] for ax in self.axes)
-
-    def points(self) -> np.ndarray:
-        """All nodes as an array of shape self.shape + (ndim,)."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
-
-    def weight_field(self) -> np.ndarray:
-        """P_lambda evaluated on every node."""
-        return pair_weight(WeightKind.LAMBDA, self.points())
 
     def symmetric(self) -> bool:
         return self.same_nodes(QGrid((self.axes[0],) * self.ndim))
@@ -150,84 +137,6 @@ class Expansion:
                 raise DomainError(f"duplicate channel {key}")
             seen.add(key)
         object.__setattr__(self, "channels", channels)
-
-
-def _interpolate(amplitude: ChannelAmplitude, q: np.ndarray) -> np.ndarray:
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp = RegularGridInterpolator(
-        amplitude.grid.axes, amplitude.values, bounds_error=True
-    )
-    try:
-        return interp(q[None, :])[0]
-    except ValueError as exc:
-        raise DomainError(f"point {q} outside the amplitude grid") from exc
-
-
-def _factors(alpha: RepLabel, beta: RepLabel, left, right) -> tuple:
-    """The channel factors D^alpha(left) and D^beta(right^{-1}) as matrices.
-
-    For SO(2) labels these are the phases exp(i m left) and exp(i n right);
-    otherwise D^beta(right^{-1}) is the exact unitary inverse D^beta(right)^H.
-    """
-    if alpha.group is Group.SO2:
-        return (
-            np.array([[np.exp(1j * alpha.m * float(left))]]),
-            np.array([[np.exp(1j * beta.m * float(right))]]),
-        )
-    return wigner_D(alpha, left), wigner_D(beta, right).conj().T
-
-
-def evaluate(expansion: Expansion, left, q, right) -> complex:
-    """Value of the represented function at a configuration point.
-
-    For planar expansions, left and right are the rotation angles of the
-    two circle factors; otherwise they are rotation vectors.  The
-    deformation point q is linearly interpolated on each channel grid
-    and a point outside the grid raises DomainError.
-    """
-    q = np.asarray(q, dtype=float)
-    total = 0.0 + 0.0j
-    for ch in expansion.channels:
-        if q.shape != (ch.grid.ndim,):
-            raise DomainError(f"point shape {q.shape} does not match grid dimension {ch.grid.ndim}")
-        dl, dr = _factors(ch.alpha, ch.beta, left, right)
-        total += (dl @ _interpolate(ch, q) @ dr).sum()
-    return complex(total)
-
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
-
-def _trapezoid_nd(field: np.ndarray, grid: QGrid):
-    out = field
-    for ax in reversed(grid.axes):
-        out = _trapz(out, x=ax, axis=-1)
-    return out
-
-
-def scalar_product(e1: Expansion, e2: Expansion, grid: QGrid | None = None) -> complex:
-    """Channel-diagonal scalar product with the P_lambda weight.
-
-    Channels pair by equal (alpha, beta); unmatched channels contribute
-    nothing.  Both expansions must live on a shared grid and target space.
-    """
-    if e1.target_space is not e2.target_space:
-        raise DomainError("expansions live on different target spaces")
-    lookup = {ch.channel_key(): ch for ch in e2.channels}
-    total = 0.0 + 0.0j
-    for ch1 in e1.channels:
-        ch2 = lookup.get(ch1.channel_key())
-        if ch2 is None:
-            continue
-        if not ch1.grid.same_nodes(ch2.grid):
-            raise DomainError("matched channels must share the deformation grid")
-        if grid is not None and not ch1.grid.same_nodes(grid):
-            raise DomainError("channel grid differs from the requested grid")
-        weight = ch1.grid.weight_field()
-        trace = np.einsum("...ab,...ab->...", ch1.values.conj(), ch2.values)
-        total += _trapezoid_nd(trace * weight, ch1.grid) / (ch1.alpha.dim * ch1.beta.dim)
-    return complex(total)
 
 
 @dataclass(frozen=True)
@@ -309,16 +218,17 @@ def invariant_permutation(W) -> np.ndarray:
 def channel_d_factors(alpha: RepLabel, beta: RepLabel, W) -> tuple:
     """Left and right channel factors (DL(W), DR(W)) of a symmetry element.
 
-    The factors are evaluate's at left = right = W: for SO(2) labels both
-    are phases at W's rotation angle, otherwise the right factor is
-    D^beta(W^{-1}).
+    The factors are D^alpha(left) and D^beta(right^{-1}) at left = right = W:
+    for SO(2) labels both are phases exp(i m w), exp(i n w) at W's rotation
+    angle w, otherwise the right factor is D^beta(W^{-1}), taken as the exact
+    unitary inverse D^beta(W)^H.
     """
     W = np.asarray(W, dtype=float)
     if alpha.group is Group.SO2:
         w = float(np.arctan2(W[1, 0], W[0, 0]))
-    else:
-        w = rotation_vector_from_matrix(W)
-    return _factors(alpha, beta, w, w)
+        return np.array([[np.exp(1j * alpha.m * w)]]), np.array([[np.exp(1j * beta.m * w)]])
+    w = rotation_vector_from_matrix(W)
+    return wigner_D(alpha, w), wigner_D(beta, w).conj().T
 
 
 def validate_w_symmetry(amplitude: ChannelAmplitude, W) -> float:
@@ -344,99 +254,6 @@ def validate_w_symmetry(amplitude: ChannelAmplitude, W) -> float:
     return float(np.sqrt(np.max(np.sum(defect**2, axis=(-2, -1)))))
 
 
-# ---------------------------------------------------------------------------
-# textual persistence of channel amplitudes
-
-
-_GROUP_TAGS = {Group.SO2: "so2", Group.SO3: "so3", Group.SU2: "su2"}
-_TAG_GROUPS = {v: k for k, v in _GROUP_TAGS.items()}
-
-
-def write_amplitudes(target, expansion: Expansion) -> None:
-    """Serialize an expansion as line-oriented text.
-
-    One record per channel per grid node: the two labels, the q vector,
-    then the matrix entries row-major as real/imaginary pairs.  Floats
-    are written with enough digits to round-trip exactly.
-    """
-    with text_file(target, "w") as fh:
-        fh.write("# affbody-amplitudes 1\n")
-        fh.write(f"# target {expansion.target_space.value}\n")
-        for ch in expansion.channels:
-            fh.write(
-                f"# channel {_GROUP_TAGS[ch.alpha.group]} {ch.alpha.twice_spin}"
-                f" {_GROUP_TAGS[ch.beta.group]} {ch.beta.twice_spin}"
-                f" shape {' '.join(str(s) for s in ch.grid.shape)}\n"
-            )
-            pts = ch.grid.points().reshape(-1, ch.grid.ndim)
-            vals = ch.values.reshape(len(pts), -1)
-            for q, row in zip(pts, vals):
-                cols = [_GROUP_TAGS[ch.alpha.group], str(ch.alpha.twice_spin),
-                        _GROUP_TAGS[ch.beta.group], str(ch.beta.twice_spin)]
-                cols += [f"{x:.17g}" for x in q]
-                for z in row:
-                    cols.append(f"{z.real:.17g}")
-                    cols.append(f"{z.imag:.17g}")
-                fh.write(" ".join(cols) + "\n")
-
-
-def read_amplitudes(source) -> Expansion:
-    """Inverse of write_amplitudes; a malformed line raises DomainError naming it."""
-    with text_file(source, "r") as fh:
-        target = TargetSpace.GLPLUS
-        records: dict = {}  # per (alpha, beta), in order of appearance: q -> matrix
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if line.startswith("#"):
-                    parts = line[1:].split()
-                    if parts and parts[0] == "target":
-                        target = TargetSpace(parts[1])
-                    continue
-                cols = line.split()
-                alpha = RepLabel(_TAG_GROUPS[cols[0]], int(cols[1]))
-                beta = RepLabel(_TAG_GROUPS[cols[2]], int(cols[3]))
-                da, db = alpha.dim, beta.dim
-                n_matrix = 2 * da * db
-                q = tuple(float(x) for x in cols[4 : len(cols) - n_matrix])
-                flat = np.array([float(x) for x in cols[len(cols) - n_matrix :]])
-                mat = (flat[0::2] + 1j * flat[1::2]).reshape(da, db)
-                data = records.setdefault((alpha, beta), {})
-                if data and len(q) != len(next(iter(data))):
-                    raise ValueError("invariant count differs from the channel's first record")
-            except (KeyError, IndexError, ValueError) as exc:
-                raise DomainError(f"amplitudes line {number}: malformed ({exc!r})") from exc
-            data[q] = mat
-    channels = []
-    for (alpha, beta), data in records.items():
-        pts = np.array(sorted(data.keys()))
-        ndim = pts.shape[1]
-        axes = tuple(np.unique(pts[:, d]) for d in range(ndim))
-        grid = QGrid(axes)
-        shape = grid.shape + (alpha.dim, beta.dim)
-        if len(data) != int(np.prod(grid.shape)):
-            raise DomainError("amplitude records do not fill a tensor grid")
-        values = np.empty(shape, dtype=complex)
-        lookup = [{float(v): i for i, v in enumerate(ax)} for ax in axes]
-        for q, mat in data.items():
-            idx = tuple(lookup[d][q[d]] for d in range(ndim))
-            values[idx] = mat
-        channels.append(ChannelAmplitude(alpha, beta, grid, values))
-    return Expansion(tuple(channels), target)
-
-
-def dumps_amplitudes(expansion: Expansion) -> str:
-    buf = io.StringIO()
-    write_amplitudes(buf, expansion)
-    return buf.getvalue()
-
-
-def loads_amplitudes(text: str) -> Expansion:
-    return read_amplitudes(io.StringIO(text))
-
-
 __all__ = [
     "ChannelAmplitude",
     "Expansion",
@@ -444,15 +261,9 @@ __all__ = [
     "SuperselectionReport",
     "TargetSpace",
     "channel_d_factors",
-    "dumps_amplitudes",
-    "evaluate",
     "invariant_permutation",
-    "loads_amplitudes",
-    "read_amplitudes",
-    "scalar_product",
     "signed_permutation_group",
     "superselection_violation",
     "validate_superselection",
     "validate_w_symmetry",
-    "write_amplitudes",
 ]

@@ -33,6 +33,7 @@ loads no scipy module before the first solve.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -49,6 +50,11 @@ ND_TOL = 1e-9  # ARPACK's relative accuracy in solve_nd
 ND_MAXITER = 600  # ARPACK's limit on restarts per solve_nd run
 LOOSE_CHECK_TOL = 1e-4  # ARPACK accuracy of solve_nd's first check for a missed level
 MAX_ND_COUNT = 10  # most eigenvalues solve_nd is asked for
+# LAPACK's tridiagonal driver dstev rescales a matrix whose largest entry passes
+# sqrt(eps/safmin), about 1e146.  eigh_tridiagonal's stebz never rescales and
+# squares the off-diagonal, so near sqrt(float max) it fails or returns wrong
+# values; _eigh_tridiagonal rescales past this limit as dstev does.
+_TRIDIAGONAL_LIMIT = math.sqrt(sys.float_info.epsilon / sys.float_info.min)
 
 
 class SpectralClass(Enum):
@@ -107,17 +113,29 @@ def _tridiagonal(op):
 
 
 def _eigh_tridiagonal(d, e, count: int, eigvals_only: bool):
-    """LAPACK's lowest `count` eigenvalues (and vectors unless eigvals_only)."""
+    """LAPACK's lowest `count` eigenvalues (and vectors unless eigvals_only).
+
+    A matrix whose largest entry passes _TRIDIAGONAL_LIMIT is solved scaled
+    by the power of two 2^-k that brings that entry below 1, which is exact,
+    and its eigenvalues are scaled back by 2^k.
+    """
     if not 1 <= count <= len(d):
         raise DomainError(f"count = {count} is not between 1 and the matrix dimension {len(d)}")
     import scipy.linalg
 
+    largest = max(np.abs(d).max(), np.abs(e).max(initial=0.0))
+    k = math.frexp(largest)[1] if _TRIDIAGONAL_LIMIT < largest < math.inf else 0
+    if k:
+        d, e = np.ldexp(d, -k), np.ldexp(e, -k)
     try:
-        return scipy.linalg.eigh_tridiagonal(
+        out = scipy.linalg.eigh_tridiagonal(
             d, e, select="i", select_range=(0, count - 1), eigvals_only=eigvals_only
         )
     except ValueError as exc:  # LinAlgError, or a non-finite entry
         raise NumericalError(f"tridiagonal eigensolver failed: {exc}") from exc
+    if not k:
+        return out
+    return np.ldexp(out, k) if eigvals_only else (np.ldexp(out[0], k), out[1])
 
 
 def _lowest_1d(op, count: int) -> np.ndarray:
@@ -183,9 +201,14 @@ def _lowest_block(A, count: int, rng) -> np.ndarray:
     size = A.shape[0]
     if count >= size:
         raise DomainError(f"count = {count} exceeds the problem dimension {size}")
+    nonfinite = A.data.size - np.count_nonzero(np.isfinite(A.data))
+    if nonfinite:
+        raise NumericalError(f"block has {nonfinite} non-finite entries; its coefficients overflow")
     probe = rng.standard_normal(size)
     image = A @ probe
-    if np.iscomplexobj(A) or np.linalg.norm(image - A.T @ probe) > 1e-12 * np.linalg.norm(image):
+    if np.iscomplexobj(A) or not (
+        np.linalg.norm(image - A.T @ probe) <= 1e-12 * np.linalg.norm(image)
+    ):
         raise DomainError("the sqrt-weight symmetrized operator is not real symmetric")
 
     def lowest(M, k, accuracy):

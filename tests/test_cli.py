@@ -1061,6 +1061,16 @@ def test_package_modules_have_no_unused_imports():
     assert [u for u in unused if u not in ALLOWED_UNUSED_IMPORTS] == []
 
 
+def test_every_all_entry_names_an_attribute():
+    # a stale entry breaks `from module import *`
+    stale = []
+    for path in sorted(Path(affbody.__file__).parent.glob("*.py")):
+        name = "affbody" if path.stem == "__init__" else f"affbody.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [(name, n) for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert stale == []
+
+
 class TestStoredNDReference:
     """The benchmark's matrix-a call (met-aff, N=9, seed 1) against the values
     stored in bench/refs/nd-eigenvalues.json, checked as its n=3 oracle checks

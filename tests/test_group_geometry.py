@@ -7,6 +7,7 @@ from affbody.group_geometry import (
     MeasureTarget,
     WeightKind,
     haar_density_ratio,
+    pair_weight,
     reconstruct,
     two_polar_decompose,
     weight_l,
@@ -98,6 +99,15 @@ class TestWeights:
             base = weight_lambda(q).value
             perm = rng.permutation(3)
             assert weight_lambda(q[perm]).value == pytest.approx(base, rel=1e-12)
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_pair_weight_on_a_grid_matches_each_point_bitwise(self, ndim):
+        axes = [np.linspace(-1.0, 1.0, 4) + 0.1 * d for d in range(ndim)]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        field = pair_weight(WeightKind.LAMBDA, pts)
+        assert field.shape == pts.shape[:-1]
+        for idx in np.ndindex(*field.shape):
+            assert field[idx] == weight_lambda(pts[idx]).value
 
     def test_l_three_dim_value(self):
         w = weight_l([3.0, 2.0, 1.0])

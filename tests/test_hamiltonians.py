@@ -1,5 +1,4 @@
 import hashlib
-import io
 import math
 
 import numpy as np
@@ -27,7 +26,6 @@ from affbody.hamiltonians import (
     check_grid_start,
     derived_constants,
     effective_weight_potential,
-    kinetic_from_casimirs,
     klein_bases,
     klein_projectors,
     planar_labels,
@@ -36,7 +34,6 @@ from affbody.hamiltonians import (
     spin_action,
     symmetrize,
     symmetry_defect,
-    write_operator,
 )
 
 
@@ -886,71 +883,3 @@ class TestAssembleND:
         assert op.weighted_inner(f, f).real > 0.0
         assert abs(op.weighted_inner(f, f).imag) < 1e-14
         assert op.weighted_inner(f, g) == pytest.approx(np.conj(op.weighted_inner(g, f)))
-
-
-class TestKineticFromCasimirs:
-    def test_aff_aff_examples(self):
-        assert kinetic_from_casimirs(
-            ModelKind.AFF_AFF, params2(A=1.0, B=0.0), casimir2=2.0, p2=0.0
-        ) == pytest.approx(1.0)
-        # B = 1: the p^2 correction is -B/(2A(A+2B)) = -1/6 per unit p^2
-        assert kinetic_from_casimirs(
-            ModelKind.AFF_AFF, params2(A=1.0, B=1.0), casimir2=0.0, p2=6.0
-        ) == pytest.approx(-1.0)
-
-    def test_met_aff_example(self):
-        val = kinetic_from_casimirs(
-            ModelKind.MET_AFF, params2(I=2, A=1, B=0), casimir2=0.0, p2=0.0, spin2=2.0
-        )
-        assert val == pytest.approx(2.0 / 3.0)
-        # with B = 0 the p^2 channel is inert
-        assert kinetic_from_casimirs(
-            ModelKind.MET_AFF, params2(I=2, A=1, B=0), casimir2=0.0, p2=5.0
-        ) == 0.0
-
-    def test_beta_term(self):
-        par = params3(I=3, A=1, B=1)
-        val = kinetic_from_casimirs(ModelKind.AFF_MET, par, casimir2=0.0, p2=56.0)
-        assert val == pytest.approx(-1.0)  # 56/(2 * -28)
-
-    def test_dalembert_rejected(self):
-        with pytest.raises(DomainError):
-            kinetic_from_casimirs(ModelKind.DALEMBERT, params2(), 1.0, 0.0)
-
-    def test_tiny_A_does_not_underflow(self):
-        # 2A(A + nB) underflows to 0 for A = 1e-200; the gates accept these params
-        par = ModelParams(I=0.0, A=1e-200, B=0.0, n=3)
-        assert kinetic_from_casimirs(ModelKind.AFF_AFF, par, 1.0, 1.0) == 0.5e200
-
-
-class TestWriteOperator:
-    def test_weighted_dump(self):
-        op = assemble_2d_channel(
-            ModelKind.MET_AFF, params2(I=2, A=1, B=0), (2, 1), Grid1D.from_spec(5.0, 8)
-        )
-        buf = io.StringIO()
-        write_operator(buf, op)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# affbody-operator 1"
-        assert "# kind met-aff" in lines
-        assert "# channel 2 1" in lines
-        assert "# form weighted" in lines
-        rows = [ln for ln in lines if not ln.startswith("#")]
-        assert len(rows) == 8
-        x, w, v = map(float, rows[0].split())
-        assert x == pytest.approx(op.grid.points[0])
-        assert w == pytest.approx(np.sinh(x))
-        assert v == pytest.approx(op.diag_potential[0])
-
-    def test_flat_dump(self, tmp_path):
-        op = symmetrize(
-            assemble_2d_channel(
-                ModelKind.AFF_AFF, params2(A=1.0), (1, 0), Grid1D.from_spec(5.0, 8)
-            )
-        )
-        path = tmp_path / "op.txt"
-        write_operator(str(path), op)
-        text = path.read_text()
-        assert "# form flat" in text
-        rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
-        assert all(float(r.split()[1]) == 1.0 for r in rows)

@@ -1,40 +1,21 @@
-"""Tests for channel expansions, scalar products and the symmetry validators."""
-
-from pathlib import Path
+"""Tests for channel amplitudes, superselection and the discrete-symmetry validators."""
 
 import numpy as np
 import pytest
 
 from affbody.errors import DomainError
-from affbody.group_geometry import weight_lambda
-from affbody.hamiltonians import Grid1D, ModelKind, ModelParams, assemble_2d_channel, write_operator
 from affbody.peter_weyl import (
     ChannelAmplitude,
     Expansion,
     QGrid,
     TargetSpace,
     channel_d_factors,
-    dumps_amplitudes,
-    evaluate,
     invariant_permutation,
-    loads_amplitudes,
-    read_amplitudes,
-    scalar_product,
     signed_permutation_group,
     validate_superselection,
     validate_w_symmetry,
-    write_amplitudes,
 )
-from affbody.representations import (
-    Group,
-    RepLabel,
-    group_volume,
-    haar_quadrature,
-    rotation_vector_from_matrix,
-    wigner_D,
-    wigner_D_batch,
-)
-from affbody.spectra import solve_1d, write_spectrum_table
+from affbody.representations import Group, RepLabel, rotation_vector_from_matrix, wigner_D
 
 
 def grid2(nq1=7, nq2=6):
@@ -49,15 +30,6 @@ def random_amplitude(rng, alpha, beta, grid):
     shape = grid.shape + (alpha.dim, beta.dim)
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return ChannelAmplitude(alpha, beta, grid, vals)
-
-
-def trapezoid_weights(ax):
-    # weight vector reproducing np.trapezoid(f, x=ax) as a plain dot product
-    w = np.zeros(ax.shape)
-    d = np.diff(ax)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return w
 
 
 def averaged_amplitude(alpha, beta, grid, g, elements):
@@ -87,32 +59,6 @@ def averaged_amplitude(alpha, beta, grid, g, elements):
 
 
 class TestQGrid:
-    def test_shape_and_points(self):
-        g = grid2(5, 4)
-        assert g.ndim == 2
-        assert g.shape == (5, 4)
-        pts = g.points()
-        assert pts.shape == (5, 4, 2)
-        assert pts[2, 3, 0] == g.axes[0][2]
-        assert pts[2, 3, 1] == g.axes[1][3]
-
-    def test_weight_field_matches_scalar_weight(self):
-        g = grid3(4)
-        field = g.weight_field()
-        pts = g.points()
-        for idx in [(0, 1, 2), (3, 0, 1), (2, 2, 2)]:
-            assert field[idx] == pytest.approx(weight_lambda(pts[idx]).value, rel=1e-14)
-
-    @pytest.mark.parametrize("g", [grid2(4, 3), grid3(4)])
-    def test_weight_field_matches_loop_reference_bitwise(self, g):
-        # the pair product in the order (0, 1), (0, 2), (1, 2), starting from ones
-        pts = g.points()
-        want = np.ones(g.shape)
-        for a in range(g.ndim):
-            for b in range(a + 1, g.ndim):
-                want = want * np.abs(np.sinh(pts[..., a] - pts[..., b]))
-        assert g.weight_field().tobytes() == want.tobytes()
-
     def test_same_nodes(self):
         g = grid2(5, 4)
         assert g.same_nodes(grid2(5, 4))
@@ -132,24 +78,6 @@ class TestQGrid:
         assert not amp.values.flags.writeable
         ax[0], vals[0, 0, 0, 0] = -1.0, 1.0
         assert g.axes[0][0] == 0.0 and amp.values[0, 0, 0, 0] == 0.0
-
-    def test_scalar_product_requires_shared_nodes(self):
-        rng = np.random.default_rng(12)
-        label = RepLabel.so2(0)
-        e1 = Expansion((random_amplitude(rng, label, label, grid2(5, 4)),))
-        e2 = Expansion((random_amplitude(rng, label, label, grid2(5, 5)),))
-        with pytest.raises(DomainError, match="share the deformation grid"):
-            scalar_product(e1, e2)
-        with pytest.raises(DomainError, match="requested grid"):
-            scalar_product(e1, e1, grid=grid2(5, 5))
-        assert scalar_product(e1, e1, grid=grid2(5, 4)) == scalar_product(e1, e1)
-
-    def test_weight_field_two_axes(self):
-        g = grid2(4, 3)
-        field = g.weight_field()
-        assert field[1, 2] == pytest.approx(
-            abs(np.sinh(g.axes[0][1] - g.axes[1][2])), rel=1e-14
-        )
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -200,235 +128,6 @@ class TestChannelAmplitude:
             Expansion((ch, spatial))
         with pytest.raises(DomainError):
             Expansion(())
-
-
-class TestEvaluate:
-    def test_trivial_channel_is_constant(self):
-        g = grid3()
-        c = 0.7 - 0.2j
-        vals = np.full(g.shape + (1, 1), c)
-        exp = Expansion((ChannelAmplitude(RepLabel.so3(0), RepLabel.so3(0), g, vals),))
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            L = rng.uniform(-1, 1, 3)
-            R = rng.uniform(-1, 1, 3)
-            q = rng.uniform(-0.8, 0.8, 3) + np.array([0.1 * d for d in range(3)])
-            assert evaluate(exp, L, q, R) == pytest.approx(c, abs=1e-13)
-
-    def test_planar_unit_amplitude_gives_plane_wave(self):
-        g = grid2()
-        vals = np.ones(g.shape + (1, 1), dtype=complex)
-        m, n = 2, -1
-        exp = Expansion((ChannelAmplitude(RepLabel.so2(m), RepLabel.so2(n), g, vals),))
-        for alpha, beta in [(0.0, 0.0), (0.3, 1.9), (2.5, -0.7)]:
-            want = np.exp(1j * m * alpha) * np.exp(1j * n * beta)
-            assert evaluate(exp, alpha, (0.1, 0.2), beta) == pytest.approx(want, abs=1e-13)
-
-    def test_two_channels_add(self):
-        rng = np.random.default_rng(8)
-        g = grid2()
-        ch1 = random_amplitude(rng, RepLabel.so2(1), RepLabel.so2(0), g)
-        ch2 = random_amplitude(rng, RepLabel.so2(-2), RepLabel.so2(3), g)
-        both = Expansion((ch1, ch2))
-        v = evaluate(both, 0.4, (0.0, 0.1), 1.1)
-        v1 = evaluate(Expansion((ch1,)), 0.4, (0.0, 0.1), 1.1)
-        v2 = evaluate(Expansion((ch2,)), 0.4, (0.0, 0.1), 1.1)
-        assert v == pytest.approx(v1 + v2, abs=1e-13)
-
-    def test_linear_interpolation_is_exact_on_linear_data(self):
-        g = grid2()
-        pts = g.points()
-        f = 0.3 * pts[..., 0] - 1.1 * pts[..., 1] + 0.25
-        vals = f[..., None, None].astype(complex)
-        exp = Expansion((ChannelAmplitude(RepLabel.so2(0), RepLabel.so2(0), g, vals),))
-        q = (0.234, -0.456)
-        want = 0.3 * q[0] - 1.1 * q[1] + 0.25
-        assert evaluate(exp, 0.0, q, 0.0) == pytest.approx(want, abs=1e-12)
-
-    def test_spatial_channel_against_direct_contraction(self):
-        rng = np.random.default_rng(9)
-        g = grid3()
-        ch = random_amplitude(rng, RepLabel.su2(0.5), RepLabel.su2(0.5), g)
-        exp = Expansion((ch,), TargetSpace.DOUBLE_COVER)
-        L = np.array([0.2, -0.5, 0.9])
-        R = np.array([1.0, 0.3, -0.2])
-        q = tuple(ax[1] for ax in g.axes)  # a grid node, interpolation exact
-        want = (
-            wigner_D(ch.alpha, L) @ ch.values[1, 1, 1] @ wigner_D(ch.beta, R).conj().T
-        ).sum()
-        assert evaluate(exp, L, q, R) == pytest.approx(want, abs=1e-12)
-
-    def test_point_of_the_wrong_dimension_rejected(self):
-        g = grid2()
-        vals = np.ones(g.shape + (1, 1), dtype=complex)
-        exp = Expansion((ChannelAmplitude(RepLabel.so2(0), RepLabel.so2(0), g, vals),))
-        with pytest.raises(DomainError, match="does not match grid dimension 2"):
-            evaluate(exp, 0.0, (0.0, 0.0, 0.0), 0.0)
-
-    def test_out_of_range_point_rejected(self):
-        g = grid2()
-        vals = np.ones(g.shape + (1, 1), dtype=complex)
-        exp = Expansion((ChannelAmplitude(RepLabel.so2(0), RepLabel.so2(0), g, vals),))
-        with pytest.raises(DomainError):
-            evaluate(exp, 0.0, (5.0, 0.0), 0.0)
-
-
-def smooth_field(rng, g):
-    pts = g.points()
-    a = rng.standard_normal(3)
-    out = np.exp(-((pts[..., 0] - 0.2 * a[0]) ** 2) - (pts[..., 1] - 0.1 * a[1]) ** 2)
-    return (out * (1.0 + 0.5j * a[2]))[..., None, None]
-
-
-class TestScalarProduct:
-    def test_zero_amplitude(self):
-        g = grid2()
-        z = np.zeros(g.shape + (1, 1), dtype=complex)
-        e = Expansion((ChannelAmplitude(RepLabel.so2(0), RepLabel.so2(0), g, z),))
-        assert scalar_product(e, e) == 0.0
-
-    def test_disjoint_labels_vanish(self):
-        rng = np.random.default_rng(10)
-        g = grid2()
-        e1 = Expansion((random_amplitude(rng, RepLabel.so2(1), RepLabel.so2(0), g),))
-        e2 = Expansion((random_amplitude(rng, RepLabel.so2(0), RepLabel.so2(1), g),))
-        assert scalar_product(e1, e2) == 0.0
-
-    def test_planar_parseval_against_direct_quadrature(self):
-        # direct integral of conj(Psi1) Psi2 |sh(q1-q2)| over both angles and
-        # the invariant grid, uniform rule in the angles (exact for the
-        # trigonometric content), same trapezoid rule in q
-        rng = np.random.default_rng(11)
-        g = grid2(15, 17)
-        labels1 = [(1, 0), (-1, 2)]
-        labels2 = [(1, 0), (3, -2), (-1, 2)]
-        chans1 = {
-            mn: ChannelAmplitude(RepLabel.so2(mn[0]), RepLabel.so2(mn[1]), g, smooth_field(rng, g))
-            for mn in labels1
-        }
-        chans2 = {
-            mn: ChannelAmplitude(RepLabel.so2(mn[0]), RepLabel.so2(mn[1]), g, smooth_field(rng, g))
-            for mn in labels2
-        }
-        e1 = Expansion(tuple(chans1.values()))
-        e2 = Expansion(tuple(chans2.values()))
-
-        na = 48
-        angles = np.arange(na) * (2.0 * np.pi / na)
-
-        def psi(chans):
-            out = np.zeros((na, g.shape[0], g.shape[1], na), dtype=complex)
-            for (m, n), ch in chans.items():
-                ea = np.exp(1j * m * angles)[:, None, None, None]
-                eb = np.exp(1j * n * angles)[None, None, None, :]
-                out += ea * ch.values[None, ..., 0, 0, None] * eb
-            return out
-
-        w1 = trapezoid_weights(g.axes[0])
-        w2 = trapezoid_weights(g.axes[1])
-        wq = w1[:, None] * w2[None, :] * g.weight_field()
-        integrand = np.conj(psi(chans1)) * psi(chans2)
-        direct = np.einsum("aijb,ij->", integrand, wq) * (2.0 * np.pi / na) ** 2
-
-        via_channels = scalar_product(e1, e2)
-        assert abs(via_channels - direct / (2.0 * np.pi) ** 2) < 1e-8
-
-        sym = scalar_product(e2, e1)
-        assert sym == pytest.approx(np.conj(via_channels), abs=1e-12)
-        norm = scalar_product(e1, e1)
-        assert norm.real > 0.0
-        assert abs(norm.imag) < 1e-12 * norm.real
-
-    @pytest.mark.parametrize(
-        "alpha,beta",
-        [
-            (RepLabel.so3(1), RepLabel.so3(0)),
-            (RepLabel.su2(0.5), RepLabel.su2(0.5)),
-        ],
-    )
-    def test_spatial_norm_against_haar_quadrature(self, alpha, beta):
-        # |Psi|^2 integrated over both rotation factors with the Haar rule
-        # equals Vol_L * Vol_R * N(alpha) * N(beta) times the channel norm:
-        # the grand-sum contraction spends one dimension factor per side.
-        rng = np.random.default_rng(12)
-        g = QGrid((np.array([-0.4, 0.1, 0.5]), np.array([-0.2, 0.3]), np.array([0.0, 0.6])))
-        ch = random_amplitude(rng, alpha, beta, g)
-        target = TargetSpace.DOUBLE_COVER if alpha.half_integer else TargetSpace.GLPLUS
-        exp = Expansion((ch,), target)
-
-        wq = [trapezoid_weights(ax) for ax in g.axes]
-        wfield = (
-            wq[0][:, None, None] * wq[1][None, :, None] * wq[2][None, None, :]
-        ) * g.weight_field()
-
-        def factor_sums(order):
-            # Psi(L, q, R) = u(L) . f(q) . v(R) with u the column sums of
-            # D^alpha(L) and v the column sums of conj(D^beta(R)), i.e. the
-            # grand contraction of D^beta(R^{-1}) over its free index
-            quadL = haar_quadrature(alpha.group, order)
-            quadR = haar_quadrature(beta.group, order)
-            u = wigner_D_batch(alpha, quadL.vectors).sum(axis=1)
-            v = wigner_D_batch(beta, quadR.vectors).conj().sum(axis=1)
-            return quadL, quadR, u, v
-
-        def gram_pair(quadL, quadR, u, v):
-            GU = np.einsum("l,lb,lc->bc", quadL.weights, u, u.conj())
-            GV = np.einsum("r,rc,rd->cd", quadR.weights, v, v.conj())
-            return GU, GV
-
-        def contracted(GU, GV):
-            return np.einsum(
-                "ijk,ijkbc,ijkde,bd,ce->", wfield, ch.values, ch.values.conj(), GU, GV
-            ).real
-
-        # reordering sanity on a coarse rule: the gram-contracted form equals
-        # the materialized node-by-node sum over both rotation grids
-        quadL, quadR, u, v = factor_sums(6)
-        brute = 0.0
-        for idx in np.ndindex(*g.shape):
-            M = u @ ch.values[idx] @ v.T
-            brute += wfield[idx] * (
-                quadL.weights @ (M.real**2 + M.imag**2) @ quadR.weights
-            )
-        GU, GV = gram_pair(quadL, quadR, u, v)
-        assert contracted(GU, GV) == pytest.approx(brute, rel=1e-11)
-
-        # accurate rule: gram matrices converge to Vol * Id and the direct
-        # double-Haar integral matches the channel formula with the explicit
-        # volume and dimension factors
-        quadL, quadR, u, v = factor_sums(14)
-        GU, GV = gram_pair(quadL, quadR, u, v)
-        volL, volR = group_volume(alpha.group), group_volume(beta.group)
-        assert np.max(np.abs(GU - volL * np.eye(alpha.dim))) < 1e-8 * volL
-        assert np.max(np.abs(GV - volR * np.eye(beta.dim))) < 1e-8 * volR
-        want = volL * volR * alpha.dim * beta.dim * scalar_product(exp, exp).real
-        assert contracted(GU, GV) == pytest.approx(want, rel=1e-8)
-
-    def test_grid_mismatch_rejected(self):
-        rng = np.random.default_rng(13)
-        label = RepLabel.so2(1)
-        e1 = Expansion((random_amplitude(rng, label, label, grid2(7, 6)),))
-        e2 = Expansion((random_amplitude(rng, label, label, grid2(7, 7)),))
-        with pytest.raises(DomainError):
-            scalar_product(e1, e2)
-
-    def test_target_space_mismatch_rejected(self):
-        rng = np.random.default_rng(14)
-        label = RepLabel.so2(1)
-        g = grid2()
-        e1 = Expansion((random_amplitude(rng, label, label, g),), TargetSpace.GLPLUS)
-        e2 = Expansion((random_amplitude(rng, label, label, g),), TargetSpace.DOUBLE_COVER)
-        with pytest.raises(DomainError):
-            scalar_product(e1, e2)
-
-    def test_explicit_grid_argument(self):
-        rng = np.random.default_rng(15)
-        label = RepLabel.so2(2)
-        g = grid2()
-        e = Expansion((random_amplitude(rng, label, label, g),))
-        assert scalar_product(e, e, g) == scalar_product(e, e)
-        with pytest.raises(DomainError):
-            scalar_product(e, e, grid2(4, 4))
 
 
 class TestSuperselection:
@@ -597,94 +296,3 @@ class TestWSymmetry:
             validate_w_symmetry(ch, np.diag([1.0, -1.0]))
         with pytest.raises(DomainError):
             validate_w_symmetry(ch, np.eye(3))
-
-
-class TestAmplitudeIO:
-    def build(self, rng):
-        g = QGrid((np.array([-0.5, 0.0, 0.75]), np.array([-1.0, 0.25])))
-        chans = (
-            random_amplitude(rng, RepLabel.so2(2), RepLabel.so2(-1), g),
-            random_amplitude(rng, RepLabel.so2(0), RepLabel.so2(0), g),
-        )
-        return Expansion(chans, TargetSpace.GLPLUS)
-
-    def test_roundtrip_planar_exact(self):
-        rng = np.random.default_rng(22)
-        e = self.build(rng)
-        e2 = loads_amplitudes(dumps_amplitudes(e))
-        assert e2.target_space is e.target_space
-        assert len(e2.channels) == len(e.channels)
-        for a, b in zip(e.channels, e2.channels):
-            assert a.alpha == b.alpha and a.beta == b.beta
-            assert all(np.array_equal(x, y) for x, y in zip(a.grid.axes, b.grid.axes))
-            assert np.array_equal(a.values, b.values)
-
-    def test_roundtrip_spatial_exact(self):
-        rng = np.random.default_rng(23)
-        g = grid3(2)
-        ch = random_amplitude(rng, RepLabel.su2(0.5), RepLabel.su2(0.5), g)
-        e = Expansion((ch,), TargetSpace.DOUBLE_COVER)
-        e2 = loads_amplitudes(dumps_amplitudes(e))
-        assert e2.target_space is TargetSpace.DOUBLE_COVER
-        assert np.array_equal(e2.channels[0].values, ch.values)
-
-    def test_file_io(self, tmp_path):
-        rng = np.random.default_rng(24)
-        e = self.build(rng)
-        path = tmp_path / "amps.txt"
-        write_amplitudes(str(path), e)
-        e2 = read_amplitudes(str(path))
-        assert np.array_equal(e2.channels[0].values, e.channels[0].values)
-
-    @pytest.mark.parametrize(
-        "name", ["write_spectrum_table", "write_operator", "write_amplitudes", "read_amplitudes"]
-    )
-    def test_pathlike_target_gives_same_bytes_as_str(self, tmp_path, name):
-        op = assemble_2d_channel(
-            ModelKind.AFF_AFF, ModelParams(I=1.0, A=1.0, B=0.0), (0, 2), Grid1D(0.0, 10.0, 19)
-        )
-        expansion = self.build(np.random.default_rng(26))
-        source = tmp_path / "source.txt"
-        write_amplitudes(str(source), expansion)
-        write = {
-            "write_spectrum_table": lambda t: write_spectrum_table(t, [solve_1d(op, 2)]),
-            "write_operator": lambda t: write_operator(t, op),
-            "write_amplitudes": lambda t: write_amplitudes(t, expansion),
-            # reads the source as the target's type, writes through a str
-            "read_amplitudes": lambda t: write_amplitudes(
-                str(t), read_amplitudes(source if isinstance(t, Path) else str(source))
-            ),
-        }[name]
-        write(str(tmp_path / "str.txt"))
-        write(tmp_path / "path.txt")
-        assert (tmp_path / "path.txt").read_bytes() == (tmp_path / "str.txt").read_bytes()
-
-    # each malformed line raises DomainError naming its line number
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "xx 0 so2 0 0.1 0.2 1 0",  # unknown group tag
-            "so2 zz so2 0 0.1 0.2 1 0",  # non-numeric entry
-            "so3",  # truncated record
-            "# target nowhere",  # unknown target space
-            "# target",  # target space missing
-            "so2 0 so2 0 0.1 1 0",  # fewer invariants than the line before
-        ],
-    )
-    def test_malformed_line_names_its_number(self, line):
-        text = "# affbody-amplitudes 1\nso2 0 so2 0 0.1 0.2 1 0\n\n" + line + "\n"
-        with pytest.raises(DomainError, match="line 4"):
-            loads_amplitudes(text)
-
-    def test_records_that_do_not_fill_a_tensor_grid_rejected(self):
-        # two diagonal points span a 2 x 2 grid
-        text = "so2 0 so2 0 0.1 0.2 1 0\nso2 0 so2 0 0.3 0.4 1 0\n"
-        with pytest.raises(DomainError, match="tensor grid"):
-            loads_amplitudes(text)
-
-    def test_header_present(self):
-        rng = np.random.default_rng(25)
-        text = dumps_amplitudes(self.build(rng))
-        lines = text.splitlines()
-        assert lines[0].startswith("#")
-        assert any("channel" in ln for ln in lines if ln.startswith("#"))

@@ -163,6 +163,29 @@ class TestSolve1D:
         with pytest.raises(NumericalError, match="infs or NaNs"):
             solve_1d(op, 1)
 
+    @staticmethod
+    def aff_aff(A, channel):
+        """Tridiagonal entries scale as 1/A, so A times the levels is A-free."""
+        return assemble_2d_channel(
+            ModelKind.AFF_AFF, P2(I=0.0, A=A, B=0.0), channel, Grid1D(0.0, 40.0, 3999)
+        )
+
+    def test_entries_past_the_limit_scale_by_powers_of_two_exactly(self):
+        # A = 2^k puts the largest entry near 3e4 * 2^-k, from 6.5e154 up to
+        # 2.8e287: all past sqrt(float max), where stebz alone fails
+        want = solve_1d(self.aff_aff(1.0, (4, 2)), 4).eigenvalues
+        for k in range(-500, -941, -20):
+            A = 2.0**k
+            assert np.array_equal(solve_1d(self.aff_aff(A, (4, 2)), 4).eigenvalues * A, want), k
+
+    @pytest.mark.parametrize("channel", [(1, 1), (4, 2)])
+    def test_largest_entry_at_2e154_keeps_the_levels(self, channel):
+        op = self.aff_aff(1.0, channel)
+        A = max(np.max(np.abs(part)) for part in op.symmetric_tridiagonal()) / 2e154
+        want = solve_1d(op, 5).eigenvalues
+        got = solve_1d(self.aff_aff(A, channel), 5).eigenvalues * A
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
     @pytest.mark.parametrize(
         "kind,channel,grid,shear",
         [
@@ -421,6 +444,19 @@ class TestSolveNDMatrixChannel:
         with pytest.raises(DomainError, match="exceeds the problem dimension 3"):
             solve_nd(ThreeRows(1.0, 4, 1.0), 3)
 
+    def test_overflowing_block_refused_before_arpack(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        calls = []
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **k: calls.append(k))
+        op = assemble_nd_channel(
+            ModelKind.AFF_AFF, ModelParams(I=0.0, A=1e-305, B=0.0, n=3), (0, 0), GridND(5, -3, 3)
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite"):
+                solve_nd(op, 1)
+        assert calls == []
+
     def test_complex_action_rejected(self):
         class Twisted(FlatBoxND):
             def symmetric_matrix(self):
@@ -522,3 +558,11 @@ class TestWriteTable:
         path = tmp_path / "spec.txt"
         write_spectrum_table(str(path), [res])
         assert len(path.read_text().splitlines()) == 3
+
+    def test_pathlike_target_gives_same_bytes_as_str(self, tmp_path):
+        op = assemble_2d_channel(
+            ModelKind.AFF_AFF, ModelParams(I=1.0, A=1.0, B=0.0), (0, 2), Grid1D(0.0, 10.0, 19)
+        )
+        write_spectrum_table(str(tmp_path / "str.txt"), [solve_1d(op, 2)])
+        write_spectrum_table(tmp_path / "path.txt", [solve_1d(op, 2)])
+        assert (tmp_path / "path.txt").read_bytes() == (tmp_path / "str.txt").read_bytes()
