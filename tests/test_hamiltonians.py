@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from affbody.errors import CapacityError, DomainError
+from affbody.representations import RepLabel, casimir, generators
 from affbody.hamiltonians import (
     KLEIN_ROTATIONS,
     MAX_FIELD_ELEMENTS,
@@ -883,3 +884,62 @@ class TestAssembleND:
         assert op.weighted_inner(f, f).real > 0.0
         assert abs(op.weighted_inner(f, f).imag) < 1e-14
         assert op.weighted_inner(f, g) == pytest.approx(np.conj(op.weighted_inner(g, f)))
+
+
+class TestCasimirShifts:
+    """The constant shifts of the mixed models against the representation Casimirs.
+
+    The gyration label (m for met-aff, n for aff-met, s resp. j in three
+    dimensions) enters as hbar^2 m^2 / mu in the plane and as
+    hbar^2 s(s+1) / 2mu in space; aff-aff has no shift.
+    """
+
+    @pytest.mark.parametrize(
+        "kind,channel,gyro",
+        [
+            (ModelKind.MET_AFF, (2, 1), 2),
+            (ModelKind.MET_AFF, (-3, 2), -3),
+            (ModelKind.AFF_MET, (2, 1), 1),
+            (ModelKind.AFF_MET, (1, -3), -3),
+            (ModelKind.AFF_AFF, (2, 1), 0),
+        ],
+    )
+    def test_planar_shift_is_the_so2_casimir_over_mu(self, kind, channel, gyro):
+        par = params2(I=2.0, A=1.0, B=0.0, hbar=0.5)
+        op = assemble_2d_channel(kind, par, channel, Grid1D.from_spec(10.0, 20))
+        c2 = casimir(generators(RepLabel.so2(gyro), par.hbar))[0, 0].real
+        assert op.constant_shift == pytest.approx(c2 / derived_constants(par).mu, rel=1e-15)
+        assert op.threshold - op.constant_shift == pytest.approx(0.25 * op.kinetic_coeff)
+
+    @pytest.mark.parametrize(
+        "kind,labels,gyro",
+        [
+            (ModelKind.MET_AFF, (1, 0.5), 1),
+            (ModelKind.MET_AFF, (0.5, 2), 0.5),
+            (ModelKind.AFF_MET, (1.5, 0.5), 0.5),
+            (ModelKind.AFF_MET, (0, 2), 2),
+            (ModelKind.AFF_AFF, (1, 1), 0),
+        ],
+    )
+    def test_spatial_shift_is_the_su2_casimir_over_2mu(self, kind, labels, gyro):
+        par = params3(I=3.0, A=1.0, B=1.0, hbar=0.5)
+        op = assemble_nd_channel(kind, par, labels, GridND(4, -1.0, 1.0))
+        c2 = casimir(generators(RepLabel.su2(gyro), par.hbar))
+        assert np.allclose(c2, c2[0, 0] * np.eye(len(c2)), rtol=0.0, atol=1e-15)
+        want = c2[0, 0].real / (2.0 * derived_constants(par).mu)
+        assert op.casimir_shift == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+    # 2A(A + nB) underflows to 0 for A = B = 1e-200, which the gates accept;
+    # the coefficients divide one factor at a time and stay finite
+    def test_tiny_A_planar_coefficients_stay_finite(self):
+        par = ModelParams(I=0.0, A=1e-200, B=1e-200, n=2)
+        op = assemble_2d_channel(ModelKind.AFF_AFF, par, (1, 1), Grid1D.from_spec(10.0, 20))
+        assert op.kinetic_coeff == pytest.approx(1e200, rel=1e-15)
+        assert op.q_sector.coeff == pytest.approx(1.0 / 12.0 * 1e200, rel=1e-15)
+
+    def test_tiny_A_spatial_coefficients_stay_finite(self):
+        par = ModelParams(I=0.0, A=1e-200, B=1e-200, n=3)
+        assert 2.0 * par.A * (par.A + 3.0 * par.B) == 0.0
+        op = assemble_nd_channel(ModelKind.AFF_AFF, par, (0, 0), GridND(4, -1.0, 1.0))
+        assert op.kinetic_coeff == pytest.approx(0.5e200, rel=1e-15)
+        assert op.q2_coeff == pytest.approx(0.125e200, rel=1e-15)

@@ -59,6 +59,10 @@ def averaged_amplitude(alpha, beta, grid, g, elements):
 
 
 class TestQGrid:
+    def test_shape_and_ndim(self):
+        assert (grid2(5, 4).ndim, grid2(5, 4).shape) == (2, (5, 4))
+        assert (grid3(4).ndim, grid3(4).shape) == (3, (4, 4, 4))
+
     def test_same_nodes(self):
         g = grid2(5, 4)
         assert g.same_nodes(grid2(5, 4))

@@ -295,3 +295,44 @@ class TestHaar:
         D0 = np.ones(len(quad.weights))
         D1 = wigner_D_batch(RepLabel.so3(1), quad.vectors)
         assert abs(np.sum(quad.weights * D1[:, 0, 0] * D0)) < 1e-9
+
+    # Schur orthogonality: the Haar integral of D_ij conj(D'_kl) is
+    # Vol / dim delta_ik delta_jl for D' = D and vanishes between
+    # inequivalent irreps
+    @staticmethod
+    def haar_overlap(a, b, order=16):
+        quad = haar_quadrature(a.group, order)
+        Da = wigner_D_batch(a, quad.vectors)
+        Db = wigner_D_batch(b, quad.vectors)
+        return np.einsum("n,nij,nkl->ijkl", quad.weights, Da, Db.conj())
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            RepLabel.so3(0),
+            RepLabel.so3(1),
+            RepLabel.so3(2),
+            RepLabel.su2(0.5),
+            RepLabel.su2(1),
+            RepLabel.su2(1.5),
+        ],
+        ids=str,
+    )
+    def test_schur_orthogonality(self, label):
+        d = label.dim
+        vol = group_volume(label.group)
+        want = vol / d * np.einsum("ik,jl->ijkl", np.eye(d), np.eye(d))
+        assert np.max(np.abs(self.haar_overlap(label, label) - want)) < 1e-10 * vol
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (RepLabel.so3(1), RepLabel.so3(2)),
+            (RepLabel.su2(0.5), RepLabel.su2(1.5)),
+            (RepLabel.su2(0.5), RepLabel.su2(1)),
+        ],
+        ids=str,
+    )
+    def test_inequivalent_irreps_are_orthogonal(self, a, b):
+        vol = group_volume(a.group)
+        assert np.max(np.abs(self.haar_overlap(a, b))) < 1e-10 * vol

@@ -178,6 +178,31 @@ class TestSolve1D:
             A = 2.0**k
             assert np.array_equal(solve_1d(self.aff_aff(A, (4, 2)), 4).eigenvalues * A, want), k
 
+    @pytest.mark.parametrize(
+        "kind,channel,grid",
+        [
+            (ModelKind.AFF_AFF, (4, 2), Grid1D(0.0, 40.0, 3999)),
+            (ModelKind.MET_AFF, (2, 1), Grid1D(0.0, 20.0, 1999)),
+            (ModelKind.AFF_MET, (1, 2), Grid1D(0.0, 20.0, 1999)),
+            (ModelKind.DALEMBERT, (1, 3), Grid1D(0.5, 20.0, 1999)),
+        ],
+    )
+    def test_levels_scale_as_hbar_squared_past_the_limit(self, kind, channel, grid):
+        # hbar = 2^300 scales every entry by 2^600, to about 1e184
+        params = ModelParams(I=2.0, A=1.0, B=0.0)
+        big = dataclasses.replace(params, hbar=2.0**300)
+        op = assemble_2d_channel(kind, big, channel, grid)
+        assert max(np.max(np.abs(part)) for part in op.symmetric_tridiagonal()) > 1e180
+        want = solve_1d(assemble_2d_channel(kind, params, channel, grid), 4).eigenvalues
+        assert np.array_equal(np.ldexp(solve_1d(op, 4).eigenvalues, -600), want)
+
+    @pytest.mark.parametrize("channel", [(2, 2), (4, 2)])
+    def test_node_counts_past_the_limit(self, channel):
+        # the eigenvector path scales the same way as the eigenvalue path
+        want = node_counts(self.aff_aff(1.0, channel), 3)
+        assert want == (0, 1, 2)
+        assert node_counts(self.aff_aff(2.0**-600, channel), 3) == want
+
     @pytest.mark.parametrize("channel", [(1, 1), (4, 2)])
     def test_largest_entry_at_2e154_keeps_the_levels(self, channel):
         op = self.aff_aff(1.0, channel)
