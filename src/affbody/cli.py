@@ -36,6 +36,7 @@ import numpy as np
 from . import __version__
 from .errors import CapacityError, DomainError, UsageError
 from .hamiltonians import (
+    ENTRY_LIMIT,
     MAX_FIELD_ELEMENTS,
     Grid1D,
     GridND,
@@ -48,7 +49,8 @@ from .hamiltonians import (
     assemble_nd_channel,
     check_gates,
     check_grid_start,
-    derived_constants,
+    entry_scale,
+    largest_weight,
     planar_labels,
     shear_label_terms,
     spatial_labels,
@@ -58,7 +60,6 @@ from .spectra import (
     DEFAULT_BOX,
     DEFAULT_NPOINTS,
     MAX_ND_COUNT,
-    _TRIDIAGONAL_LIMIT,
     SpectralClass,
     classify_channel,
     convergence_study,
@@ -463,34 +464,6 @@ def _assemble(cfg: RunConfig, channel, grid):
     return assemble_nd_channel(cfg.kind, cfg.params, channel, grid)
 
 
-def _check_planar_scale(cfg: RunConfig, h: float) -> None:
-    """UsageError naming the parameter if a planar level of step h could pass _TRIDIAGONAL_LIMIT.
-
-    From `assemble_2d_channel`'s coefficient formulas, without assembling:
-    the kinetic term puts about 2c/h^2 on the diagonal, c = hbar^2/D, and
-    the sh^-2 (or x^-2) barrier at most hbar^2 (n-m)^2/(4 D h^2) on a node
-    h from the origin, with D = A (aff-aff), I + A (met-aff, aff-met) or I.
-    """
-    p = cfg.params
-    terms = [shear_label_terms(cfg.kind, ch) for ch in cfg.channels]
-    diff2, sum2, gyro2 = (max(column) for column in zip(*terms))
-    hb2 = p.hbar * p.hbar
-    name, denom, shift = "A", p.A, 0.0
-    if cfg.kind is ModelKind.DALEMBERT:
-        name, denom = "I", p.I
-    elif cfg.kind is not ModelKind.AFF_AFF:
-        cons = derived_constants(p)
-        denom, shift = cons.alpha, hb2 * gyro2 / abs(cons.mu)
-    coeff = hb2 * (2.0 + diff2 / 4.0) / denom
-    scale = (coeff / (h * h) if h * h else math.inf) + hb2 * sum2 / (16.0 * denom) + shift
-    if not scale <= _TRIDIAGONAL_LIMIT:
-        raise UsageError(
-            f"params.{name}: {name} = {getattr(p, name)!r} puts the finest planar level's "
-            f"tridiagonal entries near {scale:.3g} (h = {h:.3g}), past the "
-            f"{_TRIDIAGONAL_LIMIT:.3g} that LAPACK's tridiagonal solvers take unscaled"
-        )
-
-
 def _solve_channel(cfg: RunConfig, channel, grids) -> list:
     """One result per grid of a `nested_grids` chain, coarsest first.
 
@@ -605,19 +578,33 @@ def main(argv=None) -> int:
         if cfg.dimension == 3 and args.command != "run":
             raise UsageError(f"dimension: {args.command} supports dimension 2 only")
         levels = {"run": cfg.refinements + 1, "convergence": cfg.levels}.get(args.command, 1)
-        # capacity pre-flight on the finest level: a Grid1D counts its nodes, and an
-        # n=3 operator its nonzeros without allocating (its lattice is built lazily);
-        # a planar level's entries are bounded from the coefficients alone
+        # pre-flight on the finest level, before any output: a Grid1D's nodes or an n=3
+        # operator's nonzeros (its lattice is built lazily) against the capacity, each
+        # channel's entry bound, and the weight times it (or 2, for two flux weights)
         try:
             grids = nested_grids(cfg.grid1d if cfg.dimension == 2 else cfg.gridnd, levels)
-            if cfg.dimension == 3:
-                for ch in cfg.channels:
+            h, worst = grids[-1].step, 2.0
+            for ch in cfg.channels:
+                if cfg.dimension == 3:
                     _assemble(cfg, ch, grids[-1])
-            else:
-                _check_planar_scale(cfg, grids[-1].step)
+                scale = entry_scale(cfg.kind, cfg.params, ch, h)
+                if not scale <= ENTRY_LIMIT:
+                    name = "I" if cfg.kind is ModelKind.DALEMBERT else "A"
+                    raise UsageError(
+                        f"params.{name}: {name} = {getattr(cfg.params, name)!r} puts channel "
+                        f"{ch}'s finest-level entries near {scale:.3g} (h = {h:.3g}), past "
+                        f"the {ENTRY_LIMIT:.3g} that the solvers take unscaled"
+                    )
+                worst = max(worst, scale)
         except CapacityError as exc:
             field = "h" if "h" in (doc.get("grid") or {}) else "npoints"
             raise UsageError(f"grid.{field}: {exc}") from exc
+        weight = largest_weight(cfg.kind, grids[-1])
+        if not math.isfinite(weight * worst):
+            raise UsageError(
+                f"grid.{'x_max' if cfg.dimension == 2 else 'q_max'}: the weight reaches "
+                f"{weight:.3g} on the finest level, and times {worst:.3g} it overflows"
+            )
         output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or os.getcwd()
         commands = {"run": cmd_run, "scan-threshold": cmd_scan_threshold}
         return commands.get(args.command, cmd_convergence)(cfg, output_dir, grids)

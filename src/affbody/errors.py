@@ -1,7 +1,4 @@
-"""Exception types and the small helpers shared across the package."""
-
-import os
-from contextlib import contextmanager
+"""Exception types and the `readonly` helper shared across the package."""
 
 
 class AffbodyError(Exception):
@@ -22,19 +19,6 @@ class CapacityError(AffbodyError, RuntimeError):
 
 class UsageError(AffbodyError, ValueError):
     """Malformed or inconsistent run configuration."""
-
-
-@contextmanager
-def text_file(target, mode: str):
-    """Open a path (str, bytes or os.PathLike) as UTF-8 text, or pass a handle through.
-
-    A file opened here is closed on exit; a handle passed in is left open.
-    """
-    if isinstance(target, (str, bytes, os.PathLike)):
-        with open(target, mode, encoding="utf-8") as fh:
-            yield fh
-    else:
-        yield target
 
 
 def readonly(a):

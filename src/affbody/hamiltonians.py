@@ -17,9 +17,6 @@ mean dilatation q = (q^1 + q^2)/2:
               hbar^2 m^2/mu (resp. hbar^2 n^2/mu),
               q-sector coefficient hbar^2/(2 beta~).
 
-The x-sector reads its labels only through `shear_label_terms`, so label
-twins (equal terms) share it bitwise.
-
 The isotropic model separates in Sigma = Q^1 + Q^2, Delta = Q^1 - Q^2 with
 linear weights and inverse-square barriers hbar^2 (n-m)^2/(4 I Delta^2),
 hbar^2 (n+m)^2/(4 I Sigma^2), both sectors sharing the coefficient
@@ -38,6 +35,12 @@ and per ordered pair a != b the generator barriers
 where S_right f = S^(s) f and S_left f = f S^(j) act through the dual
 axis of the pair.  The isotropic model uses weight P_l and both barrier
 terms positive with (Q^a -+ Q^b)^-2 denominators and prefactor 1/8I.
+
+Each dimension's coefficients come from one private helper, read by its
+assembler and by `entry_scale`, which estimates a channel's largest
+symmetric-matrix entry without assembling.  The planar one reads the
+labels only through `shear_label_terms`, so label twins (equal terms)
+share an x-sector bitwise.
 
 Symmetrized, H = K (x) I_r + sum_t diag(f_t) (x) M_t: K is the spin-free
 stencil on the N^3 cells, and six barrier fields f_t weight spin mats M_t
@@ -68,6 +71,10 @@ from .representations import RepLabel, generators
 
 MAX_TWICE_SPIN = 20
 MAX_FIELD_ELEMENTS = 1 << 26
+# sqrt(eps/safmin) = 2^485, about 1e146, past which LAPACK's dstev rescales a matrix:
+# stebz (eigh_tridiagonal) squares the off-diagonal and fails near 1.3e154, where
+# the squared norms of solve_nd's symmetry probe overflow too
+ENTRY_LIMIT = 2.0**485
 
 
 class ModelKind(Enum):
@@ -415,6 +422,26 @@ def check_grid_start(kind: ModelKind, start: float) -> None:
         raise DomainError(f"the isotropic model lives on positive coordinates, got start {start}")
 
 
+def _planar_coefficients(kind: ModelKind, params: ModelParams, channel) -> tuple:
+    """(c, barrier, well, shift, q_coeff, q_inv_sq) of the planar channel (m, n): the x-sector's
+    kinetic, sh^-2(x/2) (x^-2 in dalembert), -ch^-2(x/2) and constant coefficients, and the
+    q-sector's kinetic and x^-2 ones.  DomainError if the parameters fail their gates."""
+    if params.n != 2:
+        raise DomainError("planar channels require n = 2 parameters")
+    cons = check_gates(kind, params)
+    diff2, sum2, gyro2 = shear_label_terms(kind, channel)
+    hb2 = params.hbar**2
+    if kind is ModelKind.DALEMBERT:
+        c, q_inv_sq = hb2 / params.I, hb2 * sum(planar_labels(channel)) ** 2 / (4.0 * params.I)
+        return c, hb2 * diff2 / (4.0 * params.I), 0.0, 0.0, c, q_inv_sq
+    if kind is ModelKind.AFF_AFF:
+        denom, shift, q_coeff = params.A, 0.0, hb2 / (4.0 * (params.A + 2.0 * params.B))
+    else:
+        denom, shift, q_coeff = cons.alpha, hb2 * gyro2 / cons.mu, hb2 / (2.0 * cons.beta_tilde)
+    sh_coeff, ch_coeff = hb2 * diff2 / (16.0 * denom), hb2 * sum2 / (16.0 * denom)
+    return hb2 / denom, sh_coeff, ch_coeff, shift, q_coeff, 0.0
+
+
 def assemble_2d_channel(
     kind: ModelKind,
     params: ModelParams,
@@ -424,56 +451,28 @@ def assemble_2d_channel(
     shear_potential: PotentialSpec = ZERO_POTENTIAL,
 ) -> ChannelOperator1D:
     """x-sector operator of the planar channel (m, n), q-sector attached."""
-    if params.n != 2:
-        raise DomainError("planar channels require n = 2 parameters")
-    cons = check_gates(kind, params)
+    c, barrier, well, shift, q_coeff, q_inv_sq = _planar_coefficients(kind, params, channel)
     check_grid_start(kind, grid.x_min)
-    labels = planar_labels(channel)
-    diff2, sum2, gyro2 = shear_label_terms(kind, labels)
-    hb2 = params.hbar**2
     x = grid.points
     shear = potential(shear_potential, x)
     edge = float(potential(shear_potential, grid.x_max))
-
     if kind is ModelKind.DALEMBERT:
-        c = q_coeff = hb2 / params.I
-        shift = 0.0
-        q_inv_sq = hb2 * sum(labels) ** 2 / (4.0 * params.I)
         weight = q_weight = WeightKind1D.LINEAR
-        diag = hb2 * diff2 / (4.0 * params.I) / x**2 + shear
+        diag = barrier / x**2 + shear
         threshold = edge
     else:
-        if kind is ModelKind.AFF_AFF:
-            denom = params.A
-            shift = 0.0
-            q_coeff = hb2 / (4.0 * (params.A + 2.0 * params.B))
-        else:
-            denom = cons.alpha
-            shift = hb2 * gyro2 / cons.mu
-            q_coeff = hb2 / (2.0 * cons.beta_tilde)
-        c = hb2 / denom
-        sh_coeff = hb2 * diff2 / (16.0 * denom)
-        ch_coeff = hb2 * sum2 / (16.0 * denom)
-        q_inv_sq = 0.0
         weight, q_weight = WeightKind1D.SINH, WeightKind1D.FLAT
         half = 0.5 * x
-        diag = sh_coeff / np.sinh(half) ** 2 - ch_coeff / np.cosh(half) ** 2 + shift + shear
+        diag = barrier / np.sinh(half) ** 2 - well / np.cosh(half) ** 2 + shift + shear
         threshold = shift + 0.25 * c + edge
 
     qsec = QSector(
-        kind, labels, coeff=q_coeff, weight_kind=q_weight,
+        kind, planar_labels(channel), coeff=q_coeff, weight_kind=q_weight,
         inv_sq_coeff=q_inv_sq, potential=dil_potential,
     )
     return ChannelOperator1D(
-        kind=kind,
-        channel=qsec.channel,
-        grid=grid,
-        weight_kind=weight,
-        kinetic_coeff=c,
-        diag_potential=diag,
-        constant_shift=shift,
-        threshold=threshold,
-        q_sector=qsec,
+        kind, qsec.channel, grid, weight, kinetic_coeff=c, diag_potential=diag,
+        constant_shift=shift, threshold=threshold, q_sector=qsec,
     )
 
 
@@ -485,15 +484,9 @@ def assemble_q_sector(qsec: QSector, grid: Grid1D) -> ChannelOperator1D:
     if qsec.inv_sq_coeff:
         diag = diag + qsec.inv_sq_coeff / x**2
     return ChannelOperator1D(
-        kind=qsec.kind,
-        channel=qsec.channel,
-        grid=grid,
-        weight_kind=qsec.weight_kind,
-        kinetic_coeff=qsec.coeff,
-        diag_potential=diag,
-        constant_shift=0.0,
-        threshold=(0.25 * qsec.coeff if qsec.weight_kind is WeightKind1D.SINH else 0.0)
-        + float(potential(qsec.potential, grid.x_max)),
+        qsec.kind, qsec.channel, grid, qsec.weight_kind, kinetic_coeff=qsec.coeff,
+        diag_potential=diag, constant_shift=0.0,
+        threshold=float(potential(qsec.potential, grid.x_max)),
     )
 
 
@@ -541,6 +534,17 @@ _PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 def _weight_nd(kind: ModelKind, axes) -> np.ndarray:
     weight = WeightKind.L if kind is ModelKind.DALEMBERT else WeightKind.LAMBDA
     return pair_weight(weight, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+
+
+def _flux_nd(kind: ModelKind, grid: GridND) -> tuple:
+    """For each axis, the weight at the nodes shifted by -h/2 along it, with
+    npoints+1 entries along that axis: the flux midpoints, both outer faces included."""
+    h, out = grid.step, []
+    for a in range(3):
+        axes = list(grid.axes)
+        axes[a] = np.concatenate(([axes[a][0] - h], axes[a])) + 0.5 * h
+        out.append(readonly(_weight_nd(kind, axes)))
+    return tuple(out)
 
 
 # the rotations by pi about axes 0, 1, 2; with the identity, the Klein group K4
@@ -641,18 +645,7 @@ class NDChannelOperator:
     def weight(self) -> np.ndarray:
         return readonly(_weight_nd(self.kind, self.grid.axes))
 
-    @cached_property
-    def _flux(self) -> tuple:
-        # for each axis, the weight at nodes shifted by -h/2 along that
-        # axis (npoints+1 entries covering both walls)
-        h = self.grid.step
-        out = []
-        for a in range(3):
-            axes = list(self.grid.axes)
-            ax = axes[a]
-            axes[a] = np.concatenate(([ax[0] - h], ax)) + 0.5 * h
-            out.append(readonly(_weight_nd(self.kind, axes)))
-        return tuple(out)
+    _flux = cached_property(lambda self: _flux_nd(self.kind, self.grid))
 
     @cached_property
     def _spin_mats(self) -> np.ndarray:
@@ -809,17 +802,15 @@ def spatial_labels(labels) -> tuple:
     return s, j
 
 
-def assemble_nd_channel(
-    kind: ModelKind, params: ModelParams, labels, grid: GridND
-) -> NDChannelOperator:
-    """Reduced operator for the (s, j) channel on the invariant grid."""
+def _nd_coefficients(kind: ModelKind, params: ModelParams, labels) -> tuple:
+    """(kinetic, q2, shift, pair) of the n=3 channel (s, j): the coefficients of the Laplacian
+    and the dilatational term, the Casimir shift and the pair barriers' prefactor, counted for
+    both orders of a pair.  DomainError if the parameters fail their gates."""
     if params.n != 3:
         raise DomainError("matrix channels require n = 3 parameters")
     cons = check_gates(kind, params)
-    check_grid_start(kind, grid.q_min)
     s, j = spatial_labels(labels)
     hb2 = params.hbar**2
-
     if kind is ModelKind.DALEMBERT:
         denom, barrier, q2, shift = params.I, 8.0, 0.0, 0.0
     elif kind is ModelKind.AFF_AFF:
@@ -830,16 +821,53 @@ def assemble_nd_channel(
         q2 = 0.0 if math.isinf(cons.beta) else -hb2 / (2.0 * cons.beta)
         gyro = s if kind is ModelKind.MET_AFF else j
         shift = hb2 * gyro * (gyro + 1.0) / (2.0 * cons.mu)
-    return NDChannelOperator(
-        kind, params, (s, j), grid,
-        kinetic_coeff=hb2 / (2.0 * denom),
-        q2_coeff=q2,
-        casimir_shift=shift,
-        pair_coeff=1.0 / (barrier * denom) * 2.0,  # ordered double count
-    )
+    return hb2 / (2.0 * denom), q2, shift, 1.0 / (barrier * denom) * 2.0
+
+
+def assemble_nd_channel(
+    kind: ModelKind, params: ModelParams, labels, grid: GridND
+) -> NDChannelOperator:
+    """Reduced operator for the (s, j) channel on the invariant grid."""
+    kinetic, q2, shift, pair = _nd_coefficients(kind, params, labels)
+    check_grid_start(kind, grid.q_min)
+    return NDChannelOperator(kind, params, tuple(labels), grid, kinetic, q2, shift, pair)
+
+
+def entry_scale(kind: ModelKind, params: ModelParams, labels, step: float) -> float:
+    """Estimate of the largest entry of a channel's symmetric matrix on a grid of this step.
+
+    From the assembler's coefficients.  Planar: the kinetic diagonal 2c/h^2,
+    the barrier on a node h from x = 0 (4 barrier/h^2 for sh^-2(x/2),
+    barrier/h^2 for x^-2), well and |shift|.  n=3: 16 kinetic/h^2 for a
+    cell's six faces, 2|q2|/h^2 for the diagonal links, 36 pair hbar^2
+    (s+j)(s+j+1)/h^2 for the barriers on nodes h/3 from the planes q^a = q^b,
+    and |shift|.  For steps up to about 1: on coarser grids the weight ratio
+    of neighbouring nodes, near e^(h/2), grows the entries past it.
+    DomainError as from the assembler."""
+    inv_h2 = 1.0 / (step * step) if step * step else math.inf
+    if params.n == 2:
+        c, barrier, well, shift, _, _ = _planar_coefficients(kind, params, labels)
+        near = barrier if kind is ModelKind.DALEMBERT else 4.0 * barrier
+        return (2.0 * c + near) * inv_h2 + well + abs(shift)
+    kinetic, q2, shift, pair = _nd_coefficients(kind, params, labels)
+    spin = params.hbar**2 * (labels[0] + labels[1]) * (labels[0] + labels[1] + 1.0)
+    return (16.0 * kinetic + 2.0 * abs(q2) + 36.0 * pair * spin) * inv_h2 + abs(shift)
+
+
+def largest_weight(kind: ModelKind, grid) -> float:
+    """The weight's largest value on a Grid1D's or GridND's nodes and flux midpoints, inf on
+    overflow with no warning.  No assembled entry reads the weight at the walls."""
+    with np.errstate(over="ignore"):
+        if isinstance(grid, GridND):
+            return float(max(w.max() for w in (_weight_nd(kind, grid.axes), *_flux_nd(kind, grid))))
+        # |sinh x|, and x >= 0 in dalembert, grow with |x|: the outermost midpoints hold the largest
+        wk = WeightKind1D.LINEAR if kind is ModelKind.DALEMBERT else WeightKind1D.SINH
+        ends = np.array([grid.x_min, grid.x_max]) + np.array([0.5, -0.5]) * grid.step
+        return float(np.max(_weight_values(wk, ends)))
 
 
 __all__ = [
+    "ENTRY_LIMIT",
     "MAX_FIELD_ELEMENTS",
     "MAX_TWICE_SPIN",
     "ChannelOperator1D",
@@ -864,8 +892,10 @@ __all__ = [
     "check_grid_start",
     "derived_constants",
     "effective_weight_potential",
+    "entry_scale",
     "klein_bases",
     "klein_projectors",
+    "largest_weight",
     "planar_labels",
     "potential",
     "shear_label_terms",

@@ -33,14 +33,14 @@ loads no scipy module before the first solve.
 """
 
 import math
-import sys
+import os
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, readonly, text_file
-from .hamiltonians import Grid1D, ModelKind
+from .errors import DomainError, NumericalError, readonly
+from .hamiltonians import ENTRY_LIMIT, Grid1D, ModelKind
 
 DEFAULT_BOX = 40.0
 DEFAULT_NPOINTS = 999
@@ -50,11 +50,6 @@ ND_TOL = 1e-9  # ARPACK's relative accuracy in solve_nd
 ND_MAXITER = 600  # ARPACK's limit on restarts per solve_nd run
 LOOSE_CHECK_TOL = 1e-4  # ARPACK accuracy of solve_nd's first check for a missed level
 MAX_ND_COUNT = 10  # most eigenvalues solve_nd is asked for
-# LAPACK's tridiagonal driver dstev rescales a matrix whose largest entry passes
-# sqrt(eps/safmin), about 1e146.  eigh_tridiagonal's stebz never rescales and
-# squares the off-diagonal, so near sqrt(float max) it fails or returns wrong
-# values; _eigh_tridiagonal rescales past this limit as dstev does.
-_TRIDIAGONAL_LIMIT = math.sqrt(sys.float_info.epsilon / sys.float_info.min)
 
 
 class SpectralClass(Enum):
@@ -115,16 +110,16 @@ def _tridiagonal(op):
 def _eigh_tridiagonal(d, e, count: int, eigvals_only: bool):
     """LAPACK's lowest `count` eigenvalues (and vectors unless eigvals_only).
 
-    A matrix whose largest entry passes _TRIDIAGONAL_LIMIT is solved scaled
-    by the power of two 2^-k that brings that entry below 1, which is exact,
-    and its eigenvalues are scaled back by 2^k.
+    eigh_tridiagonal's stebz never rescales, so past ENTRY_LIMIT the matrix is
+    solved as dstev would: scaled by the power of two 2^-k that brings its
+    largest entry below 1, which is exact, with the eigenvalues scaled back.
     """
     if not 1 <= count <= len(d):
         raise DomainError(f"count = {count} is not between 1 and the matrix dimension {len(d)}")
     import scipy.linalg
 
     largest = max(np.abs(d).max(), np.abs(e).max(initial=0.0))
-    k = math.frexp(largest)[1] if _TRIDIAGONAL_LIMIT < largest < math.inf else 0
+    k = math.frexp(largest)[1] if ENTRY_LIMIT < largest < math.inf else 0
     if k:
         d, e = np.ldexp(d, -k), np.ldexp(e, -k)
     try:
@@ -345,17 +340,20 @@ def convergence_study(
 
 
 def write_spectrum_table(target, results) -> None:
-    """Delimited spectrum table, one row per eigenvalue, %.14e throughout."""
-    with text_file(target, "w") as fh:
-        fh.write("# model l1 l2 index energy threshold bound X h\n")
-        for res in results:
-            flags = res.bound_flags
-            for i, val in enumerate(res.eigenvalues):
-                fh.write(
-                    f"{res.kind.value} {res.channel[0]} {res.channel[1]} {i} "
-                    f"{val:.14e} {res.threshold:.14e} {int(flags[i])} "
-                    f"{res.x_max:.14e} {res.h:.14e}\n"
-                )
+    """Delimited spectrum table, one row per eigenvalue, %.14e throughout, to an open
+    text handle, left open, or to a path (str, bytes or os.PathLike) as UTF-8."""
+    if isinstance(target, (str, bytes, os.PathLike)):
+        with open(target, "w", encoding="utf-8") as fh:
+            return write_spectrum_table(fh, results)
+    target.write("# model l1 l2 index energy threshold bound X h\n")
+    for res in results:
+        flags = res.bound_flags
+        for i, val in enumerate(res.eigenvalues):
+            target.write(
+                f"{res.kind.value} {res.channel[0]} {res.channel[1]} {i} "
+                f"{val:.14e} {res.threshold:.14e} {int(flags[i])} "
+                f"{res.x_max:.14e} {res.h:.14e}\n"
+            )
 
 
 __all__ = [

@@ -54,6 +54,17 @@ def base_config(**overrides):
     return doc
 
 
+def nd_box(q):
+    """met-aff (0, 0) on the double cover, N=5 on [-q, q]."""
+    return base_config(
+        model="met-aff",
+        dimension=3,
+        params={"I": 2.0, "A": 1.0, "B": 0.5},
+        target_space="double-cover",
+        grid={"q_min": -q, "q_max": q, "npoints": 5},
+    )
+
+
 class TestParseConfig:
     def test_defaults(self):
         cfg = parse_config(base_config())
@@ -561,6 +572,45 @@ class TestRun:
             table = (out / "spectrum.txt").read_text().splitlines()[1:]
             rows.append(np.array([float(line.split()[4]) for line in table]) * A)
         np.testing.assert_allclose(rows[1], rows[0], rtol=1e-10)
+
+    # the n=3 entries are bounded the same way: past about 1e154 the squared norms
+    # of solve_nd's symmetry probe overflow, so the probe would pass any matrix
+    @pytest.mark.parametrize("A,code", [(1e-305, 2), (1e-200, 2), (1.0, 0)])
+    def test_nd_scale_exit_2_before_any_output(self, tmp_path, capsys, A, code):
+        doc = base_config(
+            dimension=3,
+            params={"I": 0.0, "A": A, "B": 0.0},
+            grid={"q_min": -3.0, "q_max": 3.0, "npoints": 5},
+        )
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith("error: params.A: ")
+        assert out.exists() == (code == 0)
+
+    # the weighted form scales the entries by the weight, which overflows on a wide
+    # sinh-model box: read on the finest level's nodes and flux midpoints, not the walls
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            (base_config(channels=[[0, 2]], grid={"x_max": 800.0, "npoints": 999}), "x_max"),
+            (base_config(channels=[[0, 2]], grid={"x_max": 705.0, "npoints": 999}), None),
+            (nd_box(300.0), "q_max"),
+            (nd_box(200.0), None),
+            (nd_box(150.0), None),
+        ],
+        ids=["x-800", "x-705", "q-300", "q-200", "q-150"],
+    )
+    def test_overflowing_weight_exit_2_before_any_output(self, tmp_path, capsys, doc, field):
+        out = tmp_path / "o"
+        code = main(["run", "--config", write_config(tmp_path, doc), "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        if field is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 2 and err.startswith(f"error: grid.{field}: ")
+            assert not out.exists()
 
     def test_output_dir_env(self, tmp_path, monkeypatch):
         out = tmp_path / "envout"

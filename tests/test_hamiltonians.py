@@ -27,8 +27,10 @@ from affbody.hamiltonians import (
     check_grid_start,
     derived_constants,
     effective_weight_potential,
+    entry_scale,
     klein_bases,
     klein_projectors,
+    largest_weight,
     planar_labels,
     potential,
     spatial_labels,
@@ -735,6 +737,75 @@ class TestWeightND:
             want = loop_weight_nd(kind, axes)
             assert op._flux[a].shape == want.shape
             assert op._flux[a].tobytes() == want.tobytes()
+
+
+# per model: parameters off every special case (B != 0 where the gates allow it)
+SCALE_PARAMS = {
+    ModelKind.AFF_AFF: dict(I=0.0, A=1.0, B=0.5),
+    ModelKind.MET_AFF: dict(I=2.0, A=1.0, B=0.5),
+    ModelKind.AFF_MET: dict(I=2.0, A=1.0, B=0.5),
+    ModelKind.DALEMBERT: dict(I=1.0, A=1.0, B=0.0),
+}
+
+
+class TestEntryScale:
+    """entry_scale reads the assembler's coefficients, so it tracks the assembled entries."""
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize(
+        "grid", [Grid1D(0.0, 10.0, 49), Grid1D(0.0, 40.0, 399), Grid1D(0.5, 8.0, 99)], ids=str
+    )
+    def test_planar_bound_tracks_the_largest_entry(self, kind, grid):
+        par = ModelParams(n=2, **SCALE_PARAMS[kind])
+        for ch in [(m, n) for m in range(-3, 4) for n in range(-3, 4)]:
+            d, e = assemble_2d_channel(kind, par, ch, grid).symmetric_tridiagonal()
+            largest = max(np.abs(d).max(), np.abs(e).max())
+            assert 0.5 <= entry_scale(kind, par, ch, grid.step) / largest <= 50.0, ch
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize(
+        "grid", [GridND(5, 0.0, 2.0), GridND(7, 0.5, 6.5), GridND(4, 0.0, 1.0)], ids=str
+    )
+    def test_nd_bound_tracks_the_largest_entry(self, kind, grid):
+        par = ModelParams(n=3, **SCALE_PARAMS[kind])
+        for labels in [(s / 2, j / 2) for s in range(7) for j in range(3)]:
+            A = assemble_nd_channel(kind, par, labels, grid).symmetric_matrix()
+            ratio = entry_scale(kind, par, labels, grid.step) / np.abs(A.data).max()
+            assert 0.5 <= ratio <= 50.0, labels
+
+    def test_gates_and_labels_are_checked_as_in_the_assembler(self):
+        with pytest.raises(DomainError, match="gate violated"):
+            entry_scale(ModelKind.AFF_AFF, params2(A=-1.0), (0, 0), 0.1)
+        with pytest.raises(DomainError, match="integers"):
+            entry_scale(ModelKind.AFF_AFF, params2(), (0.5, 0), 0.1)
+        with pytest.raises(DomainError, match="half-integers"):
+            entry_scale(ModelKind.MET_AFF, params3(), (0.25, 0), 0.1)
+
+
+class TestLargestWeight:
+    @pytest.mark.parametrize(
+        "kind,grid",
+        [
+            (ModelKind.AFF_AFF, Grid1D(0.0, 10.0, 49)),
+            (ModelKind.MET_AFF, Grid1D(-7.0, 3.0, 20)),
+            (ModelKind.DALEMBERT, Grid1D(0.5, 8.0, 99)),
+        ],
+    )
+    def test_planar_is_the_largest_over_nodes_and_midpoints(self, kind, grid):
+        op = assemble_2d_channel(kind, params2(), (0, 2), grid)
+        want = max(op.weight.max(), op.weight_mid.max())
+        assert largest_weight(kind, grid) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("kind,grid", ALL_MODELS)
+    def test_nd_is_the_largest_over_nodes_and_flux_midpoints(self, kind, grid):
+        op = assemble_nd_channel(kind, params3(), (1, 1), grid)
+        want = max(op.weight.max(), *(f.max() for f in op._flux))
+        assert largest_weight(kind, grid) == want
+
+    def test_overflow_reads_inf_without_a_warning(self, recwarn):
+        assert largest_weight(ModelKind.AFF_AFF, Grid1D(0.0, 800.0, 999)) == math.inf
+        assert largest_weight(ModelKind.MET_AFF, GridND(5, -300.0, 300.0)) == math.inf
+        assert len(recwarn) == 0
 
 
 class TestAssembleND:

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -567,6 +569,7 @@ class TestWriteTable:
         for _ in range(2):
             buf = io.StringIO()
             write_spectrum_table(buf, [res])
+            assert not buf.closed  # a handle passed in is left open
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
         lines = bufs[0].splitlines()
@@ -578,16 +581,30 @@ class TestWriteTable:
         assert float(cols[4]) == pytest.approx(res.eigenvalues[0])
         assert "e" in cols[4]  # %.14e rendering
 
-    def test_file_target(self, tmp_path):
+    # a file opened here is closed on exit, also when the body raises on a
+    # result that is not a SpectrumResult, after writing the rows before it
+    @pytest.mark.parametrize("tail", [[], [None]], ids=["returns", "body-raises"])
+    def test_file_target(self, tmp_path, monkeypatch, tail):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(affbody.spectra, "open", recording_open, raising=False)
         res = solve_1d(flat_box(npoints=19), 2)
         path = tmp_path / "spec.txt"
-        write_spectrum_table(str(path), [res])
+        with pytest.raises(AttributeError) if tail else contextlib.nullcontext():
+            write_spectrum_table(str(path), [res] + tail)
+        assert len(opened) == 1 and opened[0].closed
         assert len(path.read_text().splitlines()) == 3
 
-    def test_pathlike_target_gives_same_bytes_as_str(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["path", "bytes"])
+    def test_pathlike_target_gives_same_bytes_as_str(self, tmp_path, kind):
         op = assemble_2d_channel(
             ModelKind.AFF_AFF, ModelParams(I=1.0, A=1.0, B=0.0), (0, 2), Grid1D(0.0, 10.0, 19)
         )
+        path = tmp_path / "other.txt"
         write_spectrum_table(str(tmp_path / "str.txt"), [solve_1d(op, 2)])
-        write_spectrum_table(tmp_path / "path.txt", [solve_1d(op, 2)])
-        assert (tmp_path / "path.txt").read_bytes() == (tmp_path / "str.txt").read_bytes()
+        write_spectrum_table(path if kind == "path" else os.fsencode(path), [solve_1d(op, 2)])
+        assert path.read_bytes() == (tmp_path / "str.txt").read_bytes()
