@@ -577,6 +577,11 @@ def main(argv=None) -> int:
         cfg = parse_config(doc)
         if cfg.dimension == 3 and args.command != "run":
             raise UsageError(f"dimension: {args.command} supports dimension 2 only")
+        if cfg.dimension == 2 and cfg.grid1d.x_min < 0.0:
+            raise UsageError(
+                f"grid.x_min: must not be negative, got {cfg.grid1d.x_min!r}: the planar "
+                "weight vanishes at x = 0, so a box across it holds two mirror copies"
+            )
         levels = {"run": cfg.refinements + 1, "convergence": cfg.levels}.get(args.command, 1)
         # pre-flight on the finest level, before any output: a Grid1D's nodes or an n=3
         # operator's nonzeros (its lattice is built lazily) against the capacity, each

@@ -45,7 +45,8 @@ share an x-sector bitwise.
 Symmetrized, H = K (x) I_r + sum_t diag(f_t) (x) M_t: K is the spin-free
 stencil on the N^3 cells, and six barrier fields f_t weight spin mats M_t
 inside each cell.  `symmetric_matrix()` and `block_matrix(k)` sum the two
-parts with scipy, anew on each call, from the K and f_t kept per operator.
+parts with scipy, anew on each call, from the K and f_t kept per operator
+and the M_t projected on the block, which are cached per labels and hbar.
 
 Grid axes carry small relative offsets (0, h/3, 2h/3) so that nodes and
 staggered flux midpoints never touch the coincidence strata where the
@@ -601,6 +602,45 @@ def _klein_bases(labels: tuple) -> tuple:
     return tuple(bases)
 
 
+@lru_cache(maxsize=None)
+def _spin_mats(labels: tuple, hbar: float) -> np.ndarray:
+    """Q_c and X_c for the dual axes c of `_PAIRS`, stacked and read-only, cached per
+    labels and hbar: they do not depend on the grid."""
+    # In the ladder basis S_1, S_3 are real and S_2 imaginary, so per pair
+    # Q = S^2 (x) 1 + 1 (x) (J^2)^T and X = S (x) J^T (dual-axis generators)
+    # are real and symmetric, and (S -+ J)^2 = Q -+ 2 X on one cell's f.
+    gs, gj = (generators(RepLabel.su2(v), hbar).S for v in labels)
+    ones_s, ones_j = np.eye(len(gs[0])), np.eye(len(gj[0]))
+    mats = []
+    for _, _, c in _PAIRS:
+        S, J = gs[c], gj[c]
+        mats += [np.kron(S @ S, ones_j) + np.kron(ones_s, (J @ J).T), np.kron(S, J.T)]
+    return readonly(np.stack([m.real for m in mats]))
+
+
+@lru_cache(maxsize=None)
+def _bases(labels: tuple) -> tuple:
+    """The bases V that `NDChannelOperator._assemble` takes: `klein_bases(labels)` and,
+    last, the identity of `symmetric_matrix()`."""
+    bases = klein_bases(labels)
+    return bases + (readonly(np.eye(len(bases[0]))),)
+
+
+@lru_cache(maxsize=None)
+def _projected_spin(labels: tuple, hbar: float, k: int) -> tuple:
+    """mats = V^T M V for the spin mats M and V = `_bases(labels)[k]`, and rows, cols of
+    their pattern, read-only and cached like `_spin_mats`.
+
+    The pattern holds the diagonal and no entry below 1e-14 of the largest (rounding).
+    """
+    M, V = _spin_mats(labels, hbar), _bases(labels)[k]
+    mats = V.T @ M @ V
+    big = np.abs(mats) > 1e-14 * np.max(np.abs(mats), initial=0.0)
+    pattern = np.any(big, axis=0) | np.eye(V.shape[1], dtype=bool)
+    rows, cols = np.array(np.nonzero(pattern), dtype=np.int32)
+    return readonly(mats), readonly(rows), readonly(cols)
+
+
 @dataclass(frozen=True)
 class NDChannelOperator:
     """Reduced operator on amplitudes of shape grid + (ds, dj), kept as a sparse matrix."""
@@ -615,21 +655,18 @@ class NDChannelOperator:
     pair_coeff: float
 
     def __post_init__(self):
-        # solve_nd builds one Klein block at a time: only the blocks it solves must fit
+        # solve_nd builds one Klein block at a time: only the blocks it builds must fit
         for k in np.flatnonzero(self.block_copies):
             self._projected_pattern(klein_bases(self.labels)[k])
 
     def _projected_pattern(self, V) -> tuple:
-        """mats = V^T M V for the spin mats M, and rows, cols of their pattern.
+        """`_projected_spin` of V, which must be one of `_bases(self.labels)`.
 
-        The pattern holds the diagonal and no entry below 1e-14 of the largest (rounding).
         CapacityError if `_assemble(V)` would hold over MAX_FIELD_ELEMENTS nonzeros.
         """
         N = self.grid.npoints
-        mats = V.T @ self._spin_mats @ V
-        big = np.abs(mats) > 1e-14 * np.max(np.abs(mats), initial=0.0)
-        pattern = np.any(big, axis=0) | np.eye(V.shape[1], dtype=bool)
-        rows, cols = np.array(np.nonzero(pattern), dtype=np.int32)
+        k = [B is V for B in _bases(self.labels)].index(True)
+        mats, rows, cols = _projected_spin(self.labels, self.params.hbar, k)
         links = 6 * N * N * (N - 1) + (2 * (N - 1) ** 3 if self.q2_coeff else 0)
         nnz = V.shape[1] * links + N**3 * len(rows)  # r per link, the pattern per cell
         if nnz > MAX_FIELD_ELEMENTS:
@@ -647,18 +684,9 @@ class NDChannelOperator:
 
     _flux = cached_property(lambda self: _flux_nd(self.kind, self.grid))
 
-    @cached_property
+    @property
     def _spin_mats(self) -> np.ndarray:
-        # In the ladder basis S_1, S_3 are real and S_2 imaginary, so per pair
-        # Q = S^2 (x) 1 + 1 (x) (J^2)^T and X = S (x) J^T (dual-axis generators)
-        # are real and symmetric, and (S -+ J)^2 = Q -+ 2 X on one cell's f.
-        gs, gj = (generators(RepLabel.su2(v), self.params.hbar).S for v in self.labels)
-        ones_s, ones_j = np.eye(len(gs[0])), np.eye(len(gj[0]))
-        mats = []
-        for _, _, c in _PAIRS:
-            S, J = gs[c], gj[c]
-            mats += [np.kron(S @ S, ones_j) + np.kron(ones_s, (J @ J).T), np.kron(S, J.T)]
-        return readonly(np.stack([m.real for m in mats]))
+        return _spin_mats(self.labels, self.params.hbar)
 
     @property
     def block_copies(self) -> tuple:
@@ -740,7 +768,7 @@ class NDChannelOperator:
 
     def symmetric_matrix(self):
         """R H R^-1, R = sqrt(P) per cell, as a real symmetric CSR array, built anew."""
-        return self._assemble(np.eye(self.shape[3] * self.shape[4]))
+        return self._assemble(_bases(self.labels)[-1])
 
     def block_matrix(self, k: int):
         """Klein block k of `symmetric_matrix()`, (I (x) V_k)^T A (I (x) V_k), built anew."""

@@ -15,12 +15,14 @@ equality is reported as marginal with no verdict.
 
 The n=3 matrix-valued operators are self-adjoint only in the weighted
 inner product, so each is assembled as sparse matrices in the same
-sqrt-weight similarity as the 1D operators, one per exact symmetry block,
-and each block is handed to scipy's `eigsh` (ARPACK's implicitly
+sqrt-weight similarity as the 1D operators, one per exact symmetry block.
+The first block is handed to scipy's `eigsh` (ARPACK's implicitly
 restarted Lanczos) at relative accuracy ND_TOL.  Found eigenvectors are
 lifted out of the block's spectrum and a loose check, else a tight rerun,
 looks for a level left below them, so degenerate eigenvalues keep their
-multiplicity.
+multiplicity.  Each later block first gets the same loose check, lifted
+by nothing, against the lowest values found so far, and is solved only
+when it may hold a level below them.
 
 Refined solves walk one chain, `nested_grids`: a grid and its halved-step
 refinements, coarsest first, for a Grid1D or a GridND alike.  Both
@@ -189,10 +191,14 @@ def solve_1d(op, count: int, coarse=None) -> SpectrumResult:
 # matrix-valued channels
 
 
-def _lowest_block(A, count: int, rng) -> np.ndarray:
-    """Lowest `count` eigenvalues of one real symmetric sparse block A, ascending."""
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+def _check_block(A, count: int, rng) -> None:
+    """Refuse a block that no eigsh run may take: count not below its dimension, a
+    non-finite entry, or failing a random symmetry probe at 1e-12 relative.
 
+    The probe is taken on A scaled by the power of two 2^-k that brings its
+    largest entry into [1/2, 1), which is exact, so that its squared norms do
+    not overflow (past about 1e154) or vanish and pass any matrix.
+    """
     size = A.shape[0]
     if count >= size:
         raise DomainError(f"count = {count} exceeds the problem dimension {size}")
@@ -200,36 +206,60 @@ def _lowest_block(A, count: int, rng) -> np.ndarray:
     if nonfinite:
         raise NumericalError(f"block has {nonfinite} non-finite entries; its coefficients overflow")
     probe = rng.standard_normal(size)
+    if not np.iscomplexobj(A):
+        A = A.copy()
+        A.data = np.ldexp(A.data, -math.frexp(np.abs(A.data).max(initial=0.0))[1])
     image = A @ probe
     if np.iscomplexobj(A) or not (
         np.linalg.norm(image - A.T @ probe) <= 1e-12 * np.linalg.norm(image)
     ):
         raise DomainError("the sqrt-weight symmetrized operator is not real symmetric")
 
-    def lowest(M, k, accuracy):
-        try:
-            return eigsh(
-                M, k=k, which="SA", tol=accuracy, maxiter=ND_MAXITER, v0=rng.standard_normal(size)
-            )
-        except ArpackError as exc:  # ArpackNoConvergence among them
-            outcome = "did not converge" if isinstance(exc, ArpackNoConvergence) else "failed"
-            raise NumericalError(f"eigsh {outcome}: {exc}") from exc
 
-    vals, vecs = lowest(A, count, ND_TOL)
+def _lowest(M, k: int, accuracy: float, rng):
+    """eigsh's lowest k eigenpairs of M at relative accuracy, started from a draw of rng."""
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+
+    try:
+        return eigsh(
+            M, k=k, which="SA", tol=accuracy, maxiter=ND_MAXITER, v0=rng.standard_normal(M.shape[0])
+        )
+    except ArpackError as exc:  # ArpackNoConvergence among them
+        outcome = "did not converge" if isinstance(exc, ArpackNoConvergence) else "failed"
+        raise NumericalError(f"eigsh {outcome}: {exc}") from exc
+
+
+def _floor(vals, count: int) -> float:
+    """The count-th of the ascending vals less 10 ND_TOL scale, scale the larger of its
+    and vals[0]'s magnitudes: a level below it would change the lowest count."""
+    kth = vals[count - 1]
+    return kth - 10.0 * ND_TOL * max(abs(vals[0]), abs(kth))
+
+
+def _clears(M, floor: float, rng) -> bool:
+    """Whether M's lowest level lies at or above floor, by one eigsh run at LOOSE_CHECK_TOL
+    whose Ritz pair (theta, y) settles it when theta - |M y - theta y| >= floor."""
+    theta, y = _lowest(M, 1, LOOSE_CHECK_TOL, rng)
+    return theta[0] - np.linalg.norm(M @ y - theta * y) >= floor
+
+
+def _lowest_block(A, count: int, rng) -> np.ndarray:
+    """Lowest `count` eigenvalues of one block A that passed `_check_block`, ascending."""
+    from scipy.sparse.linalg import LinearOperator
+
+    vals, vecs = _lowest(A, count, ND_TOL, rng)
     while True:
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         kth = vals[count - 1]
-        scale = max(abs(vals[0]), abs(kth))
-        floor = kth - 10.0 * ND_TOL * scale
-        sigma = 2.0 * (kth - vals[0]) + scale
+        floor = _floor(vals, count)
+        sigma = 2.0 * (kth - vals[0]) + max(abs(vals[0]), abs(kth))
         lifted = LinearOperator(
             A.shape, lambda x: A @ x + sigma * (vecs @ (vecs.T @ x)), dtype=float
         )
-        theta, y = lowest(lifted, 1, LOOSE_CHECK_TOL)
-        if theta[0] - np.linalg.norm(lifted @ y - theta * y) >= floor:
+        if _clears(lifted, floor, rng):
             return vals[:count]
-        val, vec = lowest(lifted, 1, ND_TOL)
+        val, vec = _lowest(lifted, 1, ND_TOL, rng)
         if not val[0] < floor:
             return vals[:count]
         vals, vecs = np.append(vals, val), np.hstack((vecs, vec))
@@ -239,37 +269,48 @@ def solve_nd(op, count: int, seed: int = 7) -> SpectrumResult:
     """Lowest eigenvalues of an n=3 channel operator.
 
     The operator splits into blocks: `op.block_matrix(k)` is block k and
-    each of its eigenvalues counts `op.block_copies[k]` times.  A block
-    with copies c > 0 is built, solved for its lowest ceil(count / c)
-    values and dropped before the next; the merged values are sorted and
-    the lowest `count` kept.
+    each of its eigenvalues counts `op.block_copies[k]` times.  A block with
+    copies c > 0 is built, checked (real, finite and passing a random
+    symmetry probe at 1e-12 relative, else DomainError or NumericalError)
+    and dropped before the next.  The first is solved for its lowest
+    ceil(count / c) values.  A later block first gets the lift check's
+    question below, lifted by nothing, against the merged values so far,
+    and is skipped when it clears their count-th value less 10 ND_TOL
+    scale.  The skip runs draw from a generator of their own, spawned from
+    `seed`, so a solved block that no skipped block precedes returns what
+    it returned when every block was solved.  The merged values are sorted
+    and the lowest `count` kept.
 
-    Per block, scipy's `eigsh` (ARPACK's implicitly restarted Lanczos) runs
-    on the block A, which must be real and pass a random symmetry probe at
-    1e-12 relative (else DomainError).  ARPACK runs at relative accuracy
-    ND_TOL with at most ND_MAXITER restarts per run, and `seed` draws the
-    probes and the start vectors.  A degenerate level shows once per Krylov
-    space, so the vectors V found are lifted (M = A + sigma V V^T, above the
-    block's k-th value) and M's lowest value is checked: first at
-    LOOSE_CHECK_TOL, where a Ritz pair (theta, y) ends the block if
-    theta - |M y - theta y| clears the k-th value less 10 ND_TOL scale, then
-    at ND_TOL, where a value below that bound joins the block's values and
-    the check repeats.
+    Per solved block, scipy's `eigsh` (ARPACK's implicitly restarted
+    Lanczos) runs at relative accuracy ND_TOL with at most ND_MAXITER
+    restarts per run, and `seed` draws the probes and the start vectors.
+    A degenerate level shows once per Krylov space, so the vectors V found
+    are lifted (M = A + sigma V V^T, above the block's k-th value) and M's
+    lowest value is checked: first at LOOSE_CHECK_TOL, where a Ritz pair
+    (theta, y) ends the block if theta - |M y - theta y| clears the k-th
+    value less 10 ND_TOL scale, then at ND_TOL, where a value below that
+    bound joins the block's values and the check repeats.
     """
     if count < 1:
         raise DomainError("count must be at least 1")
     if count > MAX_ND_COUNT:
         raise DomainError(f"count must not exceed {MAX_ND_COUNT} for the iterative solver")
     rng = np.random.default_rng(seed)
-    found = []
+    skip_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    found = np.empty(0)
     for k, copies in enumerate(op.block_copies):
-        if copies:
-            vals = _lowest_block(op.block_matrix(k), math.ceil(count / copies), rng)
-            found.append(np.repeat(vals, copies))
+        if not copies:
+            continue
+        A = op.block_matrix(k)
+        want = math.ceil(count / copies)
+        _check_block(A, want, rng)
+        if not found.size or not _clears(A, _floor(found, count), skip_rng):
+            found = np.sort(np.concatenate((found, np.repeat(_lowest_block(A, want, rng), copies))))
+        del A  # before the next block is built
     return SpectrumResult(
         kind=op.kind,
         channel=tuple(op.labels),
-        eigenvalues=np.sort(np.concatenate(found))[:count],
+        eigenvalues=found[:count],
         threshold=math.nan,
         margins=np.full(count, np.nan),
         x_max=op.grid.q_max,

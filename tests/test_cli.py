@@ -388,6 +388,40 @@ class TestRun:
                 [],
                 "grid.q_min",
             ),
+            # |sinh x| vanishes at x = 0: a node there fails every channel, and a box
+            # across it without one holds two mirror copies of each level
+            (
+                base_config(
+                    channels=[[0, 2], [1, 1]], grid={"x_min": -10.0, "x_max": 10.0, "npoints": 999}
+                ),
+                [],
+                "grid.x_min",
+            ),
+            (
+                base_config(
+                    channels=[[0, 2]], grid={"x_min": -10.003, "x_max": 10.0, "npoints": 999}
+                ),
+                [],
+                "grid.x_min",
+            ),
+            (
+                base_config(
+                    model="met-aff",
+                    params={"I": 2.0, "A": 1.0, "B": 0.5},
+                    grid={"x_min": -1e-9, "x_max": 10.0, "npoints": 99},
+                ),
+                ["--seed", "3"],
+                "grid.x_min",
+            ),
+            (
+                base_config(
+                    model="aff-met",
+                    params={"I": 2.0, "A": 1.0, "B": 0.5},
+                    grid={"x_min": -1.0, "x_max": 10.0, "h": 0.1},
+                ),
+                [],
+                "grid.x_min",
+            ),
             # the manifest would overwrite the table
             (base_config(outputs={"table": "t.txt", "manifest": "t.txt"}), [], "outputs.manifest"),
             # names that no file can have
@@ -418,6 +452,10 @@ class TestRun:
             "refined-h-grid-capacity",
             "dalembert-x-min",
             "dalembert-q-min",
+            "aff-aff-node-at-0",
+            "aff-aff-mirror-box",
+            "met-aff-x-min",
+            "aff-met-x-min",
             "table-is-manifest",
             "table-nul-byte",
             "manifest-too-long",

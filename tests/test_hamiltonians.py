@@ -712,6 +712,23 @@ class TestKleinBlocks:
         assert all(V is W for V, W in zip(bases, again))
         assert not any(V.flags.writeable for V in bases)
 
+    def test_spin_terms_are_cached_per_labels_and_hbar(self):
+        # the spin matrices and each block's projection and pattern do not depend on the
+        # grid, so operators of one pair and hbar share them; the capacity stays per grid
+        small = assemble_nd_channel(ModelKind.AFF_AFF, params3(), (10, 10), GridND(3, -1, 1))
+        V = klein_bases((10, 10))[0]
+        with pytest.raises(CapacityError, match="nonzeros"):
+            assemble_nd_channel(ModelKind.AFF_AFF, params3(), [10.0, 10.0], GridND(40, -1, 1))
+        op = assemble_nd_channel(ModelKind.AFF_AFF, params3(), (10, 10), GridND(5, -2, 2))
+        assert op._spin_mats is small._spin_mats
+        assert not op._spin_mats.flags.writeable
+        for ours, theirs in zip(op._projected_pattern(V), small._projected_pattern(V)):
+            assert ours is theirs and not ours.flags.writeable
+        # another hbar has its own: Q scales as hbar^2, and so does X
+        half = assemble_nd_channel(ModelKind.AFF_AFF, params3(hbar=0.5), (10, 10), GridND(3, -1, 1))
+        assert half._spin_mats is not op._spin_mats
+        np.testing.assert_array_equal(4.0 * half._spin_mats, op._spin_mats)
+
 
 def loop_weight_nd(kind, axes):
     """Pair product on a mesh, pairs (0, 1), (0, 2), (1, 2), starting from ones."""

@@ -297,6 +297,38 @@ class FlatBoxND:
         return self.symmetric_matrix()
 
 
+class BlockStub(FlatBoxND):
+    """An operator whose blocks are the given matrices, each counted once."""
+
+    def __init__(self, *blocks):
+        super().__init__(1.0, 4, 1.0)
+        self.blocks = blocks
+        self.block_copies = (1,) * len(blocks)
+
+    def block_matrix(self, k):
+        return self.blocks[k]
+
+
+def counted_eigsh(monkeypatch):
+    """Patch scipy's eigsh to record (k, tol, dimension) of each run; returns the record."""
+    import scipy.sparse.linalg
+
+    calls, eigsh = [], scipy.sparse.linalg.eigsh
+
+    def counted(M, **kwargs):
+        calls.append((kwargs["k"], kwargs["tol"], M.shape[0]))
+        return eigsh(M, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    return calls
+
+
+def random_symmetric(size, seed):
+    rng = np.random.default_rng(seed)
+    M = np.where(rng.random((size, size)) < 0.05, rng.standard_normal((size, size)), 0.0)
+    return scipy.sparse.csr_array(M + M.T + np.diag(np.arange(size, dtype=float)))
+
+
 class TestSolveND:
     def test_flat_box_exact_discrete_values(self):
         c, N, L = 1.0, 5, 1.0
@@ -351,6 +383,50 @@ class TestSolveND:
         dense = scipy.linalg.eigvalsh(op.symmetric_matrix().toarray())
         res = solve_nd(op, 6)
         np.testing.assert_allclose(res.eigenvalues, dense[:6], rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "kind,labels,grid,count,solved",
+        [
+            # block 0 is empty; block 1 holds the double ground level, block 2 two more
+            (ModelKind.MET_AFF, (1, 0), GridND(5, -3.0, 3.0), 4, [125, 125]),
+            # no twins, and every one of the four blocks holds one of the lowest six
+            (ModelKind.DALEMBERT, (1, 1), GridND(4, 0.5, 3.0), 6, [192, 128, 128, 128]),
+        ],
+    )
+    def test_blocks_holding_levels_are_solved(self, monkeypatch, kind, labels, grid, count, solved):
+        op = assemble_nd_channel(kind, ModelParams(I=2, A=1, B=0.5, n=3), labels, grid)
+        dense = scipy.linalg.eigvalsh(op.symmetric_matrix().toarray())
+        sizes, lowest_block = [], affbody.spectra._lowest_block
+        monkeypatch.setattr(
+            affbody.spectra,
+            "_lowest_block",
+            lambda A, *args: sizes.append(A.shape[0]) or lowest_block(A, *args),
+        )
+        res = solve_nd(op, count)
+        np.testing.assert_allclose(res.eigenvalues, dense[:count], rtol=1e-9)
+        assert sizes == solved
+
+    @pytest.mark.parametrize("copies", [(1, 1), (1, 2)])
+    def test_block_whose_lowest_value_ties_the_count_th(self, copies):
+        # block 1's lowest value equals block 0's third, once or twice: the lowest three
+        # are the same whether block 1 is skipped or solved
+        first = scipy.sparse.diags_array(np.arange(1.0, 41.0), format="csr")
+        op = BlockStub(first, scipy.sparse.diags_array(np.arange(3.0, 33.0), format="csr"))
+        op.block_copies = copies
+        np.testing.assert_allclose(solve_nd(op, 3).eigenvalues, [1.0, 2.0, 3.0], rtol=1e-12)
+        # just below it, block 1's lowest value takes the third place
+        op.blocks = (first, scipy.sparse.diags_array(np.arange(3.0 - 1e-6, 33.0), format="csr"))
+        np.testing.assert_allclose(solve_nd(op, 3).eigenvalues, [1.0, 2.0, 3.0 - 1e-6], rtol=1e-12)
+
+    def test_unsymmetric_block_is_refused_before_its_skip_run(self, monkeypatch):
+        # block 1 lies far above block 0's levels, so it would be skipped; its check comes first
+        calls = counted_eigsh(monkeypatch)
+        first = scipy.sparse.diags_array(np.arange(1.0, 41.0), format="csr")
+        skewed = scipy.sparse.diags_array(np.arange(100.0, 130.0), format="lil")
+        skewed[0, 1] = 1.0
+        with pytest.raises(DomainError, match="symmetric"):
+            solve_nd(BlockStub(first, skewed.tocsr()), 3)
+        assert all(size == 40 for _, _, size in calls)
 
     def test_blocks_are_built_per_solve_and_not_kept(self, monkeypatch):
         op = assemble_nd_channel(
@@ -444,6 +520,14 @@ class TestSolveNDMatrixChannel:
         assert np.all(np.diff(vals) >= 0.0)
         np.testing.assert_allclose(vals, self.N13_REFERENCE, rtol=1e-8)
 
+    def test_eigsh_runs_of_a_channel_held_by_block_0(self, spin1_channel_n13, monkeypatch):
+        # all four values lie in block 0: its solve and lift check, then one loose
+        # skip run on each of blocks 1 and 2 (block 3 is block 1's twin)
+        calls = counted_eigsh(monkeypatch)
+        vals = solve_nd(spin1_channel_n13, 4, seed=1).eigenvalues
+        np.testing.assert_allclose(vals, self.N13_REFERENCE, rtol=1e-8)
+        assert [c[:2] for c in calls] == [(4, 1e-9), (1, 1e-4), (1, 1e-4), (1, 1e-4)]
+
     def test_seeds_agree(self, spin1_channel_n13, spin1_values_n13):
         other = solve_nd(spin1_channel_n13, 4, seed=2).eigenvalues
         np.testing.assert_allclose(other, spin1_values_n13, rtol=1e-9)
@@ -491,6 +575,26 @@ class TestSolveNDMatrixChannel:
 
         with pytest.raises(DomainError):
             solve_nd(Twisted(1.0, 4, 1.0), 2)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200, 2.0**1000])
+    def test_symmetry_probe_is_scale_free(self, monkeypatch, scale):
+        # unscaled, the probe's squared norms underflow or overflow at the ends and pass any matrix
+        import scipy.sparse.linalg
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", reached)
+        A = random_symmetric(300, 5) * scale
+        with pytest.raises(Reached):
+            solve_nd(BlockStub(A), 2)
+        A = A.tolil()
+        A[3, 7] = A[7, 3] + scale
+        with pytest.raises(DomainError, match="symmetric"):
+            solve_nd(BlockStub(A.tocsr()), 2)
 
     def test_unsymmetric_matrix_rejected(self):
         class Skewed(FlatBoxND):
