@@ -6,8 +6,8 @@ The package splits along the pipeline:
   deformation-invariant weight factors, Haar density ratios;
 - ``representations``: su(2)/so(3) generator sets, Wigner matrices,
   Haar quadrature on the rotation groups;
-- ``peter_weyl``: channel amplitudes, superselection and discrete-symmetry
-  validation;
+- ``peter_weyl``: target spaces and the superselection rule on channel
+  labels;
 - ``hamiltonians``: the four kinetic-energy models reduced to weighted
   divergence-form operators per channel (planar and spatial);
 - ``spectra``: eigensolvers, bound-state classification, refinement

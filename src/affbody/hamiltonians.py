@@ -67,8 +67,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, readonly
 from .group_geometry import WeightKind, pair_weight
-from .peter_weyl import channel_d_factors
-from .representations import RepLabel, generators
+from .representations import RepLabel, generators, rotation_vector_from_matrix, wigner_D
 
 MAX_TWICE_SPIN = 20
 MAX_FIELD_ELEMENTS = 1 << 26
@@ -555,9 +554,14 @@ TWIN_ROTATION = readonly(np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0,
 
 
 def spin_action(labels, W) -> np.ndarray:
-    """U(W) = D_L(W) (x) D_R(W)^T: f -> D_L(W) f D_R(W) on one cell's row-major f."""
-    dl, dr = channel_d_factors(RepLabel.su2(labels[0]), RepLabel.su2(labels[1]), W)
-    return np.kron(dl, dr.T)
+    """U(W) = D_L(W) (x) D_R(W)^T: f -> D_L(W) f D_R(W) on one cell's row-major f.
+
+    For labels (s, j), D_L(W) = D^s(W) and D_R(W) = D^j(W^-1), taken as the
+    exact unitary inverse D^j(W)^H, so D_R(W)^T is the conjugate of D^j(W).
+    """
+    w = rotation_vector_from_matrix(np.asarray(W, dtype=float))
+    dl, dr = (wigner_D(RepLabel.su2(v), w) for v in labels)
+    return np.kron(dl, dr.conj())
 
 
 def klein_projectors(labels) -> tuple:
@@ -620,8 +624,8 @@ def _spin_mats(labels: tuple, hbar: float) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _bases(labels: tuple) -> tuple:
-    """The bases V that `NDChannelOperator._assemble` takes: `klein_bases(labels)` and,
-    last, the identity of `symmetric_matrix()`."""
+    """The bases V whose index `NDChannelOperator._assemble` takes: `klein_bases(labels)`
+    and, last, the identity of `symmetric_matrix()`."""
     bases = klein_bases(labels)
     return bases + (readonly(np.eye(len(bases[0]))),)
 
@@ -657,18 +661,17 @@ class NDChannelOperator:
     def __post_init__(self):
         # solve_nd builds one Klein block at a time: only the blocks it builds must fit
         for k in np.flatnonzero(self.block_copies):
-            self._projected_pattern(klein_bases(self.labels)[k])
+            self._projected_pattern(int(k))
 
-    def _projected_pattern(self, V) -> tuple:
-        """`_projected_spin` of V, which must be one of `_bases(self.labels)`.
+    def _projected_pattern(self, k: int) -> tuple:
+        """`_projected_spin` of basis k of `_bases(self.labels)`.
 
-        CapacityError if `_assemble(V)` would hold over MAX_FIELD_ELEMENTS nonzeros.
+        CapacityError if `_assemble(k)` would hold over MAX_FIELD_ELEMENTS nonzeros.
         """
         N = self.grid.npoints
-        k = [B is V for B in _bases(self.labels)].index(True)
         mats, rows, cols = _projected_spin(self.labels, self.params.hbar, k)
         links = 6 * N * N * (N - 1) + (2 * (N - 1) ** 3 if self.q2_coeff else 0)
-        nnz = V.shape[1] * links + N**3 * len(rows)  # r per link, the pattern per cell
+        nnz = mats.shape[-1] * links + N**3 * len(rows)  # r per link, the pattern per cell
         if nnz > MAX_FIELD_ELEMENTS:
             raise CapacityError(f"matrix of {nnz} nonzeros exceeds the configured maximum")
         return mats, rows, cols
@@ -750,14 +753,14 @@ class NDChannelOperator:
         fields = np.stack([np.broadcast_to(v, P.shape).ravel() for v in fields], axis=-1)
         return K, readonly(self.pair_coeff * fields)
 
-    def _assemble(self, V):
+    def _assemble(self, k: int):
         """(I (x) V)^T (R H R^-1) (I (x) V) = K (x) I_r + the projected barriers,
-        as CSR, for V (d x r) with orthonormal columns."""
+        as CSR, for V = `_bases(self.labels)[k]` (d x r, orthonormal columns)."""
         import scipy.sparse
 
-        mats, rows, cols = self._projected_pattern(V)
+        mats, rows, cols = self._projected_pattern(k)
         K, fields = self._lattice
-        r = V.shape[1]
+        r = mats.shape[-1]
         # kron first, to free its temporaries before the barriers exist
         spin_free = scipy.sparse.kron(K, scipy.sparse.eye_array(r), format="csr")
         at = r * np.arange(K.shape[0], dtype=np.int32).reshape(-1, 1)
@@ -768,11 +771,11 @@ class NDChannelOperator:
 
     def symmetric_matrix(self):
         """R H R^-1, R = sqrt(P) per cell, as a real symmetric CSR array, built anew."""
-        return self._assemble(_bases(self.labels)[-1])
+        return self._assemble(-1)
 
     def block_matrix(self, k: int):
         """Klein block k of `symmetric_matrix()`, (I (x) V_k)^T A (I (x) V_k), built anew."""
-        return self._assemble(klein_bases(self.labels)[k])
+        return self._assemble(k)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """H f = R^-1 (K F + sum_t f_t F M_t), F = R f, for an amplitude f of

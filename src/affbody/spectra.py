@@ -191,6 +191,12 @@ def solve_1d(op, count: int, coarse=None) -> SpectrumResult:
 # matrix-valued channels
 
 
+def _exponent(x) -> int:
+    """k with the largest |x| in [2^(k-1), 2^k), 0 when x is all zeros: scaling x by
+    2^-k is exact and brings its squared norm into range."""
+    return math.frexp(np.abs(x).max(initial=0.0))[1]
+
+
 def _check_block(A, count: int, rng) -> None:
     """Refuse a block that no eigsh run may take: count not below its dimension, a
     non-finite entry, or failing a random symmetry probe at 1e-12 relative.
@@ -208,7 +214,7 @@ def _check_block(A, count: int, rng) -> None:
     probe = rng.standard_normal(size)
     if not np.iscomplexobj(A):
         A = A.copy()
-        A.data = np.ldexp(A.data, -math.frexp(np.abs(A.data).max(initial=0.0))[1])
+        A.data = np.ldexp(A.data, -_exponent(A.data))
     image = A @ probe
     if np.iscomplexobj(A) or not (
         np.linalg.norm(image - A.T @ probe) <= 1e-12 * np.linalg.norm(image)
@@ -238,9 +244,14 @@ def _floor(vals, count: int) -> float:
 
 def _clears(M, floor: float, rng) -> bool:
     """Whether M's lowest level lies at or above floor, by one eigsh run at LOOSE_CHECK_TOL
-    whose Ritz pair (theta, y) settles it when theta - |M y - theta y| >= floor."""
+    whose Ritz pair (theta, y) settles it when theta - |M y - theta y| >= floor.
+
+    The norm is taken on the residual scaled by an exact power of two, as
+    `_check_block`'s probe, so that it does not overflow past about 1e154."""
     theta, y = _lowest(M, 1, LOOSE_CHECK_TOL, rng)
-    return theta[0] - np.linalg.norm(M @ y - theta * y) >= floor
+    residual = M @ y - theta * y
+    k = _exponent(residual)
+    return theta[0] - math.ldexp(np.linalg.norm(np.ldexp(residual, -k)), k) >= floor
 
 
 def _lowest_block(A, count: int, rng) -> np.ndarray:

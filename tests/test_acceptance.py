@@ -21,6 +21,8 @@ import itertools
 
 import numpy as np
 
+from affbody.cli import parse_config
+from affbody.errors import UsageError
 from affbody.group_geometry import reconstruct, two_polar_decompose
 from affbody.hamiltonians import (
     Grid1D,
@@ -31,14 +33,7 @@ from affbody.hamiltonians import (
     assemble_nd_channel,
     assemble_q_sector,
 )
-from affbody.peter_weyl import (
-    ChannelAmplitude,
-    Expansion,
-    QGrid,
-    TargetSpace,
-    validate_superselection,
-)
-from affbody.representations import RepLabel
+from affbody.peter_weyl import TargetSpace
 from affbody.spectra import convergence_study, node_counts, solve_1d
 from affbody.verify import (
     EQUIVALENCE_CASES,
@@ -378,15 +373,21 @@ def test_criterion_09_dalembert_no_binding():
 
 
 def test_criterion_10_superselection_table():
-    grid = QGrid((np.array([0.0, 1.0]),) * 3)
-
     def case(target, s, j):
-        la, lb = RepLabel.su2(s), RepLabel.su2(j)
-        amp = ChannelAmplitude(
-            la, lb, grid, np.zeros(grid.shape + (la.dim, lb.dim), dtype=complex)
-        )
-        rep = validate_superselection(Expansion((amp,), target))
-        return not rep.violations
+        """True if a dimension-3 config with the one channel (s, j) on target parses,
+        False if it is refused naming superselection, else the refusal's message."""
+        doc = {
+            "model": "aff-aff",
+            "dimension": 3,
+            "params": {"I": 1.0, "A": 1.0, "B": 0.0},
+            "channels": [[s, j]],
+            "grid": {"q_min": -1.0, "q_max": 1.0, "npoints": 7},
+            "target_space": target.value,
+        }
+        try:
+            return parse_config(doc).channels == ((s, j),)
+        except UsageError as exc:
+            return "superselection" not in str(exc) and str(exc)
 
     G, D = TargetSpace.GLPLUS, TargetSpace.DOUBLE_COVER
     table = (
@@ -412,7 +413,7 @@ def test_criterion_10_superselection_table():
         (D, 0.0, 0.5, False),
     )
     wrong = [
-        (t.value, s, j) for t, s, j, want in table if case(t, s, j) is not want
+        (t.value, s, j, got) for t, s, j, want in table if (got := case(t, s, j)) is not want
     ]
     ok = not wrong
     report(

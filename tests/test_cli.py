@@ -25,14 +25,7 @@ from affbody.hamiltonians import (
     assemble_2d_channel,
     assemble_nd_channel,
 )
-from affbody.peter_weyl import (
-    ChannelAmplitude,
-    Expansion,
-    QGrid,
-    TargetSpace,
-    validate_superselection,
-)
-from affbody.representations import Group, RepLabel
+from affbody.peter_weyl import TargetSpace
 from affbody.spectra import SpectralClass, classify_channel, solve_1d, solve_nd
 from affbody.verify import CheckResult
 
@@ -195,15 +188,17 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("target", list(TargetSpace))
     def test_nd_superselection_matches_peter_weyl(self, target):
-        grid = QGrid((np.array([0.0, 1.0]),) * 3)
+        # the rule from the parities of the twice-spins: glplus takes both even,
+        # the double cover equal parities
         for twice_s in range(7):
             for twice_j in range(7):
-                s, j = RepLabel(Group.SU2, twice_s), RepLabel(Group.SU2, twice_j)
-                amp = ChannelAmplitude(s, j, grid, np.zeros(grid.shape + (s.dim, j.dim)))
-                flagged = not validate_superselection(Expansion((amp,), target)).ok
+                if target is TargetSpace.GLPLUS:
+                    flagged = twice_s % 2 == 1 or twice_j % 2 == 1
+                else:
+                    flagged = twice_s % 2 != twice_j % 2
                 doc = base_config(
                     dimension=3,
-                    channels=[[s.spin, j.spin]],
+                    channels=[[twice_s / 2, twice_j / 2]],
                     grid={"q_min": -1.0, "q_max": 1.0, "npoints": 7},
                     target_space=target.value,
                 )

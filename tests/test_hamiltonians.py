@@ -20,6 +20,7 @@ from affbody.hamiltonians import (
     PotentialSpec,
     WeightKind1D,
     ZERO_POTENTIAL,
+    _bases,
     assemble_2d_channel,
     assemble_nd_channel,
     assemble_q_sector,
@@ -590,7 +591,8 @@ class TestSymmetricMatrix:
         monkeypatch.setattr(
             type(op),
             "_assemble",
-            lambda self, V: calls.append(V.shape[1]) or built.append(assemble(self, V)),
+            lambda self, k: calls.append(_bases(self.labels)[k].shape[1])
+            or built.append(assemble(self, k)),
         )
         with pytest.raises(CapacityError, match="nonzeros") as refused:
             op.symmetric_matrix()
@@ -604,6 +606,40 @@ TWIN_MODELS = [ModelKind.AFF_AFF, ModelKind.MET_AFF, ModelKind.AFF_MET]
 
 
 class TestKleinBlocks:
+    @pytest.mark.parametrize("labels", LABELS)
+    def test_spin_action_at_the_identity_is_the_identity(self, labels):
+        U = spin_action(labels, np.eye(3))
+        d = int(2 * labels[0] + 1) * int(2 * labels[1] + 1)
+        assert U.shape == (d, d)
+        assert np.max(np.abs(U - np.eye(d))) <= 1e-14
+
+    @pytest.mark.parametrize("labels", LABELS)
+    def test_spin_action_multiplies_as_the_klein_rotations(self, labels):
+        # W0 W1 = W1 W0 = W2; the lifts U(W0), U(W1) commute only for labels of equal
+        # halfness, and anticommute otherwise
+        W0, W1, W2 = KLEIN_ROTATIONS
+        assert np.array_equal(W0 @ W1, W2) and np.array_equal(W1 @ W0, W2)
+        U0, U1, U2 = (spin_action(labels, W) for W in KLEIN_ROTATIONS)
+        assert np.max(np.abs(U0 @ U1 - U2)) <= 1e-14
+        sign = 1.0 if labels in EQUAL_HALFNESS else -1.0
+        assert np.max(np.abs(U1 @ U0 - sign * U2)) <= 1e-14
+
+    @pytest.mark.parametrize("labels", LABELS)
+    def test_spin_action_is_unitary(self, labels):
+        for W in KLEIN_ROTATIONS + (TWIN_ROTATION,):
+            U = spin_action(labels, W)
+            assert np.max(np.abs(U @ U.conj().T - np.eye(len(U)))) <= 1e-14
+
+    @pytest.mark.parametrize("labels", LABELS)
+    def test_twin_rotation_squares_to_the_klein_rotation_about_axis_1(self, labels):
+        # T is the quarter turn about axis 1, so T^2 = W1; its lift squares to U(W1) for
+        # labels of equal halfness and to -U(W1) otherwise, the sign of the Klein lifts'
+        # commutator
+        assert np.array_equal(TWIN_ROTATION @ TWIN_ROTATION, KLEIN_ROTATIONS[1])
+        U = spin_action(labels, TWIN_ROTATION)
+        sign = 1.0 if labels in EQUAL_HALFNESS else -1.0
+        assert np.max(np.abs(U @ U - sign * spin_action(labels, KLEIN_ROTATIONS[1]))) <= 1e-14
+
     @pytest.mark.parametrize("kind,grid", ALL_MODELS)
     @pytest.mark.parametrize("labels", EQUAL_HALFNESS)
     def test_klein_action_commutes(self, kind, grid, labels):
@@ -716,13 +752,12 @@ class TestKleinBlocks:
         # the spin matrices and each block's projection and pattern do not depend on the
         # grid, so operators of one pair and hbar share them; the capacity stays per grid
         small = assemble_nd_channel(ModelKind.AFF_AFF, params3(), (10, 10), GridND(3, -1, 1))
-        V = klein_bases((10, 10))[0]
         with pytest.raises(CapacityError, match="nonzeros"):
             assemble_nd_channel(ModelKind.AFF_AFF, params3(), [10.0, 10.0], GridND(40, -1, 1))
         op = assemble_nd_channel(ModelKind.AFF_AFF, params3(), (10, 10), GridND(5, -2, 2))
         assert op._spin_mats is small._spin_mats
         assert not op._spin_mats.flags.writeable
-        for ours, theirs in zip(op._projected_pattern(V), small._projected_pattern(V)):
+        for ours, theirs in zip(op._projected_pattern(0), small._projected_pattern(0)):
             assert ours is theirs and not ours.flags.writeable
         # another hbar has its own: Q scales as hbar^2, and so does X
         half = assemble_nd_channel(ModelKind.AFF_AFF, params3(hbar=0.5), (10, 10), GridND(3, -1, 1))

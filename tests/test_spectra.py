@@ -19,6 +19,7 @@ from affbody.hamiltonians import (
     ModelParams,
     PotentialSpec,
     WeightKind1D,
+    _bases,
     assemble_2d_channel,
     assemble_nd_channel,
     assemble_q_sector,
@@ -162,8 +163,9 @@ class TestSolve1D:
         # a gated but tiny A overflows the kinetic coefficients to inf
         params = P2(I=0.0, A=5.2830752812468663e-303, B=0.0)
         op = assemble_2d_channel(ModelKind.AFF_AFF, params, (-6, -6), Grid1D.from_spec(12.0, 34))
-        with pytest.raises(NumericalError, match="infs or NaNs"):
-            solve_1d(op, 1)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in divide"):
+            with pytest.raises(NumericalError, match="infs or NaNs"):
+                solve_1d(op, 1)
 
     @staticmethod
     def aff_aff(A, channel):
@@ -438,7 +440,9 @@ class TestSolveND:
             type(op), "block_matrix", lambda self, k: built.append(k) or block_matrix(self, k)
         )
         monkeypatch.setattr(
-            type(op), "_assemble", lambda self, V: widths.append(V.shape[1]) or assemble(self, V)
+            type(op),
+            "_assemble",
+            lambda self, k: widths.append(_bases(self.labels)[k].shape[1]) or assemble(self, k),
         )
         solve_nd(op, 4)
         assert built == [0, 1, 2]  # block 3 is block 1's twin
@@ -595,6 +599,20 @@ class TestSolveNDMatrixChannel:
         A[3, 7] = A[7, 3] + scale
         with pytest.raises(DomainError, match="symmetric"):
             solve_nd(BlockStub(A.tocsr()), 2)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_loose_check_is_scale_free(self, monkeypatch, scale):
+        # unscaled, the loose check's residual norm overflows past about 1e154 and its
+        # Ritz pair can never settle a block, which then always takes a tight rerun
+        calls = counted_eigsh(monkeypatch)
+        A = random_symmetric(300, 5)
+        unscaled = solve_nd(BlockStub(A), 2).eigenvalues
+        runs = [c[:2] for c in calls]
+        assert runs == [(2, 1e-9), (1, 1e-4)]
+        calls.clear()
+        scaled = solve_nd(BlockStub(A * scale), 2).eigenvalues
+        assert [c[:2] for c in calls] == runs
+        np.testing.assert_allclose(scaled / scale, unscaled, rtol=1e-9)
 
     def test_unsymmetric_matrix_rejected(self):
         class Skewed(FlatBoxND):
