@@ -100,7 +100,6 @@ class RunConfig:
     """Validated, fully-defaulted description of one batch run."""
 
     kind: ModelKind
-    dimension: int
     params: ModelParams
     channels: tuple
     grid1d: Grid1D | None
@@ -119,7 +118,7 @@ class RunConfig:
         """Echo dict that parses back to an identical RunConfig."""
         doc = {
             "model": self.kind.value,
-            "dimension": self.dimension,
+            "dimension": self.params.n,
             "params": {
                 "I": self.params.I,
                 "A": self.params.A,
@@ -137,7 +136,7 @@ class RunConfig:
             "outputs": {"table": self.table_name, "manifest": self.manifest_name},
             "seed": self.seed,
         }
-        if self.dimension == 2:
+        if self.params.n == 2:
             doc["grid"] = asdict(self.grid1d)
         else:
             doc["grid"] = asdict(self.gridnd)
@@ -244,15 +243,15 @@ def _parse_channels(doc, dimension: int, target_space: TargetSpace, grid1d) -> t
     if len(set(channels)) != len(channels):
         raise UsageError("channels: duplicate entries")
     if dimension == 3:
-        bad = [
-            (s, j)
+        reasons = {
+            (s, j): superselection_violation(target_space, int(2 * s) % 2 == 1, int(2 * j) % 2 == 1)
             for s, j in channels
-            if superselection_violation(target_space, int(2 * s) % 2 == 1, int(2 * j) % 2 == 1)
-        ]
+        }
+        bad = [ch for ch, why in reasons.items() if why]
         if bad:
             raise UsageError(
                 f"channels: labels {bad} violate superselection on target space "
-                f"'{target_space.value}'"
+                f"'{target_space.value}': {reasons[bad[0]]}"
             )
     return tuple(sorted(channels))
 
@@ -351,7 +350,6 @@ def parse_config(doc: dict) -> RunConfig:
 
     return RunConfig(
         kind=kind,
-        dimension=dimension,
         params=params,
         channels=channels,
         grid1d=grid1d,
@@ -411,7 +409,7 @@ def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, writ
     results, errors, timings, twin_of, first = {}, {}, {}, {}, {}
     for ch in sorted(cfg.channels):
         start = time.perf_counter()
-        twin = first.setdefault(shear_label_terms(cfg.kind, ch) if cfg.dimension == 2 else ch, ch)
+        twin = first.setdefault(shear_label_terms(cfg.kind, ch) if cfg.params.n == 2 else ch, ch)
         if twin != ch:
             twin_of[ch] = twin
         if twin in errors:
@@ -458,8 +456,8 @@ def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, writ
 
 
 def _assemble(cfg: RunConfig, channel, grid):
-    """The channel's operator on grid, planar or n=3 as cfg.dimension says."""
-    if cfg.dimension == 2:
+    """The channel's operator on grid, planar or n=3 as cfg.params.n says."""
+    if cfg.params.n == 2:
         return assemble_2d_channel(cfg.kind, cfg.params, channel, grid, cfg.dil, cfg.shear)
     return assemble_nd_channel(cfg.kind, cfg.params, channel, grid)
 
@@ -474,7 +472,7 @@ def _solve_channel(cfg: RunConfig, channel, grids) -> list:
     results = []
     for grid in grids:
         op = _assemble(cfg, channel, grid)
-        if cfg.dimension == 3:
+        if cfg.params.n == 3:
             results.append(solve_nd(op, cfg.count, seed=cfg.seed))
         else:
             results.append(solve_1d(op, cfg.count, results[-1].eigenvalues if results else None))
@@ -575,9 +573,9 @@ def main(argv=None) -> int:
         if args.seed is not None:  # read like the config's own seed
             doc = {**_object("config", doc, _CONFIG_KEYS), "seed": args.seed}
         cfg = parse_config(doc)
-        if cfg.dimension == 3 and args.command != "run":
+        if cfg.params.n == 3 and args.command != "run":
             raise UsageError(f"dimension: {args.command} supports dimension 2 only")
-        if cfg.dimension == 2 and cfg.grid1d.x_min < 0.0:
+        if cfg.params.n == 2 and cfg.grid1d.x_min < 0.0:
             raise UsageError(
                 f"grid.x_min: must not be negative, got {cfg.grid1d.x_min!r}: the planar "
                 "weight vanishes at x = 0, so a box across it holds two mirror copies"
@@ -587,10 +585,10 @@ def main(argv=None) -> int:
         # operator's nonzeros (its lattice is built lazily) against the capacity, each
         # channel's entry bound, and the weight times it (or 2, for two flux weights)
         try:
-            grids = nested_grids(cfg.grid1d if cfg.dimension == 2 else cfg.gridnd, levels)
+            grids = nested_grids(cfg.grid1d if cfg.params.n == 2 else cfg.gridnd, levels)
             h, worst = grids[-1].step, 2.0
             for ch in cfg.channels:
-                if cfg.dimension == 3:
+                if cfg.params.n == 3:
                     _assemble(cfg, ch, grids[-1])
                 scale = entry_scale(cfg.kind, cfg.params, ch, h)
                 if not scale <= ENTRY_LIMIT:
@@ -607,7 +605,7 @@ def main(argv=None) -> int:
         weight = largest_weight(cfg.kind, grids[-1])
         if not math.isfinite(weight * worst):
             raise UsageError(
-                f"grid.{'x_max' if cfg.dimension == 2 else 'q_max'}: the weight reaches "
+                f"grid.{'x_max' if cfg.params.n == 2 else 'q_max'}: the weight reaches "
                 f"{weight:.3g} on the finest level, and times {worst:.3g} it overflows"
             )
         output_dir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or os.getcwd()

@@ -46,7 +46,9 @@ Symmetrized, H = K (x) I_r + sum_t diag(f_t) (x) M_t: K is the spin-free
 stencil on the N^3 cells, and six barrier fields f_t weight spin mats M_t
 inside each cell.  `symmetric_matrix()` and `block_matrix(k)` sum the two
 parts with scipy, anew on each call, from the K and f_t kept per operator
-and the M_t projected on the block, which are cached per labels and hbar.
+and the M_t projected on the block.  One table per labels and hbar,
+`_spin_blocks`, holds the M_t projected on every Klein block and, last,
+the M_t themselves, which `apply` reads.
 
 Grid axes carry small relative offsets (0, h/3, 2h/3) so that nodes and
 staggered flux midpoints never touch the coincidence strata where the
@@ -55,6 +57,8 @@ weights vanish.
 The sqrt-weight symmetrization replaces the divergence-form operator by
 -c d^2/dx^2 + U_eff with U_eff = c (w' + w^2), w = P'/(2P):
 U_eff = c(1/4 - 1/(4 sh^2 x)) for P = |sh x| and -c/(4x^2) for P = x.
+`symmetrize` returns it as a `ChannelOperator1D` of weight 1, whose
+tridiagonal is the three-point one, 2c/h^2 + diag and -c/h^2.
 """
 
 import math
@@ -343,29 +347,12 @@ class ChannelOperator1D:
         return kdiag / P, koff / (d[:-1] * d[1:])
 
 
-@dataclass(frozen=True)
-class SymmetrizedOperator1D:
-    """Flat-measure image -c d^2/dx^2 + U_eff + diag of a channel operator."""
+class SymmetrizedOperator1D(ChannelOperator1D):
+    """Flat-measure image -c d^2/dx^2 + U_eff + diag of a channel operator (weight 1)."""
 
-    kind: ModelKind
-    channel: tuple
-    grid: Grid1D
-    kinetic_coeff: float
-    diag_potential: np.ndarray
-    constant_shift: float
-    threshold: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "diag_potential", readonly(np.array(self.diag_potential, dtype=float))
-        )
-
-    def symmetric_tridiagonal(self):
-        h2 = self.grid.step**2
-        c = self.kinetic_coeff
-        diag = 2.0 * c / h2 + self.diag_potential
-        off = np.full(self.grid.npoints - 1, -c / h2)
-        return diag, off
+    # its own entry in the class dict, so a wrapper of this form's tridiagonal
+    # (the benchmark's tracer) leaves the weighted form's untouched
+    symmetric_tridiagonal = ChannelOperator1D.symmetric_tridiagonal
 
 
 def effective_weight_potential(kind: WeightKind1D, c: float, x: np.ndarray) -> np.ndarray:
@@ -384,12 +371,8 @@ def symmetrize(op: ChannelOperator1D) -> SymmetrizedOperator1D:
         raise DomainError("weight vanishes on an interior node")
     u_eff = effective_weight_potential(op.weight_kind, op.kinetic_coeff, x)
     return SymmetrizedOperator1D(
-        kind=op.kind,
-        channel=op.channel,
-        grid=op.grid,
-        kinetic_coeff=op.kinetic_coeff,
-        diag_potential=op.diag_potential + u_eff,
-        constant_shift=op.constant_shift,
+        op.kind, op.channel, op.grid, WeightKind1D.FLAT, kinetic_coeff=op.kinetic_coeff,
+        diag_potential=op.diag_potential + u_eff, constant_shift=op.constant_shift,
         threshold=op.threshold,
     )
 
@@ -607,42 +590,31 @@ def _klein_bases(labels: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _spin_mats(labels: tuple, hbar: float) -> np.ndarray:
-    """Q_c and X_c for the dual axes c of `_PAIRS`, stacked and read-only, cached per
-    labels and hbar: they do not depend on the grid."""
+def _spin_blocks(labels: tuple, hbar: float) -> tuple:
+    """One cell's spin terms on each Klein block, read-only and cached per labels and hbar
+    (none depends on the grid): (V^T M V, rows, cols) for each basis V of
+    `klein_bases(labels)`, then (M, rows, cols) for the identity of `symmetric_matrix()`.
+
+    M stacks Q_c and X_c for the dual axes c of `_PAIRS`.  The pattern rows, cols holds
+    the diagonal and no entry below 1e-14 of the largest (rounding).
+    """
     # In the ladder basis S_1, S_3 are real and S_2 imaginary, so per pair
     # Q = S^2 (x) 1 + 1 (x) (J^2)^T and X = S (x) J^T (dual-axis generators)
     # are real and symmetric, and (S -+ J)^2 = Q -+ 2 X on one cell's f.
     gs, gj = (generators(RepLabel.su2(v), hbar).S for v in labels)
     ones_s, ones_j = np.eye(len(gs[0])), np.eye(len(gj[0]))
-    mats = []
+    terms = []
     for _, _, c in _PAIRS:
         S, J = gs[c], gj[c]
-        mats += [np.kron(S @ S, ones_j) + np.kron(ones_s, (J @ J).T), np.kron(S, J.T)]
-    return readonly(np.stack([m.real for m in mats]))
-
-
-@lru_cache(maxsize=None)
-def _bases(labels: tuple) -> tuple:
-    """The bases V whose index `NDChannelOperator._assemble` takes: `klein_bases(labels)`
-    and, last, the identity of `symmetric_matrix()`."""
-    bases = klein_bases(labels)
-    return bases + (readonly(np.eye(len(bases[0]))),)
-
-
-@lru_cache(maxsize=None)
-def _projected_spin(labels: tuple, hbar: float, k: int) -> tuple:
-    """mats = V^T M V for the spin mats M and V = `_bases(labels)[k]`, and rows, cols of
-    their pattern, read-only and cached like `_spin_mats`.
-
-    The pattern holds the diagonal and no entry below 1e-14 of the largest (rounding).
-    """
-    M, V = _spin_mats(labels, hbar), _bases(labels)[k]
-    mats = V.T @ M @ V
-    big = np.abs(mats) > 1e-14 * np.max(np.abs(mats), initial=0.0)
-    pattern = np.any(big, axis=0) | np.eye(V.shape[1], dtype=bool)
-    rows, cols = np.array(np.nonzero(pattern), dtype=np.int32)
-    return readonly(mats), readonly(rows), readonly(cols)
+        terms += [np.kron(S @ S, ones_j) + np.kron(ones_s, (J @ J).T), np.kron(S, J.T)]
+    M = np.stack([m.real for m in terms])
+    blocks = []
+    for mats in [V.T @ M @ V for V in klein_bases(labels)] + [M]:
+        big = np.abs(mats) > 1e-14 * np.max(np.abs(mats), initial=0.0)
+        pattern = np.any(big, axis=0) | np.eye(mats.shape[-1], dtype=bool)
+        rows, cols = np.array(np.nonzero(pattern), dtype=np.int32)
+        blocks.append((readonly(mats), readonly(rows), readonly(cols)))
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -664,12 +636,12 @@ class NDChannelOperator:
             self._projected_pattern(int(k))
 
     def _projected_pattern(self, k: int) -> tuple:
-        """`_projected_spin` of basis k of `_bases(self.labels)`.
+        """Entry k of `_spin_blocks(self.labels, self.params.hbar)`.
 
         CapacityError if `_assemble(k)` would hold over MAX_FIELD_ELEMENTS nonzeros.
         """
         N = self.grid.npoints
-        mats, rows, cols = _projected_spin(self.labels, self.params.hbar, k)
+        mats, rows, cols = _spin_blocks(self.labels, self.params.hbar)[k]
         links = 6 * N * N * (N - 1) + (2 * (N - 1) ** 3 if self.q2_coeff else 0)
         nnz = mats.shape[-1] * links + N**3 * len(rows)  # r per link, the pattern per cell
         if nnz > MAX_FIELD_ELEMENTS:
@@ -686,10 +658,6 @@ class NDChannelOperator:
         return readonly(_weight_nd(self.kind, self.grid.axes))
 
     _flux = cached_property(lambda self: _flux_nd(self.kind, self.grid))
-
-    @property
-    def _spin_mats(self) -> np.ndarray:
-        return _spin_mats(self.labels, self.params.hbar)
 
     @property
     def block_copies(self) -> tuple:
@@ -755,7 +723,8 @@ class NDChannelOperator:
 
     def _assemble(self, k: int):
         """(I (x) V)^T (R H R^-1) (I (x) V) = K (x) I_r + the projected barriers,
-        as CSR, for V = `_bases(self.labels)[k]` (d x r, orthonormal columns)."""
+        as CSR, for V basis k of `klein_bases(self.labels)`, or the identity at k = -1
+        (d x r, orthonormal columns)."""
         import scipy.sparse
 
         mats, rows, cols = self._projected_pattern(k)
@@ -786,7 +755,8 @@ class NDChannelOperator:
         K, fields = self._lattice
         root = np.sqrt(self.weight).reshape(-1, 1)
         F = root * f.reshape(len(root), -1)
-        out = K @ F + sum(fields[:, [t]] * (F @ M) for t, M in enumerate(self._spin_mats))
+        spin = _spin_blocks(self.labels, self.params.hbar)[-1][0]
+        out = K @ F + sum(fields[:, [t]] * (F @ M) for t, M in enumerate(spin))
         return (out / root).reshape(self.shape)
 
     def weighted_inner(self, f: np.ndarray, g: np.ndarray) -> complex:

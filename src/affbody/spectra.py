@@ -166,7 +166,7 @@ def _coarsened(op, count: int):
 
 
 def solve_1d(op, count: int, coarse=None) -> SpectrumResult:
-    """Lowest eigenvalues of a 1D channel operator (either form).
+    """Lowest eigenvalues of a `ChannelOperator1D`, weighted or flat (`symmetrize`).
 
     coarse: the lowest `count` eigenvalues of op on its 2h grid (such as the
     previous `nested_grids` level), else `_coarsened`'s; margins = |vals - coarse|.
@@ -377,7 +377,7 @@ def convergence_study(
 ) -> ConvergenceStudy:
     """Solve on `levels` nested grids and fit the observed order.
 
-    make_op maps a Grid1D to an assembled 1D operator (either form).  Each
+    make_op maps a Grid1D to a `ChannelOperator1D`, weighted or flat.  Each
     level is one eigenvalue-only solve; no margin is taken.
     """
     if levels < 3:

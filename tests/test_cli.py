@@ -19,11 +19,15 @@ from affbody.cli import OUTPUT_DIR_ENV, main, parse_config
 from affbody.errors import DomainError, UsageError
 from affbody.hamiltonians import (
     MAX_FIELD_ELEMENTS,
+    ChannelOperator1D,
+    Grid1D,
     GridND,
     ModelKind,
     ModelParams,
+    SymmetrizedOperator1D,
     assemble_2d_channel,
     assemble_nd_channel,
+    symmetrize,
 )
 from affbody.peter_weyl import TargetSpace
 from affbody.spectra import SpectralClass, classify_channel, solve_1d, solve_nd
@@ -177,10 +181,14 @@ class TestParseConfig:
             channels=[[0.5, 1.0]],
             grid={"q_min": -1.0, "q_max": 1.0, "npoints": 7},
         )
-        with pytest.raises(UsageError, match="superselection"):
+        # the refusal names the target space and gives the rule's reason
+        refusal = "violate superselection on target space '{}': {}$"
+        reason = "half-integer label on the identity component"
+        with pytest.raises(UsageError, match=refusal.format("glplus", reason)):
             parse_config(doc)
         doc["target_space"] = "double-cover"
-        with pytest.raises(UsageError, match="superselection"):
+        reason = "labels of unequal halfness on the double cover"
+        with pytest.raises(UsageError, match=refusal.format("double-cover", reason)):
             parse_config(doc)
         doc["channels"] = [[0.5, 1.5]]
         cfg = parse_config(doc)
@@ -1260,3 +1268,27 @@ class TestBenchTracing:
         for owner, attr, original in patched:
             assert self.current(owner, attr) is original, attr
         assert scipy.linalg.eigh_tridiagonal is eigh_tridiagonal
+
+    def test_flat_form_goes_through_its_own_wrapper(self):
+        # the tracer wraps the flat form's tridiagonal through its class's own dict
+        tracing = load_bench_module("tracing")
+        tracer = tracing.Tracer()
+        op = assemble_2d_channel(
+            ModelKind.AFF_AFF, ModelParams(I=2.0, A=1.0, B=0.5), (0, 2), Grid1D(0.0, 20.0, 99)
+        )
+        flat = symmetrize(op)
+        assert type(flat) is SymmetrizedOperator1D
+        owner = SymmetrizedOperator1D.__dict__
+        try:
+            tracing.install(tracer)
+            wrapped = owner["symmetric_tridiagonal"]
+            assert wrapped is not ChannelOperator1D.__dict__["symmetric_tridiagonal"]
+            assert hasattr(wrapped, "__wrapped__")
+            solve_1d(flat, 1)
+        finally:
+            tracer.close()
+        assert not hasattr(owner["symmetric_tridiagonal"], "__wrapped__")
+        # solve_1d forms the tridiagonal of flat and of its coarsened copy, each
+        # called from outside every traced layer
+        outer = [s for s in tracer.spans if s[0] == "hamiltonians.tridiag_form" and s[3] == -1]
+        assert len(outer) == 2 and tracer.n_calls("spectra.tridiag") == 2

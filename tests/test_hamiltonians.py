@@ -20,7 +20,7 @@ from affbody.hamiltonians import (
     PotentialSpec,
     WeightKind1D,
     ZERO_POTENTIAL,
-    _bases,
+    _spin_blocks,
     assemble_2d_channel,
     assemble_nd_channel,
     assemble_q_sector,
@@ -441,6 +441,18 @@ class TestSymmetrize:
         np.testing.assert_allclose(flat.diag_potential, op.diag_potential + u)
         assert flat.threshold == op.threshold
 
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_flat_form_is_the_three_point_form(self, kind):
+        # bit for bit 2c/h^2 + diag and -c/h^2, for the x-sector and the q-sector
+        grid = Grid1D.from_spec(20.0, 99)
+        op = assemble_2d_channel(kind, params2(B=0.5), (1, 3), grid)
+        for sector in (op, assemble_q_sector(op.q_sector, grid)):
+            flat = symmetrize(sector)
+            h2, c = grid.step**2, flat.kinetic_coeff
+            diag, off = flat.symmetric_tridiagonal()
+            assert diag.tobytes() == (2.0 * c / h2 + flat.diag_potential).tobytes()
+            assert off.tobytes() == np.full(grid.npoints - 1, -c / h2).tobytes()
+
     def test_spectra_agree_between_forms(self):
         # same operator in weighted and flat guise; the discretizations
         # differ, so only O(h^2) agreement is expected at fixed grid
@@ -591,7 +603,9 @@ class TestSymmetricMatrix:
         monkeypatch.setattr(
             type(op),
             "_assemble",
-            lambda self, k: calls.append(_bases(self.labels)[k].shape[1])
+            lambda self, k: calls.append(
+                _spin_blocks(self.labels, self.params.hbar)[k][0].shape[-1]
+            )
             or built.append(assemble(self, k)),
         )
         with pytest.raises(CapacityError, match="nonzeros") as refused:
@@ -755,14 +769,16 @@ class TestKleinBlocks:
         with pytest.raises(CapacityError, match="nonzeros"):
             assemble_nd_channel(ModelKind.AFF_AFF, params3(), [10.0, 10.0], GridND(40, -1, 1))
         op = assemble_nd_channel(ModelKind.AFF_AFF, params3(), (10, 10), GridND(5, -2, 2))
-        assert op._spin_mats is small._spin_mats
-        assert not op._spin_mats.flags.writeable
+        spin = _spin_blocks(op.labels, op.params.hbar)[-1][0]
+        assert spin is _spin_blocks(small.labels, small.params.hbar)[-1][0]
+        assert not spin.flags.writeable
         for ours, theirs in zip(op._projected_pattern(0), small._projected_pattern(0)):
             assert ours is theirs and not ours.flags.writeable
         # another hbar has its own: Q scales as hbar^2, and so does X
         half = assemble_nd_channel(ModelKind.AFF_AFF, params3(hbar=0.5), (10, 10), GridND(3, -1, 1))
-        assert half._spin_mats is not op._spin_mats
-        np.testing.assert_array_equal(4.0 * half._spin_mats, op._spin_mats)
+        half_spin = _spin_blocks(half.labels, half.params.hbar)[-1][0]
+        assert half_spin is not spin
+        np.testing.assert_array_equal(4.0 * half_spin, spin)
 
 
 def loop_weight_nd(kind, axes):

@@ -19,7 +19,7 @@ from affbody.hamiltonians import (
     ModelParams,
     PotentialSpec,
     WeightKind1D,
-    _bases,
+    _spin_blocks,
     assemble_2d_channel,
     assemble_nd_channel,
     assemble_q_sector,
@@ -442,7 +442,10 @@ class TestSolveND:
         monkeypatch.setattr(
             type(op),
             "_assemble",
-            lambda self, k: widths.append(_bases(self.labels)[k].shape[1]) or assemble(self, k),
+            lambda self, k: widths.append(
+                _spin_blocks(self.labels, self.params.hbar)[k][0].shape[-1]
+            )
+            or assemble(self, k),
         )
         solve_nd(op, 4)
         assert built == [0, 1, 2]  # block 3 is block 1's twin
