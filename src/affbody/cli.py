@@ -384,6 +384,16 @@ def _label_key(channel) -> str:
     return f"{channel[0]},{channel[1]}"
 
 
+def _blas_build(module):
+    """Name and version of the BLAS that numpy or scipy was built against,
+    None where show_config takes no mode (numpy before 1.26)."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:
+        return None
+    return {key: blas.get(key) for key in ("name", "version")}
+
+
 def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, write_rows) -> int:
     """Run worker(channel) per twin key in label order; write table and manifest.
 
@@ -435,6 +445,9 @@ def _run_channels(cfg: RunConfig, output_dir: str, subcommand: str, worker, writ
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": platform.python_version(),
+            "blas": {"numpy": _blas_build(np), "scipy": _blas_build(scipy)},
+            # the BLAS thread count can move an n=3 table's last digits
+            "threads": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         },
         "timings": {
             "total_seconds": time.perf_counter() - t0,

@@ -547,46 +547,45 @@ def spin_action(labels, W) -> np.ndarray:
     return np.kron(dl, dr.conj())
 
 
-def klein_projectors(labels) -> tuple:
-    """P_k = 1/4 sum over K4 of chi_k(W) U(W), for k = 0..3.
-
-    chi_0 is the trivial character and chi_(1+a) the one that is +1 on the
-    rotation about axis a (Serre, Linear Representations of Finite Groups,
-    2.6).  They project onto the Klein blocks only for labels of equal
-    halfness; otherwise the lifts of K4 do not commute.
-    """
-    Us = [spin_action(labels, W) for W in KLEIN_ROTATIONS]
-    eye = np.eye(len(Us[0]))
-    return tuple(
-        (eye + sum((1.0 if k in (0, 1 + a) else -1.0) * U for a, U in enumerate(Us))) / 4.0
-        for k in range(4)
-    )
-
-
 def klein_bases(labels) -> tuple:
-    """Real orthonormal bases V_k (d x r_k) of one cell's Klein blocks.
+    """Real orthonormal bases V_k (d x r_k) of one cell's Klein blocks, in closed form.
 
-    For labels of equal halfness K4 acts on the ladder basis by phased
-    permutations that pair (m_s, m_j) with (-m_s, -m_j), so each P_k is real
-    and column a of P_k, normalized, is a basis vector of block k when a is
-    the first index of its pair.  Labels of unequal halfness give the one
-    block V = I.  Cached per label pair, so a run builds each pair's bases once.
+    Block 0 is invariant and block 1 + a is +1 on the rotation about axis a.
+    For labels of equal halfness, ladder component a = p (2j+1) + q
+    (p = s - m_s, q = j - m_j) pairs with a' = d - 1 - a.  As
+    d^j_(m'm)(pi) = (-1)^(j-m) delta_(m',-m) (Edmonds, Angular Momentum in
+    Quantum Mechanics, ch. 4), the rotation about axis 2 multiplies e_a by
+    (-1)^(m_s - m_j) and the one about axis 1 maps it to sigma e_a',
+    sigma = (-1)^(p+q).  So the columns, in ascending a, are
+    (e_a +- sigma e_a')/sqrt(2), +-1 under axis 1, for a < a', and e_a,
+    sigma under it, for a = a': every entry is 0, +-1 or +-1/sqrt(2).
+    Labels of unequal halfness give the one block V = I, as their lifts of
+    K4 do not commute.  Cached per label pair.
     """
     return _klein_bases(tuple(labels))
 
 
+# the Klein block of each pair of signs under the rotations about axes 2 and 1
+_KLEIN_BLOCK = {(1, 1): 0, (-1, -1): 1, (-1, 1): 2, (1, -1): 3}
+
+
 @lru_cache(maxsize=None)
 def _klein_bases(labels: tuple) -> tuple:
-    s, j = labels
-    d = int(2 * s + 1) * int(2 * j + 1)
-    if (2 * s - 2 * j) % 2:
+    ds, dj = (int(2 * v + 1) for v in labels)
+    d = ds * dj
+    if (ds - dj) % 2:
         return (readonly(np.eye(d)),)
-    bases = []
-    for P in klein_projectors(labels):
-        P = P.real
-        first = [a for a in range(d) if P[a, a] > 0.25 and not np.any(np.abs(P[:a, a]) > 0.25)]
-        bases.append(readonly(P[:, first] / np.sqrt(np.diag(P)[first])))
-    return tuple(bases)
+    half = 1.0 / math.sqrt(2.0)
+    columns = ([], [], [], [])
+    for a in range((d + 1) // 2):
+        p, q = divmod(a, dj)
+        sigma, pair = (-1) ** (p + q), d - 1 - a
+        z = (-1) ** ((ds - dj) // 2 + p + q)  # m_s - m_j = s - j - p + q
+        for y in (sigma,) if a == pair else (1, -1):
+            v = np.zeros(d)
+            v[[a, pair]] = (half, y * sigma * half) if a < pair else 1.0
+            columns[_KLEIN_BLOCK[z, y]].append(v)
+    return tuple(readonly(np.array(c).reshape(-1, d).T) for c in columns)
 
 
 @lru_cache(maxsize=None)
@@ -895,7 +894,6 @@ __all__ = [
     "effective_weight_potential",
     "entry_scale",
     "klein_bases",
-    "klein_projectors",
     "largest_weight",
     "planar_labels",
     "potential",

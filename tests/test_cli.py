@@ -295,6 +295,32 @@ class TestRun:
             tmp_path / "b" / "spectrum.txt"
         ).read_bytes()
 
+    def test_manifest_records_blas_builds_and_thread_settings(self, tmp_path, monkeypatch):
+        # an n=3 table's last digits move with the BLAS and its thread count
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        doc = base_config(channels=[[2, 2]], grid={"x_max": 30.0, "npoints": 399}, count=2)
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "a")]) == 0
+        versions = json.loads((tmp_path / "a" / "manifest.json").read_text())["versions"]
+        assert versions["threads"] == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None}
+        for name, module in (("numpy", np), ("scipy", scipy)):
+            blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            assert versions["blas"][name] == {"name": blas["name"], "version": blas["version"]}
+
+    def test_manifest_blas_is_null_where_show_config_takes_no_mode(self, tmp_path, monkeypatch):
+        # numpy before 1.26 has show_config() only, which prints
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        doc = base_config(channels=[[2, 2]], grid={"x_max": 30.0, "npoints": 399}, count=2)
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "a")]) == 0
+        manifest = tmp_path / "a" / "manifest.json"
+        assert json.loads(manifest.read_text())["versions"]["blas"]["numpy"] is None
+        assert main(["run", "--config", str(manifest), "--output-dir", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "spectrum.txt").read_bytes() == (
+            tmp_path / "b" / "spectrum.txt"
+        ).read_bytes()
+
     def test_rows_ordered_by_channel_then_level(self, tmp_path):
         doc = base_config(
             channels=[[3, 1], [0, 2]],

@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -30,7 +29,6 @@ from affbody.hamiltonians import (
     effective_weight_potential,
     entry_scale,
     klein_bases,
-    klein_projectors,
     largest_weight,
     planar_labels,
     potential,
@@ -619,6 +617,21 @@ EQUAL_HALFNESS = [v for v in LABELS if (2 * v[0] - 2 * v[1]) % 2 == 0]
 TWIN_MODELS = [ModelKind.AFF_AFF, ModelKind.MET_AFF, ModelKind.AFF_MET]
 
 
+def reference_projectors(labels) -> tuple:
+    """P_k = 1/4 sum over K4 of chi_k(W) U(W), for k = 0..3, with U from `spin_action`.
+
+    chi_0 is the trivial character and chi_(1+a) the one that is +1 on the
+    rotation about axis a.  They project onto the Klein blocks only for
+    labels of equal halfness; otherwise the lifts of K4 do not commute.
+    """
+    Us = [spin_action(labels, W) for W in KLEIN_ROTATIONS]
+    eye = np.eye(len(Us[0]))
+    return tuple(
+        (eye + sum((1.0 if k in (0, 1 + a) else -1.0) * U for a, U in enumerate(Us))) / 4.0
+        for k in range(4)
+    )
+
+
 class TestKleinBlocks:
     @pytest.mark.parametrize("labels", LABELS)
     def test_spin_action_at_the_identity_is_the_identity(self, labels):
@@ -671,7 +684,7 @@ class TestKleinBlocks:
     @pytest.mark.parametrize("labels", EQUAL_HALFNESS)
     def test_twin_map_carries_block_1_onto_block_3(self, labels):
         U = spin_action(labels, TWIN_ROTATION)
-        P = klein_projectors(labels)
+        P = reference_projectors(labels)
         assert np.max(np.abs(U @ P[1] @ U.conj().T - P[3])) <= 1e-14
 
     @pytest.mark.parametrize("labels", EQUAL_HALFNESS)
@@ -688,7 +701,7 @@ class TestKleinBlocks:
         op = assemble_nd_channel(kind, params3(), labels, GridND(4, grid.q_min, grid.q_max))
         A = op.symmetric_matrix().toarray()
         bases = klein_bases(labels)
-        projectors = klein_projectors(labels)
+        projectors = reference_projectors(labels)
         assert len(bases) == 4
         assert sum(V.shape[1] for V in bases) == A.shape[0] // 64
         for k, (V, P) in enumerate(zip(bases, projectors)):
@@ -724,7 +737,7 @@ class TestKleinBlocks:
     def test_unequal_halfness_is_one_full_block(self):
         # the lifts of K4 do not commute here, so its "projectors" are not
         # real projectors at all, and the one block is the whole matrix
-        P = klein_projectors((0.5, 0))
+        P = reference_projectors((0.5, 0))
         assert np.max(np.abs(P[1].imag)) > 0.1
         assert np.max(np.abs(P[1] @ P[1] - P[1])) > 0.1
         op = assemble_nd_channel(ModelKind.MET_AFF, params3(), (0.5, 0), GridND(4, -1.5, 1.5))
@@ -738,22 +751,23 @@ class TestKleinBlocks:
         with pytest.raises(DomainError):
             symmetry_defect(op, np.eye(3))
 
-    # sha256 over each basis's shape and bytes, recorded with numpy 2.4; they
-    # catch a change in the rounding of the Klein rotations' D matrices before
-    # it reaches a dimension-3 table
-    @pytest.mark.parametrize(
-        "labels,digest",
-        [
-            ((0.5, 0.5), "e2b4b08f2c72581438d4926ae8e6dcad71f0113f17369becf1333660daef8a40"),
-            ((1, 1), "72dc29a185333d283c00d13d160b604834ddf28e08e321f15c0cdd80fcec2cfb"),
-            ((2, 2), "290e302cda3ac748314c5798b8666eb34d0af1f77a4e1219f5ace3adebd0022b"),
-        ],
-    )
-    def test_klein_bases_bytes(self, labels, digest):
-        h = hashlib.sha256()
-        for V in klein_bases(labels):
-            h.update(repr(V.shape).encode() + V.tobytes())
-        assert h.hexdigest() == digest
+    @pytest.mark.parametrize("twice_s", range(7))
+    @pytest.mark.parametrize("twice_j", range(7))
+    def test_klein_bases_are_exact(self, twice_s, twice_j):
+        # the closed form holds only 0, +-1 and +-1/sqrt(2), and spans the blocks of the
+        # projectors that spin_action's Wigner matrices give
+        labels = (twice_s / 2, twice_j / 2)
+        bases = klein_bases(labels)
+        half = 1.0 / math.sqrt(2.0)
+        for V in bases:
+            assert set(np.unique(V)) <= {0.0, 1.0, -1.0, half, -half}
+            assert np.max(np.abs(V.T @ V - np.eye(V.shape[1])), initial=0.0) <= 1e-15
+        if (twice_s - twice_j) % 2:
+            assert len(bases) == 1 and np.array_equal(bases[0], np.eye(len(bases[0])))
+            return
+        assert len(bases) == 4
+        for V, P in zip(bases, reference_projectors(labels)):
+            assert np.max(np.abs(V @ V.T - P)) <= 1e-15
 
     def test_klein_bases_are_cached_per_label_pair(self):
         bases = klein_bases((1, 1))

@@ -273,6 +273,62 @@ class TestPlanarGroundEnergies:
         assert energy >= -1e-8
 
 
+def bessel_zeros(nu, count):
+    """The first `count` positive zeros of J_nu, bracketed on a step of 0.5."""
+    import scipy.optimize
+    import scipy.special
+
+    x = np.arange(0.5, 4.0 * count + 10.0, 0.5)
+    f = scipy.special.jv(nu, x)
+    brackets = [(a, b) for a, b, fa, fb in zip(x, x[1:], f, f[1:]) if fa * fb < 0.0]
+    return np.array(
+        [scipy.optimize.brentq(lambda t: scipy.special.jv(nu, t), a, b, xtol=1e-15)
+         for a, b in brackets[:count]]
+    )
+
+
+class TestExactPlanarLevels:
+    """Exactly solvable channels with kappa = |n - m|/2 >= 1.  Only the solution that
+    vanishes as x^kappa is square integrable at x = 0 there, so the grid's Dirichlet
+    zero at x = 0 costs nothing and the chain converges at order 2."""
+
+    @pytest.mark.parametrize(
+        "kind,I,channel,exact",
+        [
+            (ModelKind.AFF_AFF, 1, (4, 2), 0.0),
+            (ModelKind.AFF_AFF, 1, (5, 3), -0.75),
+            (ModelKind.AFF_AFF, 1, (7, 3), -0.75),
+            (ModelKind.MET_AFF, 2, (6, 2), 24.0),
+            (ModelKind.AFF_MET, 2, (2, 6), 24.0),
+        ],
+    )
+    def test_poeschl_teller_ground_level(self, kind, I, channel, exact):
+        # in the flat form and y = x/2 the x-sector is (c/4)(-d^2/dy^2 + k(k-1)/sh^2 y
+        # - l(l-1)/ch^2 y) + c/4 + shift, k = (|n-m|+1)/2, l = (|n+m|+1)/2, c = hbar^2/A
+        # (alpha for met-aff and aff-met), whose ground level is
+        # c/4 (1 - (l - k - 1)^2) + shift (Poeschl & Teller, Z. Phys. 83 (1933) 143)
+        params = P2(I=I, A=1, B=0)
+        study = convergence_study(
+            lambda g: assemble_2d_channel(kind, params, channel, g),
+            Grid1D(0.0, 40.0, 999), levels=4, count=1,
+        )
+        assert abs(study.eigenvalues[-1, 0] - exact) <= 1e-5
+        assert 1.9 <= study.orders[0] <= 2.1
+
+    @pytest.mark.parametrize("channel,nu", [((0, 2), 1.0), ((0, 3), 1.5)])
+    def test_dalembert_bessel_levels(self, channel, nu):
+        # -(hbar^2/I)(u'' + u'/x - nu^2 u/x^2), nu = |n-m|/2, vanishing at x = 10:
+        # E_k = (hbar^2/I)(j_(nu,k)/10)^2
+        params = P2(I=2, A=1, B=0)
+        study = convergence_study(
+            lambda g: assemble_2d_channel(ModelKind.DALEMBERT, params, channel, g),
+            Grid1D(0.0, 10.0, 399), levels=4, count=3,
+        )
+        exact = 0.5 * (bessel_zeros(nu, 3) / 10.0) ** 2
+        np.testing.assert_allclose(study.eigenvalues[-1], exact, rtol=2e-6, atol=0.0)
+        assert np.all((1.9 <= study.orders) & (study.orders <= 2.1))
+
+
 class FlatBoxND:
     """Minimal 3D Dirichlet Laplacian used as an eigensolver oracle."""
 
@@ -451,6 +507,29 @@ class TestSolveND:
         assert built == [0, 1, 2]  # block 3 is block 1's twin
         # the full matrix, V with all d = 9 columns, is never formed
         assert len(widths) == 3 and 0 < max(widths) < 9
+
+    def test_solve_path_reaches_no_wigner_code(self, monkeypatch):
+        # the Klein bases are read off the ladder basis, so with every Wigner entry
+        # point broken and the spin caches emptied the channel solves to the same bits
+        import affbody.hamiltonians
+        import affbody.representations
+
+        def solve():
+            op = assemble_nd_channel(
+                ModelKind.MET_AFF, ModelParams(I=2, A=1, B=0.5, n=3), (1, 1), GridND(4, -3, 3)
+            )
+            return solve_nd(op, 4).eigenvalues
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the n=3 solve path reached Wigner code")
+
+        want = solve()
+        monkeypatch.setattr(affbody.hamiltonians, "wigner_D", broken)
+        monkeypatch.setattr(affbody.hamiltonians, "rotation_vector_from_matrix", broken)
+        monkeypatch.setattr(affbody.representations, "wigner_D_batch", broken)
+        affbody.hamiltonians._klein_bases.cache_clear()
+        _spin_blocks.cache_clear()
+        assert solve().tobytes() == want.tobytes()
 
     def test_degeneracy_inside_one_block_takes_the_tight_rerun(self, monkeypatch):
         # every level of the box doubled inside the one block: one Krylov
