@@ -4,7 +4,7 @@ The package splits along the pipeline:
 
 - ``group_geometry``: two-polar (SVD-type) configuration decomposition,
   deformation-invariant weight factors, Haar density ratios;
-- ``representations``: su(2)/so(3) generator sets, Wigner matrices,
+- ``representations``: su(2)/so(3) generators, Wigner matrices,
   Haar quadrature on the rotation groups;
 - ``peter_weyl``: target spaces and the superselection rule on channel
   labels;

@@ -262,6 +262,11 @@ def _parse_grid(doc, dimension: int):
             return Grid1D.from_spec(DEFAULT_BOX, DEFAULT_NPOINTS), None
         _object("grid", doc, {"x_min", "x_max", "npoints", "h"}, ("x_max",))
         x_min = _number("grid.x_min", doc.get("x_min", 0.0))
+        if x_min < 0.0:
+            raise UsageError(
+                f"grid.x_min: must not be negative, got {x_min!r}: the planar weight "
+                "vanishes at x = 0, so a box across it holds two mirror copies"
+            )
         x_max = _number("grid.x_max", doc["x_max"])
         if ("npoints" in doc) == ("h" in doc):
             raise UsageError("grid: give exactly one of 'npoints' or 'h'")
@@ -311,11 +316,13 @@ def parse_config(doc: dict) -> RunConfig:
     if "target_space" in doc and dimension == 2:
         raise UsageError("target_space: only meaningful for dimension 3")
 
+    # _parse_grid refuses a planar box below 0, so only an n=3 grid can start there
     grid1d, gridnd = _parse_grid(doc.get("grid"), dimension)
-    try:
-        check_grid_start(kind, grid1d.x_min if dimension == 2 else gridnd.q_min)
-    except DomainError as exc:
-        raise UsageError(f"grid.{'x_min' if dimension == 2 else 'q_min'}: {exc}") from exc
+    if dimension == 3:
+        try:
+            check_grid_start(kind, gridnd.q_min)
+        except DomainError as exc:
+            raise UsageError(f"grid.q_min: {exc}") from exc
     channels = _parse_channels(doc.get("channels"), dimension, target_space, grid1d)
     refinements = _integer("refinements", doc.get("refinements", 0), 0, 6)
     levels = _integer("levels", doc.get("levels", 3), 3, 8)
@@ -588,11 +595,6 @@ def main(argv=None) -> int:
         cfg = parse_config(doc)
         if cfg.params.n == 3 and args.command != "run":
             raise UsageError(f"dimension: {args.command} supports dimension 2 only")
-        if cfg.params.n == 2 and cfg.grid1d.x_min < 0.0:
-            raise UsageError(
-                f"grid.x_min: must not be negative, got {cfg.grid1d.x_min!r}: the planar "
-                "weight vanishes at x = 0, so a box across it holds two mirror copies"
-            )
         levels = {"run": cfg.refinements + 1, "convergence": cfg.levels}.get(args.command, 1)
         # pre-flight on the finest level, before any output: a Grid1D's nodes or an n=3
         # operator's nonzeros (its lattice is built lazily) against the capacity, each

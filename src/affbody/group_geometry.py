@@ -49,16 +49,6 @@ class MeasureTarget(Enum):
 
 
 @dataclass(frozen=True)
-class MeasureWeight:
-    kind: WeightKind
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0.0:
-            raise DomainError(f"measure weight must be non-negative, got {self.value}")
-
-
-@dataclass(frozen=True)
 class TwoPolarConfig:
     """Result of a two-polar factorization.
 
@@ -142,22 +132,27 @@ def pair_weight(kind: WeightKind, q) -> np.ndarray:
     return out
 
 
-def weight_lambda(q) -> MeasureWeight:
-    """Radial weight of the q-coordinate measure, prod_{a<b} |sinh(q^a - q^b)|."""
+def _invariants(name: str, q) -> np.ndarray:
+    """q as a float vector; DomainError unless it holds at least two finite invariants."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or q.shape[0] < 2:
         raise DomainError(f"need a vector of at least two invariants, got shape {q.shape}")
-    return MeasureWeight(WeightKind.LAMBDA, float(pair_weight(WeightKind.LAMBDA, q)))
+    if not np.all(np.isfinite(q)):
+        raise DomainError(f"deformation invariants {name} must be finite, got {q.tolist()}")
+    return q
 
 
-def weight_l(Q) -> MeasureWeight:
+def weight_lambda(q) -> float:
+    """Radial weight of the q-coordinate measure, prod_{a<b} |sinh(q^a - q^b)|."""
+    return float(pair_weight(WeightKind.LAMBDA, _invariants("q", q)))
+
+
+def weight_l(Q) -> float:
     """Radial weight of the Q-coordinate measure, prod_{a<b} |(Q^a+Q^b)(Q^a-Q^b)|."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 1 or Q.shape[0] < 2:
-        raise DomainError(f"need a vector of at least two invariants, got shape {Q.shape}")
+    Q = _invariants("Q", Q)
     if np.any(Q <= 0.0):
         raise DomainError("deformation invariants Q^a must be positive")
-    return MeasureWeight(WeightKind.L, float(pair_weight(WeightKind.L, Q)))
+    return float(pair_weight(WeightKind.L, Q))
 
 
 def haar_density_ratio(phi, target: MeasureTarget) -> float:

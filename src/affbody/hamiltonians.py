@@ -115,10 +115,6 @@ class DerivedConstants(NamedTuple):
     mu: float
     beta_tilde: float
 
-    @property
-    def mu_degenerate(self) -> bool:
-        return self.mu == 0.0
-
 
 def derived_constants(params: ModelParams) -> DerivedConstants:
     """The four derived inertial constants (alpha, beta, mu, beta_tilde).
@@ -154,7 +150,7 @@ def check_gates(kind: ModelKind, params: ModelParams) -> DerivedConstants:
             raise DomainError(
                 f"gate violated: beta_tilde > 0 required, got beta_tilde = {cons.beta_tilde}"
             )
-        if cons.mu_degenerate:
+        if cons.mu == 0.0:
             raise DomainError("gate violated: mu must be nonzero (I = +-A is degenerate)")
     elif kind is ModelKind.DALEMBERT:
         if params.I <= 0.0:
@@ -184,20 +180,8 @@ class PotentialSpec:
         if self.width < 0.0:
             raise DomainError(f"well width must be non-negative, got {self.width}")
 
-    @classmethod
-    def zero(cls) -> "PotentialSpec":
-        return cls(PotentialKind.ZERO)
 
-    @classmethod
-    def harmonic(cls, k: float, q0: float = 0.0) -> "PotentialSpec":
-        return cls(PotentialKind.HARMONIC, k=k, q0=q0)
-
-    @classmethod
-    def finite_well(cls, depth: float, width: float) -> "PotentialSpec":
-        return cls(PotentialKind.FINITE_WELL, depth=depth, width=width)
-
-
-ZERO_POTENTIAL = PotentialSpec.zero()
+ZERO_POTENTIAL = PotentialSpec(PotentialKind.ZERO)
 
 
 def potential(spec: PotentialSpec, x):
@@ -600,7 +584,7 @@ def _spin_blocks(labels: tuple, hbar: float) -> tuple:
     # In the ladder basis S_1, S_3 are real and S_2 imaginary, so per pair
     # Q = S^2 (x) 1 + 1 (x) (J^2)^T and X = S (x) J^T (dual-axis generators)
     # are real and symmetric, and (S -+ J)^2 = Q -+ 2 X on one cell's f.
-    gs, gj = (generators(RepLabel.su2(v), hbar).S for v in labels)
+    gs, gj = (generators(RepLabel.su2(v), hbar) for v in labels)
     ones_s, ones_j = np.eye(len(gs[0])), np.eye(len(gj[0]))
     terms = []
     for _, _, c in _PAIRS:

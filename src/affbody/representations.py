@@ -1,4 +1,4 @@
-"""Irreducible representation data for SO(2), SO(3) and SU(2).
+"""Irreducible representation data for SO(3) and SU(2).
 
 Conventions.  Angular momentum generators use the ladder basis with S_3
 diagonal,
@@ -63,39 +63,27 @@ _ANGLE_TOL = 1e-12
 
 
 class Group(Enum):
-    SO2 = "so2"
     SO3 = "so3"
     SU2 = "su2"
 
 
 @dataclass(frozen=True, order=True)
 class RepLabel:
-    """Irreducible representation label.
-
-    For SO(2) the label is an integer m (any sign, stored doubled like
-    the others).  For SO(3) it is a non-negative integer s, for SU(2) a
-    non-negative half-integer.
-    """
+    """Irreducible representation label: a non-negative integer spin s for
+    SO(3), a non-negative half-integer for SU(2), stored doubled."""
 
     group: Group
     twice_spin: int
 
     def __post_init__(self):
-        if self.group is Group.SO2:
-            if self.twice_spin % 2 != 0:
-                raise DomainError("SO(2) labels are integers")
-        elif self.group is Group.SO3:
-            if self.twice_spin < 0 or self.twice_spin % 2 != 0:
-                raise DomainError(f"SO(3) spin must be a non-negative integer, got {self.twice_spin / 2}")
-        elif self.group is Group.SU2:
-            if self.twice_spin < 0:
-                raise DomainError(f"SU(2) spin must be a non-negative half-integer, got {self.twice_spin / 2}")
-        else:
+        if not isinstance(self.group, Group):
             raise DomainError(f"unknown group {self.group!r}")
-
-    @classmethod
-    def so2(cls, m: int) -> "RepLabel":
-        return cls(Group.SO2, 2 * int(m))
+        if not isinstance(self.twice_spin, (int, np.integer)):
+            raise DomainError(f"twice_spin must be an integer, got {self.twice_spin!r}")
+        if self.group is Group.SO3 and (self.twice_spin < 0 or self.twice_spin % 2 != 0):
+            raise DomainError(f"SO(3) spin must be a non-negative integer, got {self.twice_spin / 2}")
+        if self.twice_spin < 0:
+            raise DomainError(f"SU(2) spin must be a non-negative half-integer, got {self.twice_spin / 2}")
 
     @classmethod
     def so3(cls, s) -> "RepLabel":
@@ -106,51 +94,15 @@ class RepLabel:
         return cls(Group.SU2, _twice(s))
 
     @property
-    def spin(self) -> float:
-        return self.twice_spin / 2
-
-    @property
-    def m(self) -> int:
-        if self.group is not Group.SO2:
-            raise DomainError("only SO(2) labels carry a winding number m")
-        return self.twice_spin // 2
-
-    @property
     def dim(self) -> int:
-        if self.group is Group.SO2:
-            return 1
         return self.twice_spin + 1
-
-    @property
-    def half_integer(self) -> bool:
-        return self.twice_spin % 2 != 0
-
-    def __str__(self) -> str:
-        if self.group is Group.SO2:
-            return f"so2[m={self.m}]"
-        s = self.twice_spin // 2 if self.twice_spin % 2 == 0 else f"{self.twice_spin}/2"
-        return f"{self.group.value}[s={s}]"
 
 
 def _twice(s) -> int:
     twice = 2 * float(s)
-    rounded = round(twice)
-    if abs(twice - rounded) > 1e-9:
-        raise DomainError(f"spin must be half-integral, got {s}")
-    return int(rounded)
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Hermitian generators of a representation.
-
-    For SO(3)/SU(2) labels, S holds the three (2s+1) x (2s+1) matrices;
-    for an SO(2) label m it holds the single 1 x 1 matrix (hbar * m).
-    """
-
-    label: RepLabel
-    S: tuple
-    hbar: float
+    if not math.isfinite(twice) or abs(twice - round(twice)) > 1e-9:
+        raise DomainError(f"spin must be a finite half-integer, got {s}")
+    return int(round(twice))
 
 
 @lru_cache(maxsize=None)
@@ -169,20 +121,16 @@ def _ladder(twice_spin: int):
     return tuple(readonly(a) for a in (s1, s2, s3))
 
 
-def generators(label: RepLabel, hbar: float = 1.0) -> GeneratorSet:
-    """Angular momentum matrices of the labeled representation."""
-    if label.group is Group.SO2:
-        mat = readonly(np.array([[hbar * label.m]], dtype=complex))
-        return GeneratorSet(label, (mat,), hbar)
-    s1, s2, s3 = _ladder(label.twice_spin)
-    if hbar == 1.0:
-        return GeneratorSet(label, (s1, s2, s3), hbar)
-    return GeneratorSet(label, tuple(readonly(hbar * a) for a in (s1, s2, s3)), hbar)
+def generators(label: RepLabel, hbar: float = 1.0) -> tuple:
+    """Hermitian angular momentum matrices (S_1, S_2, S_3) of the labeled
+    representation, read-only (at hbar = 1 the cached ladder itself)."""
+    S = _ladder(label.twice_spin)
+    return S if hbar == 1.0 else tuple(readonly(hbar * a) for a in S)
 
 
-def casimir(gen: GeneratorSet) -> np.ndarray:
+def casimir(S) -> np.ndarray:
     """Sum of squared generators; hbar^2 s(s+1) Id on an irreducible space."""
-    return sum(a @ a for a in gen.S)
+    return sum(a @ a for a in S)
 
 
 def rotation_vector_from_matrix(W) -> np.ndarray:
@@ -190,6 +138,8 @@ def rotation_vector_from_matrix(W) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     if W.shape != (3, 3):
         raise DomainError(f"need a 3 x 3 rotation matrix, got shape {W.shape}")
+    if not np.all(np.isfinite(W)):
+        raise DomainError(f"rotation matrix must be finite, got {W.tolist()}")
     if np.max(np.abs(W @ W.T - np.eye(3))) > 1e-8 or np.linalg.det(W) < 0.0:
         raise DomainError("matrix is not a rotation")
     # v = 2 sin(angle) n and tr W - 1 = 2 cos(angle)
@@ -222,17 +172,11 @@ def wigner_D(label: RepLabel, k) -> np.ndarray:
     """Representation matrix D^s(k) = exp(-i k . S / hbar).
 
     The hbar in the exponent cancels against the one carried by the
-    generators, so the matrix depends on the rotation vector alone.  For
-    an SO(2) label the rotation must be about the third axis and the
-    result is the 1 x 1 phase exp(i m k_3).
+    generators, so the matrix depends on the rotation vector alone.
     """
     v = np.asarray(k, dtype=float)
     if v.shape != (3,):
         raise DomainError(f"rotation vector must have three components, got shape {v.shape}")
-    if label.group is Group.SO2:
-        if abs(v[0]) > _ANGLE_TOL or abs(v[1]) > _ANGLE_TOL:
-            raise DomainError("SO(2) labels only represent rotations about the third axis")
-        return np.array([[np.exp(1j * label.m * v[2])]], dtype=complex)
     return wigner_D_batch(label, v[None, :])[0]
 
 
@@ -266,13 +210,14 @@ def _symmetric_power(twice_spin: int):
 
 def wigner_D_batch(label: RepLabel, ks: np.ndarray) -> np.ndarray:
     """Vectorized wigner_D over an (N, 3) array of rotation vectors."""
-    if label.group is Group.SO2:
-        raise DomainError("batched evaluation supports the three-dimensional groups only")
+    ks = np.asarray(ks, dtype=float)
+    if not np.all(np.isfinite(ks)):
+        raise DomainError("rotation vector k must be finite")
     # D^s is the symmetric power of u = [[a, b], [c, d]]: column m holds the
     # coefficients of (a xi + c eta)^(s+m) (b xi + d eta)^(s-m), each scaled
     # by sqrt((s+m')! (s-m')! / ((s+m)! (s-m)!)), so no matrix function is
     # evaluated and D^(1/2) is u itself
-    abcd = _su2_batch(np.asarray(ks, dtype=float)).reshape(-1, 4).T
+    abcd = _su2_batch(ks).reshape(-1, 4).T
     n = label.twice_spin
     # powers[x, e] = abcd[x]**e, so each factor of a monomial is a row gather
     powers = np.ones((4, n + 1, abcd.shape[1]), dtype=complex)
@@ -287,11 +232,7 @@ def wigner_D_batch(label: RepLabel, ks: np.ndarray) -> np.ndarray:
 
 def group_volume(group: Group) -> float:
     """Total Haar volume, 8 pi^2 for SO(3) and 16 pi^2 for SU(2)."""
-    if group is Group.SO3:
-        return 8.0 * np.pi**2
-    if group is Group.SU2:
-        return 16.0 * np.pi**2
-    raise DomainError(f"no rotation-vector Haar volume for {group!r}")
+    return 8.0 * np.pi**2 if group is Group.SO3 else 16.0 * np.pi**2
 
 
 @dataclass(frozen=True)
@@ -317,8 +258,6 @@ def haar_quadrature(group: Group, order: int) -> HaarQuadrature:
     azimuthal dependence of products of representation matrices exactly
     up to combined spin (order - 1).
     """
-    if group is Group.SO2:
-        raise DomainError("quadrature covers the three-dimensional groups")
     if order < 2:
         raise DomainError(f"order must be at least 2, got {order}")
     k_max = np.pi if group is Group.SO3 else 2.0 * np.pi

@@ -164,6 +164,24 @@ class TestParseConfig:
                 base_config(grid={"x_min": 5.0, "x_max": 1.0, "npoints": 9}),
                 "grid: grid needs x_max > x_min",
             ),
+            # a planar box below 0 is refused at parse time, for library callers
+            # and manifest replays as for main
+            (
+                base_config(grid={"x_min": -10.003, "x_max": 10.0, "npoints": 999}),
+                "grid.x_min: must not be negative",
+            ),
+            (
+                base_config(grid={"x_min": -1e-9, "x_max": 10.0, "h": 0.1}),
+                "grid.x_min: must not be negative",
+            ),
+            (
+                base_config(
+                    model="dalembert",
+                    params={"I": 2.0, "A": 0.0, "B": 0.0},
+                    grid={"x_min": -1.0, "x_max": 10.0, "npoints": 99},
+                ),
+                "grid.x_min: must not be negative",
+            ),
         ],
     )
     def test_usage_errors_name_field(self, doc, field):
@@ -1186,6 +1204,21 @@ def test_every_all_entry_names_an_attribute():
         module = importlib.import_module(name)
         stale += [(name, n) for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert stale == []
+
+
+def test_every_bench_module_exists():
+    # bench/run.py digests and line-counts each module in MODULES, so a missing
+    # one fails every benchmark run; the tuple is read from the file, not imported
+    run = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    (modules,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(run.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["MODULES"]
+    ]
+    package = Path(affbody.__file__).parent
+    assert "cli" in modules
+    assert [name for name in modules if not (package / f"{name}.py").is_file()] == []
 
 
 class TestStoredNDReference:

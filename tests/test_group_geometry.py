@@ -84,21 +84,21 @@ class TestTwoPolar:
 class TestWeights:
     def test_lambda_two_dim_value(self):
         w = weight_lambda([np.log(2.0), 0.0])
-        assert w.kind is WeightKind.LAMBDA
-        assert w.value == pytest.approx(0.75, abs=1e-15)
+        assert type(w) is float
+        assert w == pytest.approx(0.75, abs=1e-15)
 
     def test_lambda_vanishes_iff_coincident(self):
-        assert weight_lambda([1.3, 1.3]).value == 0.0
-        assert weight_lambda([0.4, 0.4, -1.0]).value == 0.0
-        assert weight_lambda([0.4, 0.2, -1.0]).value > 0.0
+        assert weight_lambda([1.3, 1.3]) == 0.0
+        assert weight_lambda([0.4, 0.4, -1.0]) == 0.0
+        assert weight_lambda([0.4, 0.2, -1.0]) > 0.0
 
     def test_lambda_permutation_invariant_magnitude(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             q = rng.standard_normal(3)
-            base = weight_lambda(q).value
+            base = weight_lambda(q)
             perm = rng.permutation(3)
-            assert weight_lambda(q[perm]).value == pytest.approx(base, rel=1e-12)
+            assert weight_lambda(q[perm]) == pytest.approx(base, rel=1e-12)
 
     @pytest.mark.parametrize("ndim", [2, 3])
     def test_pair_weight_on_a_grid_matches_each_point_bitwise(self, ndim):
@@ -107,21 +107,27 @@ class TestWeights:
         field = pair_weight(WeightKind.LAMBDA, pts)
         assert field.shape == pts.shape[:-1]
         for idx in np.ndindex(*field.shape):
-            assert field[idx] == weight_lambda(pts[idx]).value
+            assert field[idx] == weight_lambda(pts[idx])
 
     def test_l_three_dim_value(self):
         w = weight_l([3.0, 2.0, 1.0])
-        assert w.kind is WeightKind.L
-        assert w.value == pytest.approx(120.0, abs=1e-12)
+        assert type(w) is float
+        assert w == pytest.approx(120.0, abs=1e-12)
 
     def test_l_vanishes_on_coincidence(self):
-        assert weight_l([2.0, 2.0, 1.0]).value == 0.0
+        assert weight_l([2.0, 2.0, 1.0]) == 0.0
 
     @pytest.mark.parametrize("weight", [weight_lambda, weight_l])
     @pytest.mark.parametrize("shape", [(1,), (2, 2), ()])
     def test_rejects_bad_shapes(self, weight, shape):
         with pytest.raises(DomainError, match="at least two invariants"):
             weight(np.ones(shape))
+
+    @pytest.mark.parametrize("weight,name", [(weight_lambda, "q"), (weight_l, "Q")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_invariants(self, weight, name, bad):
+        with pytest.raises(DomainError, match=f"invariants {name} must be finite"):
+            weight([bad, 1.0])
 
     def test_l_requires_positive(self):
         with pytest.raises(DomainError):
@@ -134,8 +140,8 @@ class TestWeights:
         rng = np.random.default_rng(5)
         for _ in range(20):
             q = rng.uniform(-1.0, 1.0, size=2)
-            assert weight_l(np.exp(q)).value == pytest.approx(
-                2.0 * np.exp(np.sum(q)) * weight_lambda(q).value, rel=1e-12
+            assert weight_l(np.exp(q)) == pytest.approx(
+                2.0 * np.exp(np.sum(q)) * weight_lambda(q), rel=1e-12
             )
 
 

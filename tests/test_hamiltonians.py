@@ -16,6 +16,7 @@ from affbody.hamiltonians import (
     ModelKind,
     ModelParams,
     NDChannelOperator,
+    PotentialKind,
     PotentialSpec,
     WeightKind1D,
     ZERO_POTENTIAL,
@@ -54,7 +55,6 @@ class TestDerivedConstants:
         assert math.isinf(cons.beta)
         assert cons.mu == pytest.approx(1.5)
         assert cons.beta_tilde == pytest.approx(6.0)
-        assert not cons.mu_degenerate
 
     def test_reference_values_n3(self):
         cons = derived_constants(params3(I=3, A=1, B=1))
@@ -66,7 +66,6 @@ class TestDerivedConstants:
     def test_degenerate_mu(self):
         cons = derived_constants(params2(I=1, A=1))
         assert cons.mu == 0.0
-        assert cons.mu_degenerate
         assert math.isinf(derived_constants(params2(I=0, A=1)).mu)
 
     def test_beta_tilde_identity(self):
@@ -113,14 +112,14 @@ class TestGates:
 
 class TestPotentials:
     def test_harmonic(self):
-        spec = PotentialSpec.harmonic(2.0)
+        spec = PotentialSpec(PotentialKind.HARMONIC, k=2.0)
         assert potential(spec, 1.0) == pytest.approx(1.0)
-        assert potential(PotentialSpec.harmonic(2.0, q0=1.0), 1.0) == 0.0
+        assert potential(PotentialSpec(PotentialKind.HARMONIC, k=2.0, q0=1.0), 1.0) == 0.0
         vals = potential(spec, np.array([0.0, 2.0]))
         assert vals == pytest.approx([0.0, 4.0])
 
     def test_finite_well(self):
-        spec = PotentialSpec.finite_well(5.0, 2.0)
+        spec = PotentialSpec(PotentialKind.FINITE_WELL, depth=5.0, width=2.0)
         assert potential(spec, 0.0) == -5.0
         assert potential(spec, 0.99) == -5.0
         assert potential(spec, 1.0) == -5.0
@@ -132,7 +131,7 @@ class TestPotentials:
 
     def test_negative_width_rejected(self):
         with pytest.raises(DomainError, match="width"):
-            PotentialSpec.finite_well(5.0, -1.0)
+            PotentialSpec(PotentialKind.FINITE_WELL, depth=5.0, width=-1.0)
 
 
 class TestGrid1D:
@@ -296,7 +295,7 @@ class TestAssemble2D:
         bare = assemble_2d_channel(ModelKind.AFF_AFF, params2(A=1.0), (0, 0), g)
         well = assemble_2d_channel(
             ModelKind.AFF_AFF, params2(A=1.0), (0, 0), g,
-            shear_potential=PotentialSpec.finite_well(5.0, 2.0),
+            shear_potential=PotentialSpec(PotentialKind.FINITE_WELL, depth=5.0, width=2.0),
         )
         np.testing.assert_allclose(
             well.diag_potential - bare.diag_potential,
@@ -348,7 +347,7 @@ class TestQSector:
     def test_flat_sector_materialization(self):
         op = assemble_2d_channel(
             ModelKind.AFF_AFF, params2(A=1.0, B=0.0), (1, 0), Grid1D.from_spec(10.0, 20),
-            dil_potential=PotentialSpec.harmonic(2.0),
+            dil_potential=PotentialSpec(PotentialKind.HARMONIC, k=2.0),
         )
         qop = assemble_q_sector(op.q_sector, Grid1D(-6.0, 6.0, 11))
         assert qop.weight_kind is WeightKind1D.FLAT
@@ -497,8 +496,8 @@ def reference_apply(op, f):
     diag[core] += f[back]
     diag[back] += f[core]
     out += (op.q2_coeff / h2) * diag + op.casimir_shift * f
-    gs = generators(RepLabel.su2(op.labels[0]), op.params.hbar).S
-    gj = generators(RepLabel.su2(op.labels[1]), op.params.hbar).S
+    gs = generators(RepLabel.su2(op.labels[0]), op.params.hbar)
+    gj = generators(RepLabel.su2(op.labels[1]), op.params.hbar)
     axes = op.grid.axes
     for a, b, c in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         qa = axes[a].reshape([-1 if d == a else 1 for d in range(3)])
@@ -984,7 +983,7 @@ class TestAssembleND:
         # from scratch: dual-axis lookup, sinh/cosh denominators, 1/16
         from affbody.representations import RepLabel, generators
 
-        S = generators(RepLabel.su2(0.5), par.hbar).S
+        S = generators(RepLabel.su2(0.5), par.hbar)
         rng = np.random.default_rng(9)
         f = rng.normal(size=op.shape) + 1j * rng.normal(size=op.shape)
         mask = np.zeros(op.shape)
@@ -1060,7 +1059,8 @@ class TestCasimirShifts:
     def test_planar_shift_is_the_so2_casimir_over_mu(self, kind, channel, gyro):
         par = params2(I=2.0, A=1.0, B=0.0, hbar=0.5)
         op = assemble_2d_channel(kind, par, channel, Grid1D.from_spec(10.0, 20))
-        c2 = casimir(generators(RepLabel.so2(gyro), par.hbar))[0, 0].real
+        # the SO(2) Casimir of the gyration label g is (hbar g)^2
+        c2 = (par.hbar * gyro) ** 2
         assert op.constant_shift == pytest.approx(c2 / derived_constants(par).mu, rel=1e-15)
         assert op.threshold - op.constant_shift == pytest.approx(0.25 * op.kinetic_coeff)
 

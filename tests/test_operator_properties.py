@@ -36,6 +36,7 @@ from affbody.hamiltonians import (  # noqa: E402
     GridND,
     ModelKind,
     ModelParams,
+    PotentialKind,
     PotentialSpec,
     assemble_2d_channel,
     assemble_nd_channel,
@@ -90,8 +91,10 @@ def test_solved_blocks_are_symmetric_and_cover_the_field(model, labels, N):
 
 
 PLANAR_LABELS = [(m, n) for m in range(-6, 7) for n in range(-6, 7)]
-planar_potentials = st.just(PotentialSpec.zero()) | st.builds(
-    PotentialSpec.harmonic, st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.0, 1.5])
+planar_potentials = st.just(PotentialSpec(PotentialKind.ZERO)) | st.builds(
+    lambda k, q0: PotentialSpec(PotentialKind.HARMONIC, k=k, q0=q0),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.sampled_from([0.0, 1.5]),
 )
 
 
@@ -137,7 +140,9 @@ def test_shear_twins_assemble_bitwise_equal_x_sectors(model, shear, npoints):
 
 
 chain_potentials = planar_potentials | st.builds(
-    PotentialSpec.finite_well, st.sampled_from([0.5, 3.0]), st.sampled_from([1.0, 4.0])
+    lambda depth, width: PotentialSpec(PotentialKind.FINITE_WELL, depth=depth, width=width),
+    st.sampled_from([0.5, 3.0]),
+    st.sampled_from([1.0, 4.0]),
 )
 
 

@@ -17,6 +17,7 @@ from affbody.hamiltonians import (
     GridND,
     ModelKind,
     ModelParams,
+    PotentialKind,
     PotentialSpec,
     WeightKind1D,
     _spin_blocks,
@@ -105,7 +106,7 @@ class TestSolve1D:
     def test_q_sector_harmonic(self):
         op = assemble_2d_channel(
             ModelKind.AFF_AFF, P2(I=1, A=1, B=0), (1, 2), Grid1D.from_spec(10.0, 30),
-            dil_potential=PotentialSpec.harmonic(2.0),
+            dil_potential=PotentialSpec(PotentialKind.HARMONIC, k=2.0),
         )
         qop = assemble_q_sector(op.q_sector, Grid1D(-12.0, 12.0, 1201))
         res = solve_1d(qop, 3)
@@ -220,14 +221,18 @@ class TestSolve1D:
         [
             (ModelKind.AFF_AFF, (2, 1), Grid1D(0.0, 40.0, 999), None),
             (ModelKind.AFF_AFF, (1, 3), Grid1D(0.0, 40.0, 1999), None),
-            (ModelKind.MET_AFF, (0, 2), Grid1D(-2.0, 7.5, 21), PotentialSpec.harmonic(1.5, 0.5)),
-            (ModelKind.DALEMBERT, (0, 2), Grid1D(0.5, 10.0, 7), PotentialSpec.finite_well(2, 3)),
+            (ModelKind.MET_AFF, (0, 2), Grid1D(-2.0, 7.5, 21), PotentialSpec(PotentialKind.HARMONIC, k=1.5, q0=0.5)),
+            (
+                ModelKind.DALEMBERT, (0, 2), Grid1D(0.5, 10.0, 7),
+                PotentialSpec(PotentialKind.FINITE_WELL, depth=2, width=3),
+            ),
         ],
     )
     def test_margin_grid_of_an_odd_grid_keeps_every_second_node(self, kind, channel, grid, shear):
         # every coarse node is a fine node, so the coarse diagonal is a slice
         op = assemble_2d_channel(
-            kind, P2(I=2, A=1, B=0), channel, grid, shear_potential=shear or PotentialSpec.zero()
+            kind, P2(I=2, A=1, B=0), channel, grid,
+            shear_potential=shear or PotentialSpec(PotentialKind.ZERO),
         )
         res = solve_1d(op, 3)
         coarse = dataclasses.replace(
@@ -722,8 +727,10 @@ class TestConvergence:
         assert np.all(study.orders > 1.7) and np.all(study.orders < 2.3)
 
     def test_critical_channel_reports_reduced_order(self):
-        # the equal-label channel carries the critical core; the study must
-        # report the order loss rather than hide it
+        # the equal-label channel has kappa = |n - m|/2 = 0, so its amplitude is
+        # nonzero at x = 0, where the grid puts its Dirichlet zero (the exact
+        # Poeschl-Teller level is 0); the study must report the order loss
+        # rather than hide it
         make = lambda g: assemble_2d_channel(
             ModelKind.AFF_AFF, P2(I=1, A=1, B=0), (2, 2), g
         )

@@ -27,7 +27,7 @@ from affbody.verify import (
 
 def exp_of_generators(label, ks):
     """exp(-i k . S) at each row of ks, from a batched eigh of the Hermitian k . S."""
-    vals, vecs = np.linalg.eigh(np.einsum("na,aij->nij", ks, np.array(generators(label).S)))
+    vals, vecs = np.linalg.eigh(np.einsum("na,aij->nij", ks, np.array(generators(label))))
     return (vecs * np.exp(-1j * vals)[:, None, :]) @ np.conj(vecs).transpose(0, 2, 1)
 
 
