@@ -1,7 +1,8 @@
 """Two-polar factorization of internal configurations and measure weights.
 
-An internal configuration is an n x n real matrix phi with det(phi) > 0.
-It factorizes as
+An internal configuration is a finite n x n real matrix phi with
+det(phi) > 0.  The sign comes from the LU factors (slogdet), so it holds
+where det(phi) itself underflows or overflows.  phi factorizes as
 
     phi = L @ diag(exp(q)) @ R^{-1},      L, R in SO(n),
 
@@ -26,6 +27,7 @@ the Lebesgue measure of the matrix entries:
     d(alpha)  = det(phi)^(-n-1) d(a).
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,25 +68,28 @@ class TwoPolarConfig:
     degenerate: bool
 
 
-def _configuration(phi):
-    """(phi as a float array, det(phi)); DomainError unless square with finite det > 0."""
+def _configuration(phi) -> np.ndarray:
+    """phi as a float array; DomainError unless square and finite with det(phi) > 0."""
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2 or phi.shape[0] != phi.shape[1]:
         raise DomainError(f"configuration must be square, got shape {phi.shape}")
-    det = np.linalg.det(phi)
-    if not np.isfinite(det) or det <= 0.0:
-        raise DomainError(f"configuration must have positive determinant, got {det}")
-    return phi, det
+    if not np.all(np.isfinite(phi)):
+        raise DomainError("configuration must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sign = np.linalg.slogdet(phi)[0]
+    if not sign > 0.0:
+        raise DomainError(f"configuration must have positive determinant, got sign {sign}")
+    return phi
 
 
 def two_polar_decompose(phi) -> TwoPolarConfig:
     """Factor phi = L @ diag(exp(q)) @ R^{-1} with L, R in SO(n).
 
-    Raises DomainError for non-square input, det(phi) <= 0, n < 2 or a
-    singular value that rounds to zero (no finite q), and NumericalError
-    if the underlying factorization fails.
+    Raises DomainError for non-square or non-finite input, det(phi) <= 0,
+    n < 2 or a singular value that rounds to zero or overflows (no finite
+    q), and NumericalError if the underlying factorization fails.
     """
-    phi, _ = _configuration(phi)
+    phi = _configuration(phi)
     if phi.shape[0] < 2:
         raise DomainError(f"need n >= 2, got n = {phi.shape[0]}")
     try:
@@ -100,6 +105,8 @@ def two_polar_decompose(phi) -> TwoPolarConfig:
         vt[-1, :] *= -1.0
     if np.any(s <= 0.0):
         raise DomainError("configuration is numerically singular")
+    if not np.isfinite(s[0]):
+        raise DomainError("configuration has a singular value past the float maximum")
     q = np.log(s)
     degenerate = bool(np.any(np.abs(np.diff(q)) < DEGENERACY_TOL))
     return TwoPolarConfig(
@@ -132,39 +139,47 @@ def pair_weight(kind: WeightKind, q) -> np.ndarray:
     return out
 
 
-def _invariants(name: str, q) -> np.ndarray:
-    """q as a float vector; DomainError unless it holds at least two finite invariants."""
+def _weight(kind: WeightKind, name: str, q) -> float:
+    """pair_weight of at least two finite invariants q (positive for L), or DomainError."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or q.shape[0] < 2:
         raise DomainError(f"need a vector of at least two invariants, got shape {q.shape}")
     if not np.all(np.isfinite(q)):
         raise DomainError(f"deformation invariants {name} must be finite, got {q.tolist()}")
-    return q
+    if kind is WeightKind.L and np.any(q <= 0.0):
+        raise DomainError("deformation invariants Q^a must be positive")
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = float(pair_weight(kind, q))
+    if not math.isfinite(weight):
+        raise DomainError(f"the weight of deformation invariants {name} = {q.tolist()} overflows")
+    return weight
 
 
 def weight_lambda(q) -> float:
     """Radial weight of the q-coordinate measure, prod_{a<b} |sinh(q^a - q^b)|."""
-    return float(pair_weight(WeightKind.LAMBDA, _invariants("q", q)))
+    return _weight(WeightKind.LAMBDA, "q", q)
 
 
 def weight_l(Q) -> float:
     """Radial weight of the Q-coordinate measure, prod_{a<b} |(Q^a+Q^b)(Q^a-Q^b)|."""
-    Q = _invariants("Q", Q)
-    if np.any(Q <= 0.0):
-        raise DomainError("deformation invariants Q^a must be positive")
-    return float(pair_weight(WeightKind.L, Q))
+    return _weight(WeightKind.L, "Q", Q)
 
 
 def haar_density_ratio(phi, target: MeasureTarget) -> float:
     """Density of an invariant measure relative to the Lebesgue one at phi.
 
     Returns det(phi)^(-n) for the internal measure and det(phi)^(-n-1)
-    for the full-group measure.
+    for the full-group measure, DomainError where that is not a finite float.
     """
-    phi, det = _configuration(phi)
+    phi = _configuration(phi)
     n = phi.shape[0]
-    if target is MeasureTarget.LAMBDA_INTERNAL:
-        return float(det ** (-n))
-    if target is MeasureTarget.ALPHA_FULL_GROUP:
-        return float(det ** (-n - 1))
-    raise DomainError(f"unknown measure target {target!r}")
+    if not isinstance(target, MeasureTarget):
+        raise DomainError(f"unknown measure target {target!r}")
+    power = -n - 1 if target is MeasureTarget.ALPHA_FULL_GROUP else -n
+    # det > 0 here, but may round to 0 or inf, and its power to inf or 0
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        det = np.linalg.det(phi)
+        ratio = float(det**power)
+    if not math.isfinite(ratio):
+        raise DomainError(f"density ratio det(phi)^({power}) overflows at det(phi) = {det}")
+    return ratio

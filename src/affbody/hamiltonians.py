@@ -71,9 +71,8 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, readonly
 from .group_geometry import WeightKind, pair_weight
-from .representations import RepLabel, generators, rotation_vector_from_matrix, wigner_D
+from .representations import MAX_TWICE_SPIN, RepLabel, generators, wigner_D
 
-MAX_TWICE_SPIN = 20
 MAX_FIELD_ELEMENTS = 1 << 26
 # sqrt(eps/safmin) = 2^485, about 1e146, past which LAPACK's dstev rescales a matrix:
 # stebz (eigh_tridiagonal) squares the off-diagonal and fails near 1.3e154, where
@@ -514,20 +513,20 @@ def _flux_nd(kind: ModelKind, grid: GridND) -> tuple:
     return tuple(out)
 
 
-# the rotations by pi about axes 0, 1, 2; with the identity, the Klein group K4
-KLEIN_ROTATIONS = tuple(readonly(np.diag(np.where(np.arange(3) == a, 1.0, -1.0))) for a in range(3))
-# the rotation by pi/2 about axis 1, which swaps the Klein rotations about axes 0 and 2
-TWIN_ROTATION = readonly(np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))
+# the rotation vectors of the pi rotations about axes 0, 1, 2; with the identity, the Klein group K4
+KLEIN_ROTATIONS = tuple(readonly(np.pi * np.eye(3)[a]) for a in range(3))
+# the rotation by -pi/2 about axis 1, which swaps the Klein rotations about axes 0 and 2
+TWIN_ROTATION = readonly(np.array([0.0, -np.pi / 2, 0.0]))
 
 
-def spin_action(labels, W) -> np.ndarray:
-    """U(W) = D_L(W) (x) D_R(W)^T: f -> D_L(W) f D_R(W) on one cell's row-major f.
+def spin_action(labels, k) -> np.ndarray:
+    """U(k) = D_L(k) (x) D_R(k)^T: f -> D_L(k) f D_R(k) on one cell's row-major f.
 
-    For labels (s, j), D_L(W) = D^s(W) and D_R(W) = D^j(W^-1), taken as the
-    exact unitary inverse D^j(W)^H, so D_R(W)^T is the conjugate of D^j(W).
+    k is a rotation vector.  For labels (s, j), D_L(k) = D^s(k) and
+    D_R(k) = D^j(-k), taken as the exact unitary inverse D^j(k)^H, so
+    D_R(k)^T is the conjugate of D^j(k).
     """
-    w = rotation_vector_from_matrix(np.asarray(W, dtype=float))
-    dl, dr = (wigner_D(RepLabel.su2(v), w) for v in labels)
+    dl, dr = (wigner_D(RepLabel.su2(v), k) for v in labels)
     return np.kron(dl, dr.conj())
 
 
@@ -748,10 +747,11 @@ class NDChannelOperator:
         return complex(np.sum(tr * self.weight) * self.grid.step**3)
 
 
-def symmetry_defect(op: NDChannelOperator, W) -> float:
+def symmetry_defect(op: NDChannelOperator, k) -> float:
     """Largest entry of A T - T A over that of A, A = op.symmetric_matrix().
 
-    T is the action of W on amplitudes.  A Klein rotation acts by
+    T is the action on amplitudes of k, one of the rotation vectors
+    KLEIN_ROTATIONS and TWIN_ROTATION.  A Klein rotation acts by
     `spin_action` in each cell.  TWIN_ROTATION also maps cell (i0, i1, i2)
     to (N-1-i2, N-1-i1, N-1-i0), which is q -> (-q^2, -q^1, -q^0) up to a
     shift along the grid diagonal: this map, tau, leaves the operator of
@@ -760,16 +760,16 @@ def symmetry_defect(op: NDChannelOperator, W) -> float:
     import scipy.sparse
 
     N = op.grid.npoints
-    if np.array_equal(W, TWIN_ROTATION):
+    if np.array_equal(k, TWIN_ROTATION):
         cells = np.ravel_multi_index(N - 1 - np.indices((N,) * 3).reshape(3, -1)[::-1], (N,) * 3)
-    elif any(np.array_equal(W, R) for R in KLEIN_ROTATIONS):
+    elif any(np.array_equal(k, R) for R in KLEIN_ROTATIONS):
         cells = np.arange(N**3)
     else:
-        raise DomainError("W must be a Klein rotation or TWIN_ROTATION")
+        raise DomainError("k must be a Klein rotation or TWIN_ROTATION")
     # both maps are involutions, so row c of the cell permutation holds a 1 at cells[c]
     move = scipy.sparse.csr_array((np.ones(N**3), cells, np.arange(N**3 + 1)), shape=(N**3,) * 2)
-    U = spin_action(op.labels, W)
-    U[np.abs(U) < 1e-14] = 0.0  # rounding where the rotation's matrix has exact zeros
+    U = spin_action(op.labels, k)
+    U[np.abs(U) < 1e-14] = 0.0  # rounding where the rotation's Wigner matrix has exact zeros
     T = scipy.sparse.kron(move, scipy.sparse.csr_array(U), format="csr")
     A = op.symmetric_matrix()
     return float(np.max(np.abs((A @ T - T @ A).data), initial=0.0) / np.abs(A.data).max())

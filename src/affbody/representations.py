@@ -57,8 +57,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, readonly
+from .errors import CapacityError, DomainError, readonly
 
+# the largest 2s of a label; D^s is a sum of (2s+1)(2s+2)(2s+3)/6 monomials
+MAX_TWICE_SPIN = 20
 _ANGLE_TOL = 1e-12
 
 
@@ -84,6 +86,8 @@ class RepLabel:
             raise DomainError(f"SO(3) spin must be a non-negative integer, got {self.twice_spin / 2}")
         if self.twice_spin < 0:
             raise DomainError(f"SU(2) spin must be a non-negative half-integer, got {self.twice_spin / 2}")
+        if self.twice_spin > MAX_TWICE_SPIN:
+            raise CapacityError(f"spin {self.twice_spin / 2} exceeds the maximum {MAX_TWICE_SPIN / 2}")
 
     @classmethod
     def so3(cls, s) -> "RepLabel":
@@ -131,31 +135,6 @@ def generators(label: RepLabel, hbar: float = 1.0) -> tuple:
 def casimir(S) -> np.ndarray:
     """Sum of squared generators; hbar^2 s(s+1) Id on an irreducible space."""
     return sum(a @ a for a in S)
-
-
-def rotation_vector_from_matrix(W) -> np.ndarray:
-    """Inverse of W(k), returning the vector with angle in [0, pi]."""
-    W = np.asarray(W, dtype=float)
-    if W.shape != (3, 3):
-        raise DomainError(f"need a 3 x 3 rotation matrix, got shape {W.shape}")
-    if not np.all(np.isfinite(W)):
-        raise DomainError(f"rotation matrix must be finite, got {W.tolist()}")
-    if np.max(np.abs(W @ W.T - np.eye(3))) > 1e-8 or np.linalg.det(W) < 0.0:
-        raise DomainError("matrix is not a rotation")
-    # v = 2 sin(angle) n and tr W - 1 = 2 cos(angle)
-    v = np.array([W[2, 1] - W[1, 2], W[0, 2] - W[2, 0], W[1, 0] - W[0, 1]])
-    two_cos, two_sin = np.trace(W) - 1.0, float(np.linalg.norm(v))
-    angle = math.atan2(two_sin, two_cos)
-    if two_cos >= 0.0:
-        return angle * v / two_sin if two_sin > 0.0 else np.zeros(3)
-    # past pi/2 v loses digits to cancellation, while the symmetric part
-    # W + W^T - 2 cos(angle) Id = 2 (1 - cos(angle)) n n^T keeps them; its
-    # largest column is parallel to n, signed by v unless the angle is pi
-    M = W + W.T - two_cos * np.eye(3)
-    axis = M[:, int(np.argmax(np.sum(M * M, axis=0)))]
-    if axis @ v < 0.0:
-        axis = -axis
-    return angle * axis / np.linalg.norm(axis)
 
 
 def _su2_batch(ks: np.ndarray) -> np.ndarray:

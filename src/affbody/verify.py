@@ -212,7 +212,7 @@ def measures_suite(seed: int = 7) -> list:
     results.append(
         CheckResult(
             "Klein and twin symmetry of the n=3 operator",
-            max(symmetry_defect(op, W) for W in KLEIN_ROTATIONS[:2] + (TWIN_ROTATION,)),
+            max(symmetry_defect(op, k) for k in KLEIN_ROTATIONS[:2] + (TWIN_ROTATION,)),
             1e-14,
             "met-aff (1, 1), N = 4: |A T - T A| / |A|",
         )

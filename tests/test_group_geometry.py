@@ -75,6 +75,26 @@ class TestTwoPolar:
         with pytest.raises(DomainError):
             two_polar_decompose(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "phi",
+        [1e-110 * np.eye(3), np.diag([1e-300, 1e-300]), 1e110 * np.eye(3), np.diag([1e300, 1e300])],
+        ids=["3d-det-underflows", "2d-det-underflows", "3d-det-overflows", "2d-det-overflows"],
+    )
+    def test_roundtrip_where_det_leaves_the_float_range(self, phi):
+        cfg = two_polar_decompose(phi)
+        assert np.allclose(cfg.q, np.log(phi[0, 0]), rtol=1e-15, atol=0.0)
+        assert np.max(np.abs(reconstruct(cfg) - phi)) <= 1e-13 * np.max(np.abs(phi))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(DomainError, match="configuration must be finite"):
+            two_polar_decompose(np.diag([bad, 1.0]))
+
+    def test_rejects_singular_values_past_the_float_maximum(self):
+        # every entry is finite, but the singular values are 1.5e308 * sqrt(2)
+        with pytest.raises(DomainError, match="past the float maximum"):
+            two_polar_decompose(np.array([[1.5e308, 1.5e308], [-1.5e308, 1.5e308]]))
+
     def test_results_read_only(self):
         cfg = two_polar_decompose(np.diag([2.0, 1.0]))
         with pytest.raises(ValueError):
@@ -129,6 +149,18 @@ class TestWeights:
         with pytest.raises(DomainError, match=f"invariants {name} must be finite"):
             weight([bad, 1.0])
 
+    @pytest.mark.parametrize(
+        "weight,q,name",
+        [
+            (weight_lambda, [800.0, 0.0], "q"),
+            (weight_lambda, [0.0, 400.0, -400.0], "q"),
+            (weight_l, [1e200, 1.0], "Q"),
+        ],
+    )
+    def test_refuses_a_weight_that_overflows(self, weight, q, name):
+        with pytest.raises(DomainError, match=f"invariants {name} = .* overflows"):
+            weight(q)
+
     def test_l_requires_positive(self):
         with pytest.raises(DomainError):
             weight_l([1.0, -2.0])
@@ -167,6 +199,18 @@ class TestHaarDensity:
                 assert haar_density_ratio(c * phi, target) == pytest.approx(
                     c ** (-power) * haar_density_ratio(phi, target), rel=1e-12
                 )
+
+    @pytest.mark.parametrize("target", list(MeasureTarget))
+    def test_refuses_a_ratio_that_overflows(self, target):
+        # det = 1e-200, so the ratio is 1e400 or more
+        with pytest.raises(DomainError, match="overflows"):
+            haar_density_ratio(np.diag([1e-100, 1e-100]), target)
+        with pytest.raises(DomainError, match="overflows"):
+            haar_density_ratio(1e-110 * np.eye(3), target)
+
+    @pytest.mark.parametrize("target", list(MeasureTarget))
+    def test_ratio_past_det_overflow_rounds_to_zero(self, target):
+        assert haar_density_ratio(1e110 * np.eye(3), target) == 0.0
 
     def test_rejects_nonpositive_determinant(self):
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.spatial.transform import Rotation
 
 from affbody.errors import CapacityError, DomainError
 from affbody.representations import RepLabel, casimir, generators
@@ -631,10 +632,15 @@ def reference_projectors(labels) -> tuple:
     )
 
 
+def rotation_matrix(k):
+    # a writeable copy, as scipy's Rotation refuses a read-only buffer
+    return Rotation.from_rotvec(np.array(k)).as_matrix()
+
+
 class TestKleinBlocks:
     @pytest.mark.parametrize("labels", LABELS)
     def test_spin_action_at_the_identity_is_the_identity(self, labels):
-        U = spin_action(labels, np.eye(3))
+        U = spin_action(labels, np.zeros(3))
         d = int(2 * labels[0] + 1) * int(2 * labels[1] + 1)
         assert U.shape == (d, d)
         assert np.max(np.abs(U - np.eye(d))) <= 1e-14
@@ -643,8 +649,8 @@ class TestKleinBlocks:
     def test_spin_action_multiplies_as_the_klein_rotations(self, labels):
         # W0 W1 = W1 W0 = W2; the lifts U(W0), U(W1) commute only for labels of equal
         # halfness, and anticommute otherwise
-        W0, W1, W2 = KLEIN_ROTATIONS
-        assert np.array_equal(W0 @ W1, W2) and np.array_equal(W1 @ W0, W2)
+        W0, W1, W2 = (rotation_matrix(k) for k in KLEIN_ROTATIONS)
+        assert np.max(np.abs(W0 @ W1 - W2)) <= 1e-15 and np.max(np.abs(W1 @ W0 - W2)) <= 1e-15
         U0, U1, U2 = (spin_action(labels, W) for W in KLEIN_ROTATIONS)
         assert np.max(np.abs(U0 @ U1 - U2)) <= 1e-14
         sign = 1.0 if labels in EQUAL_HALFNESS else -1.0
@@ -661,7 +667,8 @@ class TestKleinBlocks:
         # T is the quarter turn about axis 1, so T^2 = W1; its lift squares to U(W1) for
         # labels of equal halfness and to -U(W1) otherwise, the sign of the Klein lifts'
         # commutator
-        assert np.array_equal(TWIN_ROTATION @ TWIN_ROTATION, KLEIN_ROTATIONS[1])
+        T, W1 = rotation_matrix(TWIN_ROTATION), rotation_matrix(KLEIN_ROTATIONS[1])
+        assert np.max(np.abs(T @ T - W1)) <= 1e-15
         U = spin_action(labels, TWIN_ROTATION)
         sign = 1.0 if labels in EQUAL_HALFNESS else -1.0
         assert np.max(np.abs(U @ U - sign * spin_action(labels, KLEIN_ROTATIONS[1]))) <= 1e-14

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.spatial.transform import Rotation
 
-from affbody.errors import DomainError
-from affbody.hamiltonians import KLEIN_ROTATIONS, TWIN_ROTATION
+from affbody.errors import CapacityError, DomainError
 from affbody.representations import (
     Group,
     HaarQuadrature,
@@ -12,7 +12,6 @@ from affbody.representations import (
     generators,
     group_volume,
     haar_quadrature,
-    rotation_vector_from_matrix,
     wigner_D,
     wigner_D_batch,
 )
@@ -92,14 +91,6 @@ class TestValidation:
                 lambda: wigner_D_batch(RepLabel.su2(1), np.array([[0.0, 0, 0], [0, 0, -np.inf]])),
                 "rotation vector k",
             ),
-            (
-                lambda: rotation_vector_from_matrix(np.full((3, 3), np.nan)),
-                "rotation matrix must be finite",
-            ),
-            (
-                lambda: rotation_vector_from_matrix(np.diag([1.0, 1.0, np.inf])),
-                "rotation matrix must be finite",
-            ),
         ],
         ids=[
             "label-inf",
@@ -114,13 +105,26 @@ class TestValidation:
             "wigner-nan",
             "wigner-inf",
             "batch-inf",
-            "log-nan",
-            "log-inf",
         ],
     )
     def test_domain_error(self, build, match):
         with pytest.raises(DomainError, match=match):
             build()
+
+    @pytest.mark.parametrize(
+        "make,s",
+        [
+            (RepLabel.su2, 10.5),
+            (RepLabel.so3, 11),
+            (RepLabel.su2, 1e3),
+            (RepLabel.su2, 1e6),
+            (RepLabel.so3, 1e300),
+        ],
+    )
+    def test_spin_past_the_cap_is_a_capacity_error(self, make, s):
+        # generators and wigner_D would otherwise run out of memory or overflow
+        with pytest.raises(CapacityError, match="exceeds the maximum 10.0"):
+            make(s)
 
 
 class TestGenerators:
@@ -157,40 +161,6 @@ class TestGenerators:
     def test_so3_rejects_half_integer(self):
         with pytest.raises(DomainError):
             generators(RepLabel(Group.SO3, 3))
-
-
-class TestRotationLog:
-    def test_inverts_exponential_at_every_angle(self):
-        rng = np.random.default_rng(37)
-        angles = np.concatenate([np.geomspace(1e-12, 1.0, 13), np.linspace(1.0, np.pi - 1e-6, 8)])
-        angles = np.concatenate([angles, np.pi - np.geomspace(1e-2, 1e-6, 5)])
-        for angle in angles:
-            axes = rng.standard_normal((20, 3))
-            for n in axes / np.linalg.norm(axes, axis=1)[:, None]:
-                k = angle * n
-                got = rotation_vector_from_matrix(rotation(k))
-                assert np.linalg.norm(got - k) <= 1e-12 * angle
-
-    def test_identity_is_zero(self):
-        assert np.array_equal(rotation_vector_from_matrix(np.eye(3)), np.zeros(3))
-
-    def test_half_turn(self):
-        W = np.diag([-1.0, -1.0, 1.0])
-        k = rotation_vector_from_matrix(W)
-        assert np.linalg.norm(k) == pytest.approx(np.pi)
-        assert np.allclose(rotation(k), W, atol=1e-12)
-
-    def test_klein_and_twin_rotations_exact(self):
-        # these vectors feed klein_bases and symmetry_defect
-        for a, W in enumerate(KLEIN_ROTATIONS):
-            assert np.array_equal(rotation_vector_from_matrix(W), np.pi * np.eye(3)[a])
-        assert np.array_equal(rotation_vector_from_matrix(TWIN_ROTATION), [0.0, -np.pi / 2, 0.0])
-
-    def test_rejects_non_rotations(self):
-        with pytest.raises(DomainError):
-            rotation_vector_from_matrix(np.eye(2))
-        with pytest.raises(DomainError):
-            rotation_vector_from_matrix(np.diag([1.0, 1.0, -1.0]))
 
 
 class TestSpinHalf:
@@ -260,7 +230,7 @@ class TestWignerD:
         for _ in range(10):
             k1 = rng.uniform(-1, 1, size=3)
             k2 = rng.uniform(-1, 1, size=3)
-            k12 = rotation_vector_from_matrix(rotation(k1) @ rotation(k2))
+            k12 = Rotation.from_matrix(rotation(k1) @ rotation(k2)).as_rotvec()
             got = wigner_D(label, k1) @ wigner_D(label, k2)
             assert np.max(np.abs(got - wigner_D(label, k12))) < 1e-9
 

@@ -530,7 +530,6 @@ class TestSolveND:
 
         want = solve()
         monkeypatch.setattr(affbody.hamiltonians, "wigner_D", broken)
-        monkeypatch.setattr(affbody.hamiltonians, "rotation_vector_from_matrix", broken)
         monkeypatch.setattr(affbody.representations, "wigner_D_batch", broken)
         affbody.hamiltonians._klein_bases.cache_clear()
         _spin_blocks.cache_clear()
